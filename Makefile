@@ -1,7 +1,7 @@
 GO ?= go
 TMPDIR ?= /tmp
 
-.PHONY: all build vet lint lint-negative analyze test race bench tables soak fuzz reproduce clean
+.PHONY: all build vet lint lint-negative analyze test race bench benchmark benchmark-quick tables soak fuzz reproduce clean
 
 all: build vet test
 
@@ -45,6 +45,16 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# benchmark is the repository's benchmark (BENCHMARK.json, bench/README.md):
+# every workload untraced then traced, ~4 min. benchmark-quick runs the
+# same harness on tiny topologies in seconds; both exit non-zero when an
+# oracle rejects an answer.
+benchmark:
+	bash bench/run.sh
+
+benchmark-quick:
+	bash bench/run.sh -quick
 
 tables:
 	$(GO) run ./cmd/benchtable

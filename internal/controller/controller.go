@@ -90,13 +90,14 @@ func (c *Controller) ClearInbox() {
 
 // InstallProgram applies a compiled program, batched per switch: entries
 // and groups are cloned onto each switch (a program is a reusable compile
-// artifact), the switch's dispatch matcher is recompiled — install is the
-// one seam both backends' lowerings pass through, so compiled dispatch
-// needs no per-mutator invalidation — and the program is retained for
-// declarative accounting (rule-space figures are read off installed
-// programs, not live switches). On a sharded network the materialization
-// and dispatch compilation run concurrently across shards (each touches
-// only its target switch); accounting stays serial.
+// artifact), the dispatch matchers of the tables the program wrote to are
+// recompiled — install is the one seam both backends' lowerings pass
+// through, and CompileDispatch skips tables that are still current, so a
+// group-only or state-only program compiles nothing — and the program is
+// retained for declarative accounting (rule-space figures are read off
+// installed programs, not live switches). On a sharded network the
+// materialization and dispatch compilation run concurrently across shards
+// (each touches only its target switch); accounting stays serial.
 func (c *Controller) InstallProgram(p *openflow.Program) {
 	ids := p.SwitchIDs()
 	for _, id := range ids {

@@ -477,12 +477,21 @@ func (b *BlackholeCounter) Outcome() (rep *Report, found, done bool) {
 	return nil, false, false
 }
 
-// ResetCounters zeroes every smart counter (offline group-mods), preparing
-// a fresh detection round.
+// ResetCounters zeroes every smart counter, preparing a fresh detection
+// round: one transient program re-sends every counter group, so each
+// switch sees a single transaction — the way a controller bundles
+// group-mods — rather than one per counter.
 func (b *BlackholeCounter) ResetCounters() {
-	for _, row := range b.Counters {
+	p := openflow.NewProgram("smart-counter-reset", b.Prog.Slot)
+	p.Transient = true
+	for sw, row := range b.Counters {
+		if len(row) == 0 {
+			continue
+		}
+		p.Ensure(sw, b.G.Degree(sw))
 		for _, sc := range row {
-			sc.Reset(b.ctl)
+			p.AddGroup(sw, sc.groupEntry())
 		}
 	}
+	b.ctl.InstallProgram(p)
 }

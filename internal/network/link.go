@@ -54,19 +54,37 @@ type Link struct {
 	// goroutines sharing one generator.
 	modeAB, modeBA LinkMode
 	lossAB, lossBA float64
-	rngAB, rngBA   *rand.Rand
+	rngAB, rngBA   lossRNG
 
 	// StatsAB counts the A-to-B direction, StatsBA the reverse.
 	StatsAB, StatsBA DirStats
 }
 
-// dirInfo resolves the transmit side: given the transmitting switch, the
-// relevant mode, loss probability, stats and the receiving (switch, port).
-func (l *Link) dir(from int) (mode *LinkMode, loss *float64, st *DirStats, rng *rand.Rand, to, toPort int) {
-	if from == l.A {
-		return &l.modeAB, &l.lossAB, &l.StatsAB, l.rngAB, l.B, l.PortB
+// lossRNG is one direction's loss generator. Only its seed is fixed when
+// the network is built; the generator itself (a 607-word state and the
+// seeding loop that fills it) is constructed on the direction's first
+// lossy draw, which most links never make. The draw sequence is the one
+// an eagerly seeded generator would produce.
+type lossRNG struct {
+	seed int64
+	r    *rand.Rand
+}
+
+func (g *lossRNG) Float64() float64 {
+	if g.r == nil {
+		g.r = rand.New(rand.NewSource(g.seed))
 	}
-	return &l.modeBA, &l.lossBA, &l.StatsBA, l.rngBA, l.A, l.PortA
+	return g.r.Float64()
+}
+
+// dir resolves the transmit side: given the transmitting switch, the
+// relevant mode, loss probability, stats, loss generator and the
+// receiving (switch, port).
+func (l *Link) dir(from int) (mode *LinkMode, loss *float64, st *DirStats, rng *lossRNG, to, toPort int) {
+	if from == l.A {
+		return &l.modeAB, &l.lossAB, &l.StatsAB, &l.rngAB, l.B, l.PortB
+	}
+	return &l.modeBA, &l.lossBA, &l.StatsBA, &l.rngBA, l.A, l.PortA
 }
 
 // transmit decides the fate of one packet sent by switch `from`:

@@ -199,8 +199,8 @@ func New(g *topo.Graph, opts Options) *Network {
 	}
 	for _, e := range g.Edges() {
 		l := &Link{A: e.U, B: e.V, PortA: e.PU, PortB: e.PV, Delay: opts.LinkDelay,
-			rngAB: rand.New(rand.NewSource(rng.Int63())),
-			rngBA: rand.New(rand.NewSource(rng.Int63()))}
+			rngAB: lossRNG{seed: rng.Int63()},
+			rngBA: lossRNG{seed: rng.Int63()}}
 		n.links = append(n.links, l)
 		n.portLinks[e.U][e.PU] = l
 		n.portLinks[e.V][e.PV] = l

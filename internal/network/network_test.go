@@ -149,6 +149,52 @@ func TestLossyLinkDropsStatistically(t *testing.T) {
 	}
 }
 
+// TestLossySeedPinsDropSequence pins the per-direction drop sequences a
+// fixed network seed produces. The two seeds of every link are drawn from
+// the network generator when the network is built, in link order, but a
+// direction's generator is only constructed on its first lossy draw; the
+// sequences below were recorded with eagerly seeded generators, so they
+// hold only while construction order and draw order stay what they were.
+func TestLossySeedPinsDropSequence(t *testing.T) {
+	n := New(topo.Line(4), Options{Seed: 7})
+	// The last link first, and its reverse direction before its forward
+	// one: first-use order must not matter.
+	if err := n.SetLoss(2, 3, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.SetLoss(0, 1, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	draw := func(u, v int) string {
+		l := n.LinkBetween(u, v)
+		b := make([]byte, 48)
+		for i := range b {
+			b[i] = '.'
+			if _, _, delivered := l.transmit(u); delivered {
+				b[i] = '#'
+			}
+		}
+		return string(b)
+	}
+	for _, c := range []struct {
+		u, v int
+		want string
+	}{
+		{3, 2, "###.#.#..####...######.#####.#.#.#.####.#....#.."},
+		{2, 3, "......##.########.##.#.##...#..#..#.##.#...####."},
+		{0, 1, "#.######.###.#########.#.##....#####..#.##.#####"},
+		{1, 0, "..##.####.##...###.##.###..#.##...#.###########."},
+	} {
+		if got := draw(c.u, c.v); got != c.want {
+			t.Errorf("direction %d->%d: drop sequence\n got %s\nwant %s", c.u, c.v, got, c.want)
+		}
+	}
+	// A link that never went lossy never built a generator.
+	if l := n.LinkBetween(1, 2); l.rngAB.r != nil || l.rngBA.r != nil {
+		t.Error("an always-up link constructed its loss generators")
+	}
+}
+
 func TestPacketInReachesController(t *testing.T) {
 	g := topo.Line(2)
 	n := New(g, Options{})

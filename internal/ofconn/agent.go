@@ -84,6 +84,12 @@ func (a *Agent) handle(conn *Conn, h ofwire.Header, body []byte) error {
 		if err != nil {
 			return err
 		}
+		// The batch is parsed whole, then applied like a locally
+		// materialized program: groups, then the flow-mods per table in one
+		// batched add each (Switch.AddFlows) instead of one sorted insert
+		// per rule. Nothing is applied if a sub-message fails to parse.
+		var flows []openflow.FlowRule
+		var groups []*openflow.GroupEntry
 		for _, sub := range subs {
 			sh, err := ofwire.ParseHeader(sub)
 			if err != nil {
@@ -96,21 +102,26 @@ func (a *Agent) handle(conn *Conn, h ofwire.Header, body []byte) error {
 				if err != nil {
 					return err
 				}
-				a.SW.AddFlow(fm.Table, fm.Entry)
+				flows = append(flows, openflow.FlowRule{Table: fm.Table, Entry: fm.Entry})
 			case ofwire.TypeGroupMod:
 				g, err := ofwire.ParseGroupMod(sb)
 				if err != nil {
 					return err
 				}
-				a.SW.AddGroup(g)
+				groups = append(groups, g)
 			default:
 				// Only installation messages batch; anything else would
 				// need its own reply correlation.
 				return fmt.Errorf("ofconn: agent: message type %d not allowed in a batch", sh.Type)
 			}
 		}
-		// A batch is the remote install transaction; recompiling here gives
-		// wire-installed programs the same compiled dispatch as local ones.
+		for _, g := range groups {
+			a.SW.AddGroup(g)
+		}
+		a.SW.AddFlows(flows)
+		// A batch is the remote install transaction; recompiling the tables
+		// it wrote gives wire-installed programs the same compiled dispatch
+		// as local ones.
 		a.SW.CompileDispatch()
 		return nil
 	case ofwire.TypePacketOut:

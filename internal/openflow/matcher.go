@@ -36,7 +36,9 @@ import "slices"
 // the table's version instead of touching it. Lookup uses the matcher
 // only while its compiled-at version matches the table, so a mutated
 // table falls back to the (slower, always-correct) bucket scan until the
-// install path recompiles it via Switch.CompileDispatch.
+// install path recompiles it via Switch.CompileDispatch, which rebuilds
+// stale tables only: the tables a transaction did not write keep their
+// matcher.
 
 // crit is one residual field criterion in compiled form: the field
 // reduced to its bit range, the mask resolved (a zero FieldMatch mask
@@ -234,126 +236,245 @@ func exactOn(fields []FieldMatch, k fkey) int {
 	return -1
 }
 
-// reduce builds the mEntry of e for a list whose path already tested the
-// EtherType (ethKeyed), the ingress port (portKeyed), and optionally one
+// arena is the packed storage of one matcher: everything a lookup chases
+// lives in these contiguous blocks instead of per-node slices scattered
+// across the heap. The sizing pass makes the capacities exact, so no
+// append ever regrows and every slice handed out keeps pointing into the
+// one final block.
+type arena struct {
+	ents  mList
+	crits []crit
+	keys  []uint64
+	lists []mList
+}
+
+// take hands out the next n entry slots; nil when n is zero.
+func (a *arena) take(n int) mList {
+	if n == 0 {
+		return nil
+	}
+	s := len(a.ents)
+	a.ents = a.ents[:s+n]
+	return a.ents[s : s+n : s+n]
+}
+
+// reduce fills me with the mEntry of e for a list whose path already
+// tested the EtherType, the ingress port (portKeyed), and optionally one
 // field criterion (dropField >= 0, an index into e.Match.Fields).
-func reduce(e *FlowEntry, portKeyed bool, dropField int) mEntry {
-	me := mEntry{e: e, inPort: anyInPort, ttl: -1}
+func (a *arena) reduce(me *mEntry, e *FlowEntry, portKeyed bool, dropField int) {
+	*me = mEntry{e: e, inPort: anyInPort, ttl: -1}
 	if !portKeyed && e.Match.InPort != AnyPort {
 		me.inPort = int32(e.Match.InPort)
 	}
 	if e.Match.TTL != AnyTTL {
 		me.ttl = int16(e.Match.TTL)
 	}
-	n := 0
+	first, cs := true, len(a.crits)
 	for i, fm := range e.Match.Fields {
 		if i == dropField {
 			continue
 		}
-		c := makeCrit(fm)
-		if n == 0 {
-			me.c0 = c
+		if first {
+			me.c0, first = makeCrit(fm), false
 		} else {
-			me.extra = append(me.extra, c)
+			a.crits = append(a.crits, makeCrit(fm))
 		}
-		n++
 	}
-	return me
+	if n := len(a.crits); n > cs {
+		me.extra = a.crits[cs:n:n]
+	}
 }
 
-// buildNode compiles one (EtherType, InPort) node. list is in
-// (priority desc, insertion asc) order; iterating in order keeps every
-// produced sub-list ordered too.
-func buildNode(list []*FlowEntry, portKeyed bool) *mNode {
-	nd := &mNode{}
-	// Pick the full-width-exact field covering the most entries.
-	counts := make(map[fkey]int)
-	var bestKey fkey
-	bestCnt := 0
-	for _, e := range list {
-		seen := make(map[fkey]bool, len(e.Match.Fields))
-		for _, fm := range e.Match.Fields {
-			k := fkey{fm.F.Off, fm.F.Bits}
-			if seen[k] || (fm.Mask != 0 && fm.Mask != fm.F.Max()) {
-				continue
-			}
-			seen[k] = true
-			counts[k]++
-			if c := counts[k]; c > bestCnt {
-				bestCnt, bestKey = c, k
-			}
-		}
-	}
-	// A split only pays when it actually carves the bucket up: with fewer
-	// than two keyed entries the value map is pure overhead over the list.
-	if bestCnt >= 2 && len(list) >= 3 {
-		nd.split = true
-		nd.vals = make(map[uint64]mList)
-		for _, e := range list {
-			if i := exactOn(e.Match.Fields, bestKey); i >= 0 {
-				fm := e.Match.Fields[i]
-				if nd.fbits == 0 {
-					nd.foff, nd.fbits = int32(fm.F.Off), int32(fm.F.Bits)
-				}
-				v := fm.Value & fm.F.Max()
-				nd.vals[v] = append(nd.vals[v], reduce(e, portKeyed, i))
-			} else {
-				nd.resid = append(nd.resid, reduce(e, portKeyed, -1))
-			}
-		}
-		for i := range nd.resid {
-			if p := nd.resid[i].e.Priority; i == 0 || p > nd.residTop {
-				nd.residTop = p
-			}
-		}
-		// Small value sets dodge the map: a linear scan over a handful of
-		// keys is cheaper than hashing, and most compiled nodes key on a
-		// low-cardinality state byte.
-		if len(nd.vals) <= smallSplitMax {
-			// Sorted keys make the compiled layout (and hence the probe
-			// order and scan telemetry) identical run to run instead of
-			// inheriting map iteration order.
-			keys := make([]uint64, 0, len(nd.vals))
-			for v := range nd.vals {
-				keys = append(keys, v)
-			}
-			slices.Sort(keys)
-			nd.keys = keys
-			nd.lists = make([]mList, 0, len(keys))
-			for _, v := range keys {
-				nd.lists = append(nd.lists, nd.vals[v])
-			}
-			nd.vals = nil
-		}
-		return nd
-	}
-	for _, e := range list {
-		nd.resid = append(nd.resid, reduce(e, portKeyed, -1))
-	}
-	return nd
+// extraCrits is the number of residual criteria of e beyond the inline
+// first, when keyed of its fields are tested by the path.
+func extraCrits(e *FlowEntry, keyed int) int {
+	return max(len(e.Match.Fields)-keyed-1, 0)
+}
+
+// nodePlan is the sizing pass over one (EtherType, InPort) node: whether
+// it splits, on which field, into which value lists of what length. The
+// plans of a whole table size its arena exactly; emit then writes every
+// reduced entry once, straight into its final slot.
+type nodePlan struct {
+	list      []*FlowEntry // match order
+	portKeyed bool
+	split     bool
+	key       fkey     // split: the keyed field
+	keys      []uint64 // split: the distinct match values, ascending
+	cnt       []int    // split: entries under each key
+	nCrit     int      // residual criteria beyond each entry's inline first
 }
 
 // smallSplitMax is the value-set size up to which a split node keeps its
 // keys in a scanned array instead of a map.
 const smallSplitMax = 12
 
+func (pl *nodePlan) small() bool { return pl.split && len(pl.keys) <= smallSplitMax }
+
+// planNode sizes one node. list is in (priority desc, insertion asc)
+// order; dealing it out in order keeps every sub-list ordered too.
+func planNode(list []*FlowEntry, portKeyed bool) nodePlan {
+	pl := nodePlan{list: list, portKeyed: portKeyed}
+	// Pick the full-width-exact field covering the most entries; the first
+	// field to reach the top count wins a tie. An entry naming a field twice
+	// counts once. Nodes see a handful of distinct fields, so the tally is a
+	// scanned slice rather than a map.
+	type tally struct {
+		k fkey
+		n int
+	}
+	var counts []tally
+	bestCnt := 0
+	for _, e := range list {
+		for j, fm := range e.Match.Fields {
+			k := fkey{fm.F.Off, fm.F.Bits}
+			if (fm.Mask != 0 && fm.Mask != fm.F.Max()) || exactOn(e.Match.Fields[:j], k) >= 0 {
+				continue
+			}
+			i := 0
+			for i < len(counts) && counts[i].k != k {
+				i++
+			}
+			if i == len(counts) {
+				counts = append(counts, tally{k: k})
+			}
+			counts[i].n++
+			if c := counts[i].n; c > bestCnt {
+				bestCnt, pl.key = c, k
+			}
+		}
+	}
+	// A split only pays when it actually carves the bucket up: with fewer
+	// than two keyed entries the value lists are pure overhead over the list.
+	pl.split = bestCnt >= 2 && len(list) >= 3
+	var vals []uint64 // the keyed entries' match values, in match order
+	for _, e := range list {
+		keyed := 0
+		if pl.split {
+			if i := exactOn(e.Match.Fields, pl.key); i >= 0 {
+				fm := e.Match.Fields[i]
+				vals = append(vals, fm.Value&fm.F.Max())
+				keyed = 1
+			}
+		}
+		pl.nCrit += extraCrits(e, keyed)
+	}
+	if !pl.split {
+		return pl
+	}
+	// Sorted keys make the compiled layout (and hence the probe order and
+	// scan telemetry) identical run to run.
+	pl.keys = slices.Clone(vals)
+	slices.Sort(pl.keys)
+	pl.keys = slices.Compact(pl.keys)
+	pl.cnt = make([]int, len(pl.keys))
+	for _, v := range vals {
+		i, _ := slices.BinarySearch(pl.keys, v)
+		pl.cnt[i]++
+	}
+	return pl
+}
+
+// emit writes the planned node into nd, laying its lists out back to
+// back in the arena: the residual list, then one list per key in key
+// order, each in match order.
+func (pl *nodePlan) emit(nd *mNode, a *arena) {
+	block := a.take(len(pl.list))
+	if !pl.split {
+		for i, e := range pl.list {
+			a.reduce(&block[i], e, pl.portKeyed, -1)
+		}
+		nd.resid = block
+		return
+	}
+	nd.split = true
+	nd.foff, nd.fbits = int32(pl.key.off), int32(pl.key.bits)
+	// A stable counting sort deals the entries to their lists; filling the
+	// slots in slot order keeps the residual criteria in the same order as
+	// the entries that own them.
+	listOf := func(e *FlowEntry) int { // 0 is the residual list
+		i := exactOn(e.Match.Fields, pl.key)
+		if i < 0 {
+			return 0
+		}
+		fm := e.Match.Fields[i]
+		li, _ := slices.BinarySearch(pl.keys, fm.Value&fm.F.Max())
+		return li + 1
+	}
+	start := make([]int, len(pl.keys)+2) // list li occupies block[start[li]:start[li+1]]
+	start[1] = len(pl.list)
+	for _, c := range pl.cnt {
+		start[1] -= c
+	}
+	for i, c := range pl.cnt {
+		start[i+2] = start[i+1] + c
+	}
+	order := make([]int32, len(pl.list)) // slot -> index into pl.list
+	fill := slices.Clone(start)
+	for i, e := range pl.list {
+		li := listOf(e)
+		order[fill[li]] = int32(i)
+		fill[li]++
+	}
+	for slot, i := range order {
+		e := pl.list[i]
+		a.reduce(&block[slot], e, pl.portKeyed, exactOn(e.Match.Fields, pl.key))
+	}
+	sub := func(li int) mList {
+		if start[li] == start[li+1] {
+			return nil
+		}
+		return block[start[li]:start[li+1]:start[li+1]]
+	}
+	nd.resid = sub(0)
+	for i := range nd.resid {
+		if p := nd.resid[i].e.Priority; i == 0 || p > nd.residTop {
+			nd.residTop = p
+		}
+	}
+	// Small value sets dodge the map: a linear scan over a handful of keys
+	// is cheaper than hashing, and most compiled nodes key on a
+	// low-cardinality state byte.
+	if !pl.small() {
+		nd.vals = make(map[uint64]mList, len(pl.keys))
+		for i, k := range pl.keys {
+			nd.vals[k] = sub(i + 1)
+		}
+		return
+	}
+	s := len(a.keys)
+	a.keys = append(a.keys, pl.keys...)
+	nd.keys = a.keys[s:len(a.keys):len(a.keys)]
+	s = len(a.lists)
+	for i := range pl.keys {
+		a.lists = append(a.lists, sub(i+1))
+	}
+	nd.lists = a.lists[s:len(a.lists):len(a.lists)]
+}
+
 // compileMatcher builds the dispatch tree from entries (already in
 // match order) for a table at the given version.
 func compileMatcher(entries []*FlowEntry, version uint64) *matcher {
 	m := &matcher{version: version}
 	// Partition by exact EtherType, in order, remembering each type's
-	// named ingress ports; entries without an exact EtherType go to the
-	// wildcard list directly.
+	// named ingress ports and which of them every entry names; entries
+	// without an exact EtherType go on the wildcard list.
 	type ethBucket struct {
 		all   []*FlowEntry // this EtherType's entries, in match order
+		pidx  []int32      // per entry: index into ports, -1 for any port
 		ports []int32      // distinct exact ingress ports, first-seen order
+		named []int        // per port: entries naming it
+		nAny  int          // port-wildcard entries
 	}
 	byEth := make(map[int32]*ethBucket)
 	var order []int32
+	var wild []*FlowEntry
+	nNodes, nC := 0, 0
 	for _, e := range entries {
 		k, ok := keyOf(e.Match)
 		if !ok {
-			m.wild = append(m.wild, reduce(e, false, -1))
+			wild = append(wild, e)
+			nC += extraCrits(e, 0)
 			continue
 		}
 		b := byEth[k.eth]
@@ -362,45 +483,97 @@ func compileMatcher(entries []*FlowEntry, version uint64) *matcher {
 			byEth[k.eth] = b
 			order = append(order, k.eth)
 		}
-		b.all = append(b.all, e)
+		pi := int32(-1)
 		if k.in != anyInPort {
-			known := false
-			for _, p := range b.ports {
-				if p == k.in {
-					known = true
-					break
-				}
-			}
-			if !known {
+			pi = int32(slices.Index(b.ports, k.in))
+			if pi < 0 {
+				pi = int32(len(b.ports))
 				b.ports = append(b.ports, k.in)
+				b.named = append(b.named, 0)
+				nNodes++
 			}
+			b.named[pi]++
+		} else if b.nAny++; b.nAny == 1 {
+			nNodes++
 		}
+		b.all = append(b.all, e)
+		b.pidx = append(b.pidx, pi)
 	}
 	// Each named port's node holds that port's entries plus the EtherType's
-	// port-wildcard entries, filtered out of the ordered list so the merge
-	// stays in match order; the any-port node holds the wildcard entries
-	// alone, for packets on unnamed ports.
+	// port-wildcard entries; the any-port node holds the wildcard entries
+	// alone, for packets on unnamed ports. One pass over the ordered list
+	// deals every entry to the lists it belongs on, so each list comes out
+	// in match order; the lists are carved from one exactly-sized block.
+	// Duplicating the port-wildcard entries is what buys the single probe.
+	plans := make([]nodePlan, 0, nNodes)
+	nE, nK := len(wild), 0
 	for _, eth := range order {
 		b := byEth[eth]
-		en := ethNode{eth: eth}
-		var anyList []*FlowEntry
-		for _, e := range b.all {
-			if k, _ := keyOf(e.Match); k.in == anyInPort {
-				anyList = append(anyList, e)
+		total := b.nAny
+		for _, n := range b.named {
+			total += n + b.nAny
+		}
+		block := make([]*FlowEntry, total)
+		lists := make([][]*FlowEntry, len(b.ports)+1) // last: any-port
+		off := 0
+		for i := range lists {
+			n := b.nAny
+			if i < len(b.named) {
+				n += b.named[i]
+			}
+			lists[i] = block[off : off : off+n]
+			off += n
+		}
+		for i, e := range b.all {
+			if pi := b.pidx[i]; pi >= 0 {
+				lists[pi] = append(lists[pi], e)
+				continue
+			}
+			for j := range lists {
+				lists[j] = append(lists[j], e)
 			}
 		}
-		for _, port := range b.ports {
-			var list []*FlowEntry
-			for _, e := range b.all {
-				if k, _ := keyOf(e.Match); k.in == port || k.in == anyInPort {
-					list = append(list, e)
-				}
-			}
-			en.ports = append(en.ports, port)
-			en.pvec = append(en.pvec, buildNode(list, true))
+		if b.nAny == 0 {
+			lists = lists[:len(b.ports)]
 		}
-		if len(anyList) > 0 {
-			en.any = buildNode(anyList, false)
+		for i, l := range lists {
+			pl := planNode(l, i < len(b.ports))
+			plans = append(plans, pl)
+			nC += pl.nCrit
+			if pl.small() {
+				nK += len(pl.keys)
+			}
+		}
+		nE += total
+	}
+	a := &arena{
+		ents:  make(mList, 0, nE),
+		crits: make([]crit, 0, nC),
+		keys:  make([]uint64, 0, nK),
+		lists: make([]mList, 0, nK),
+	}
+	m.wild = a.take(len(wild))
+	for i, e := range wild {
+		a.reduce(&m.wild[i], e, false, -1)
+	}
+	nodes := make([]mNode, len(plans))
+	for i := range plans {
+		plans[i].emit(&nodes[i], a)
+	}
+	// Hand the nodes to their EtherTypes in the walk order that planned
+	// them: each type's named ports, then its any-port node.
+	m.eths = make([]ethNode, 0, len(order))
+	next := 0
+	for _, eth := range order {
+		b := byEth[eth]
+		en := ethNode{eth: eth, ports: b.ports, pvec: make([]*mNode, len(b.ports))}
+		for i := range en.pvec {
+			en.pvec[i] = &nodes[next]
+			next++
+		}
+		if b.nAny > 0 {
+			en.any = &nodes[next]
+			next++
 		}
 		m.eths = append(m.eths, en)
 	}
@@ -410,99 +583,7 @@ func compileMatcher(entries []*FlowEntry, version uint64) *matcher {
 			m.ethIdx[m.eths[i].eth] = int32(i)
 		}
 	}
-	m.pack()
 	return m
-}
-
-// pack copies the matcher's nodes, lists and residual criteria into
-// shared arenas. Build-time allocation patterns scatter them across the
-// heap; packing puts everything a lookup chases into three contiguous
-// blocks. The arena appends must never regrow — the counts below are
-// exact — or earlier repacked slices would alias a stale backing array.
-func (m *matcher) pack() {
-	var nodes []*mNode
-	for i := range m.eths {
-		en := &m.eths[i]
-		nodes = append(nodes, en.pvec...)
-		if en.any != nil {
-			nodes = append(nodes, en.any)
-		}
-	}
-	nE, nC, nK := 0, 0, 0
-	count := func(l mList) {
-		nE += len(l)
-		for i := range l {
-			nC += len(l[i].extra)
-		}
-	}
-	count(m.wild)
-	for _, nd := range nodes {
-		count(nd.resid)
-		for _, l := range nd.lists {
-			count(l)
-		}
-		//simlint:ignore determinism: pure size aggregation; addition is commutative
-		for _, l := range nd.vals {
-			count(l)
-		}
-		nK += len(nd.keys)
-	}
-	ents := make(mList, 0, nE)
-	crits := make([]crit, 0, nC)
-	keyArena := make([]uint64, 0, nK)
-	listArena := make([]mList, 0, nK)
-	re := func(l mList) mList {
-		if len(l) == 0 {
-			return nil
-		}
-		s := len(ents)
-		ents = append(ents, l...)
-		out := ents[s:len(ents):len(ents)]
-		for i := range out {
-			if n := len(out[i].extra); n > 0 {
-				cs := len(crits)
-				crits = append(crits, out[i].extra...)
-				out[i].extra = crits[cs:len(crits):len(crits)]
-			}
-		}
-		return out
-	}
-	m.wild = re(m.wild)
-	arena := make([]mNode, len(nodes))
-	for i, nd := range nodes {
-		arena[i] = *nd
-		a := &arena[i]
-		a.resid = re(a.resid)
-		for j := range a.lists {
-			a.lists[j] = re(a.lists[j])
-		}
-		//simlint:ignore determinism: rewrites each keyed list in place; arena packing order affects locality only, never a match result
-		for v, l := range a.vals {
-			a.vals[v] = re(l)
-		}
-		if n := len(a.keys); n > 0 {
-			s := len(keyArena)
-			keyArena = append(keyArena, a.keys...)
-			a.keys = keyArena[s:len(keyArena):len(keyArena)]
-			s = len(listArena)
-			listArena = append(listArena, a.lists...)
-			a.lists = listArena[s:len(listArena):len(listArena)]
-		}
-	}
-	// Point the index at the packed copies, in the same walk order that
-	// filled nodes.
-	idx := 0
-	for i := range m.eths {
-		en := &m.eths[i]
-		for j := range en.pvec {
-			en.pvec[j] = &arena[idx]
-			idx++
-		}
-		if en.any != nil {
-			en.any = &arena[idx]
-			idx++
-		}
-	}
 }
 
 // Compile (re)builds the table's compiled matcher from the current

@@ -3,7 +3,9 @@ package openflow
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 // refLookup is the reference semantics of Lookup: first match over the
@@ -158,6 +160,69 @@ func TestMatcherDifferentialFuzz(t *testing.T) {
 	}
 }
 
+// TestMatcherPackedBackToBack pins the physical layout the sizing pass
+// promises: every reduced entry and every residual criterion of a table
+// sits in one exactly-sized block, in walk order — the wildcard list,
+// then per node the residual list and the keyed lists in key order — so
+// a lookup's pointer chases stay inside a few contiguous allocations.
+func TestMatcherPackedBackToBack(t *testing.T) {
+	for _, cfg := range fuzzCfgs {
+		ft := randFuzzTable(rand.New(rand.NewSource(3)), cfg)
+		ft.Compile()
+		m := ft.cur
+		// Addresses are compared as integers: a pointer one past the end of
+		// an allocation must not be kept where the collector can see it.
+		var nextEnt, nextCrit uintptr
+		entries := 0
+		walk := func(where string, l mList) {
+			if len(l) == 0 {
+				return
+			}
+			if at := uintptr(unsafe.Pointer(&l[0])); nextEnt != 0 && at != nextEnt {
+				t.Fatalf("%s/%s: list does not start where the previous one ended", cfg.name, where)
+			}
+			if cap(l) != len(l) {
+				t.Fatalf("%s/%s: list has spare capacity %d", cfg.name, where, cap(l)-len(l))
+			}
+			for i := range l {
+				if x := l[i].extra; len(x) > 0 {
+					if at := uintptr(unsafe.Pointer(&x[0])); nextCrit != 0 && at != nextCrit {
+						t.Fatalf("%s/%s: entry %d's criteria are out of sequence", cfg.name, where, i)
+					}
+					nextCrit = uintptr(unsafe.Pointer(&x[0])) + uintptr(len(x))*unsafe.Sizeof(crit{})
+				}
+			}
+			entries += len(l)
+			nextEnt = uintptr(unsafe.Pointer(&l[0])) + uintptr(len(l))*unsafe.Sizeof(mEntry{})
+		}
+		walk("wild", m.wild)
+		for _, en := range m.eths {
+			nodes := append([]*mNode(nil), en.pvec...)
+			if en.any != nil {
+				nodes = append(nodes, en.any)
+			}
+			for ni, nd := range nodes {
+				where := fmt.Sprintf("eth%#x/node%d", en.eth, ni)
+				walk(where+"/resid", nd.resid)
+				for _, l := range nd.lists {
+					walk(where+"/keyed", l)
+				}
+				keys := make([]uint64, 0, len(nd.vals))
+				for k := range nd.vals {
+					keys = append(keys, k)
+				}
+				slices.Sort(keys)
+				for _, k := range keys {
+					walk(where+"/mapped", nd.vals[k])
+				}
+			}
+		}
+		if entries < ft.Len() {
+			t.Fatalf("%s: walked %d reduced entries for %d flow entries", cfg.name, entries, ft.Len())
+		}
+	}
+}
+
 // TestMatcherObservesMutation pins the version-guard lifecycle: a
 // post-compile edit must immediately divert Lookup to the fallback scan
 // (which sees the edit), and the next rebuild must fold the edit into
@@ -220,29 +285,54 @@ func TestMatcherObservesMutation(t *testing.T) {
 	}
 }
 
-// TestCompileDispatchRecompilesAllTables pins the switch-level seam the
-// install path uses: one CompileDispatch call must bring every table's
-// matcher back in sync.
-func TestCompileDispatchRecompilesAllTables(t *testing.T) {
+// TestCompileDispatchRecompilesStaleTablesOnly pins the switch-level seam
+// the install path uses: one CompileDispatch call leaves every table
+// compiled, and rebuilds the matcher of exactly the tables the
+// transaction wrote to — a group-only program rebuilds none.
+func TestCompileDispatchRecompilesStaleTablesOnly(t *testing.T) {
 	sw := NewSwitch(0, 4)
 	for id := 0; id < 3; id++ {
 		m := MatchEth(uint16(0x8800 + id))
 		sw.Table(id).Add(&FlowEntry{Priority: 1, Match: m, Cookie: fmt.Sprintf("t%d", id), Goto: NoGoto})
 	}
-	sw.CompileDispatch()
-	for id := 0; id < 3; id++ {
-		if !sw.Table(id).Compiled() {
-			t.Fatalf("table %d not compiled", id)
+	matchers := func() [3]*matcher {
+		var ms [3]*matcher
+		for id := range ms {
+			if !sw.Table(id).Compiled() {
+				t.Fatalf("table %d not compiled after CompileDispatch", id)
+			}
+			ms[id] = sw.Table(id).cur
 		}
+		return ms
 	}
+	sw.CompileDispatch()
+	first := matchers()
+
 	sw.Table(1).Add(&FlowEntry{Priority: 2, Match: MatchEth(0x8801), Cookie: "new", Goto: NoGoto})
 	if sw.Table(1).Compiled() {
 		t.Fatal("table 1 matcher still current after mutation")
 	}
 	sw.CompileDispatch()
-	for id := 0; id < 3; id++ {
-		if !sw.Table(id).Compiled() {
-			t.Fatalf("table %d not compiled after CompileDispatch", id)
+	second := matchers()
+	for id := range second {
+		if rebuilt := second[id] != first[id]; rebuilt != (id == 1) {
+			t.Errorf("after mutating table 1: table %d rebuilt = %v", id, rebuilt)
 		}
+	}
+	p := NewPacket(0x8801, 2)
+	if got := sw.Table(1).Lookup(p); got == nil || got.Cookie != "new" {
+		t.Fatalf("recompiled table 1 serves %v, want the new entry", got)
+	}
+
+	groupsOnly := &SwitchProgram{Switch: 0, NumPorts: 4, Groups: []*GroupEntry{
+		{ID: 7, Type: GroupIndirect, Buckets: []Bucket{{Actions: []Action{Output{Port: 1}}}}},
+	}}
+	groupsOnly.Materialize(sw)
+	sw.CompileDispatch()
+	if third := matchers(); third != second {
+		t.Error("a group-only program rebuilt a flow-table matcher")
+	}
+	if sw.GroupByID(7) == nil {
+		t.Error("group-only program did not install its group")
 	}
 }

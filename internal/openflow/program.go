@@ -83,24 +83,13 @@ func (sp *SwitchProgram) Materialize(sw *Switch) {
 	for _, g := range sp.Groups {
 		sw.AddGroup(g.Clone())
 	}
-	// Group the clones per table and install each group as one batch:
-	// encounter order within a table is preserved, so the per-table
-	// sequence numbers — and with them first-add-wins tie-breaking — come
-	// out exactly as per-rule adds would assign them, at the batched cost
-	// (see FlowTable.AddBatch).
-	byTable := make(map[int][]*FlowEntry)
-	var tables []int
-	for _, r := range sp.Flows {
+	rules := make([]FlowRule, len(sp.Flows))
+	for i, r := range sp.Flows {
 		ne := *r.Entry
 		ne.Packets = 0
-		if _, ok := byTable[r.Table]; !ok {
-			tables = append(tables, r.Table)
-		}
-		byTable[r.Table] = append(byTable[r.Table], &ne)
+		rules[i] = FlowRule{Table: r.Table, Entry: &ne}
 	}
-	for _, id := range tables {
-		sw.Table(id).AddBatch(byTable[id])
-	}
+	sw.AddFlows(rules)
 	for _, ts := range sp.States {
 		for _, e := range ts.Entries {
 			ne := *e

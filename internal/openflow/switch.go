@@ -270,14 +270,19 @@ func (sw *Switch) ScanStats() ScanStats {
 	return agg
 }
 
-// CompileDispatch (re)compiles every flow table's matcher from its
-// current entries — the third phase of an install (lower → verify →
+// CompileDispatch brings every flow table's matcher in sync with its
+// entries — the third phase of an install (lower → verify →
 // compile-dispatch), invoked by the install and uninstall paths after
-// they finish mutating the tables. State tables are exact-match keyed
-// already and need no compilation.
+// they finish mutating the tables. Only stale tables are recompiled: a
+// transaction pays for the tables it wrote to, so a group-mod or
+// state-only program compiles nothing and a service install recompiles
+// table 0 plus its own block. State tables are exact-match keyed already
+// and need no compilation.
 func (sw *Switch) CompileDispatch() {
 	for _, t := range sw.tableList {
-		t.Compile()
+		if !t.Compiled() {
+			t.Compile()
+		}
 	}
 }
 
@@ -380,6 +385,26 @@ func (sw *Switch) StateTransitions() uint64 {
 
 // AddFlow installs a flow entry into table id.
 func (sw *Switch) AddFlow(id int, e *FlowEntry) { sw.Table(id).Add(e) }
+
+// AddFlows installs the rules of one transaction. They are grouped per
+// table and each group is added as one batch: encounter order within a
+// table is preserved, so the per-table sequence numbers — and with them
+// first-add-wins tie-breaking — come out exactly as per-rule adds would
+// assign them, at the batched cost (see FlowTable.AddBatch). The entries
+// become the switch's own.
+func (sw *Switch) AddFlows(rules []FlowRule) {
+	byTable := make(map[int][]*FlowEntry)
+	var tables []int
+	for _, r := range rules {
+		if _, ok := byTable[r.Table]; !ok {
+			tables = append(tables, r.Table)
+		}
+		byTable[r.Table] = append(byTable[r.Table], r.Entry)
+	}
+	for _, id := range tables {
+		sw.Table(id).AddBatch(byTable[id])
+	}
+}
 
 // FindFlow returns the installed entry with the given cookie in table id,
 // or nil. Unlike Table, it never creates the table; the hit-counter layer

@@ -7,11 +7,11 @@ import (
 )
 
 // CheckProgram statically checks a compiled Program before anything is
-// installed on a switch: each switch program is materialized onto a
-// transient model switch (cloning entries, so the program itself is not
-// consumed) and run through the same verifier as live switches. This is
-// the "verify before install" half of the paper's X3 claim — a service's
-// whole configuration can be rejected while it is still just data.
+// installed on a switch: each switch program is checked in place, as the
+// configuration it would materialize to on an empty switch, by the same
+// checker that verifies live switches. This is the "verify before
+// install" half of the paper's X3 claim — a service's whole configuration
+// can be rejected while it is still just data.
 //
 // When opts.TagBytes is zero the program's own recorded tag budget is
 // used, so tag-bound violations are caught without the caller having to
@@ -22,10 +22,7 @@ func CheckProgram(p *openflow.Program, opts Options) []Issue {
 	}
 	var all []Issue
 	for _, id := range p.SwitchIDs() {
-		sp := p.At(id)
-		sw := openflow.NewSwitch(id, sp.NumPorts)
-		sp.Materialize(sw)
-		all = append(all, Switch(sw, opts)...)
+		all = append(all, check(programConfig(p.At(id)), opts)...)
 	}
 	sort.SliceStable(all, func(i, j int) bool {
 		return all[i].Severity > all[j].Severity

@@ -12,6 +12,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"smartsouth/internal/openflow"
@@ -94,12 +95,93 @@ type Options struct {
 	SkipShadowing bool
 }
 
-// Switch checks one switch and returns all findings, most severe first.
+// Switch checks one live switch and returns all findings, most severe
+// first.
 func Switch(sw *openflow.Switch, opts Options) []Issue {
+	return check(switchConfig(sw), opts)
+}
+
+// config is the read-only view of one switch's configuration the checker
+// runs over. A live switch and a not-yet-installed SwitchProgram both
+// reduce to it — slices of pointers to the rules where they already are,
+// never copies of them — so the two entry points share every check.
+type config struct {
+	id, numPorts int
+	tables       []table // the non-empty tables, ascending ID
+	group        func(id uint32) *openflow.GroupEntry
+}
+
+// table is one table ID's share of a config. Both lists are in match
+// order (priority descending, insertion order on ties). A non-empty
+// states list means a stateful stage claims the ID at execution time.
+type table struct {
+	id     int
+	flows  []*openflow.FlowEntry
+	key    []openflow.Field
+	states []*openflow.StateEntry
+}
+
+func switchConfig(sw *openflow.Switch) config {
+	c := config{id: sw.ID, numPorts: sw.NumPorts, group: sw.GroupByID}
+	for _, id := range sw.TableIDs() {
+		t := table{id: id, flows: sw.Table(id).Entries()}
+		if st := sw.StateTableByID(id); st != nil {
+			t.key, t.states = st.Key, st.Entries()
+		}
+		c.tables = append(c.tables, t)
+	}
+	return c
+}
+
+// programConfig views a switch program as the configuration
+// Materialize would produce on an empty switch: rules grouped per table
+// in match order, a state table keyed by the first spec that populates
+// it, and the last group entry winning a duplicated ID.
+func programConfig(sp *openflow.SwitchProgram) config {
+	c := config{id: sp.Switch, numPorts: sp.NumPorts}
+	at := func(id int) *table {
+		for i := range c.tables {
+			if c.tables[i].id == id {
+				return &c.tables[i]
+			}
+		}
+		c.tables = append(c.tables, table{id: id})
+		return &c.tables[len(c.tables)-1]
+	}
+	for _, r := range sp.Flows {
+		t := at(r.Table)
+		t.flows = append(t.flows, r.Entry)
+	}
+	for _, ts := range sp.States {
+		if len(ts.Entries) == 0 {
+			continue
+		}
+		t := at(ts.Table)
+		if len(t.states) == 0 {
+			t.key = ts.Key
+		}
+		t.states = append(t.states, ts.Entries...)
+	}
+	slices.SortFunc(c.tables, func(a, b table) int { return a.id - b.id })
+	for i := range c.tables {
+		t := &c.tables[i]
+		slices.SortStableFunc(t.flows, func(a, b *openflow.FlowEntry) int { return b.Priority - a.Priority })
+		slices.SortStableFunc(t.states, func(a, b *openflow.StateEntry) int { return b.Priority - a.Priority })
+	}
+	groups := make(map[uint32]*openflow.GroupEntry, len(sp.Groups))
+	for _, g := range sp.Groups {
+		groups[g.ID] = g
+	}
+	c.group = func(id uint32) *openflow.GroupEntry { return groups[id] }
+	return c
+}
+
+// check runs every analysis over one configuration.
+func check(c config, opts Options) []Issue {
 	if opts.MaxGroupDepth == 0 {
 		opts.MaxGroupDepth = 8
 	}
-	v := &verifier{sw: sw, opts: opts}
+	v := &verifier{cfg: c, opts: opts}
 	v.tables()
 	v.groups()
 	if !opts.SkipShadowing {
@@ -123,45 +205,56 @@ func Errors(issues []Issue) []Issue {
 }
 
 type verifier struct {
-	sw     *openflow.Switch
+	cfg    config
 	opts   Options
 	issues []Issue
 }
 
 func (v *verifier) add(sev Severity, table int, cookie, format string, args ...any) {
 	v.issues = append(v.issues, Issue{
-		Severity: sev, Switch: v.sw.ID, Table: table, Cookie: cookie,
+		Severity: sev, Switch: v.cfg.id, Table: table, Cookie: cookie,
 		Msg: fmt.Sprintf(format, args...),
 	})
 }
 
-func (v *verifier) tables() {
-	ids := v.sw.TableIDs()
-	present := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		present[id] = true
+// present reports whether table id holds any entry.
+func (v *verifier) present(id int) bool {
+	for i := range v.cfg.tables {
+		if v.cfg.tables[i].id == id {
+			return true
+		}
 	}
-	for _, id := range ids {
-		st := v.sw.StateTableByID(id)
-		if st != nil && st.Len() > 0 {
+	return false
+}
+
+// gotoTarget checks an entry's goto instruction against table discipline.
+func (v *verifier) gotoTarget(table int, cookie string, target int) {
+	if target == openflow.NoGoto {
+		return
+	}
+	if target <= table {
+		v.add(Err, table, cookie, "backward goto %d", target)
+	} else if !v.present(target) {
+		v.add(Warn, table, cookie, "goto empty table %d (packet will be dropped)", target)
+	}
+}
+
+func (v *verifier) tables() {
+	for i := range v.cfg.tables {
+		t := &v.cfg.tables[i]
+		if len(t.states) > 0 {
 			// A state table claims its ID at execution time; flow entries
 			// sharing it are unreachable.
-			if t := v.sw.Table(id); t.Len() > 0 {
-				v.add(Err, id, "", "table %d holds both %d flow entries and %d state transitions; the flow entries are unreachable", id, t.Len(), st.Len())
+			if len(t.flows) > 0 {
+				v.add(Err, t.id, "", "table %d holds both %d flow entries and %d state transitions; the flow entries are unreachable", t.id, len(t.flows), len(t.states))
 			}
-			v.stateTable(id, st)
+			v.stateTable(t)
 			continue
 		}
-		for _, e := range v.sw.Table(id).Entries() {
-			if e.Goto != openflow.NoGoto {
-				if e.Goto <= id {
-					v.add(Err, id, e.Cookie, "backward goto %d", e.Goto)
-				} else if !present[e.Goto] {
-					v.add(Warn, id, e.Cookie, "goto empty table %d (packet will be dropped)", e.Goto)
-				}
-			}
-			v.actions(id, e.Cookie, e.Actions)
-			v.fields(id, e.Cookie, e.Match.Fields)
+		for _, e := range t.flows {
+			v.gotoTarget(t.id, e.Cookie, e.Goto)
+			v.actions(t.id, e.Cookie, e.Actions)
+			v.fields(t.id, e.Cookie, e.Match.Fields)
 		}
 	}
 }
@@ -170,41 +263,28 @@ func (v *verifier) tables() {
 // field bounds of every transition, key-field bounds, and state-write
 // reachability (a transition writing a state no entry can ever match is
 // a likely encoding bug).
-func (v *verifier) stateTable(id int, st *openflow.StateTable) {
-	ids := v.sw.TableIDs()
-	present := make(map[int]bool, len(ids))
-	for _, tid := range ids {
-		present[tid] = true
-	}
+func (v *verifier) stateTable(t *table) {
 	if v.opts.TagBytes > 0 {
-		for _, kf := range st.Key {
+		for _, kf := range t.key {
 			if kf.End() > v.opts.TagBytes*8 {
-				v.add(Err, id, "", "state-table key field %s exceeds tag size %dB", kf, v.opts.TagBytes)
+				v.add(Err, t.id, "", "state-table key field %s exceeds tag size %dB", kf, v.opts.TagBytes)
 			}
 		}
 	}
 	matchable := func(state uint64) bool {
-		for _, e := range st.Entries() {
-			if e.AnyState ||
-				(e.StateMask != 0 && state&e.StateMask == e.State) ||
-				(e.StateMask == 0 && state == e.State) {
+		for _, e := range t.states {
+			if e.MatchesState(state) {
 				return true
 			}
 		}
 		return false
 	}
-	for _, e := range st.Entries() {
-		if e.Goto != openflow.NoGoto {
-			if e.Goto <= id {
-				v.add(Err, id, e.Cookie, "backward goto %d", e.Goto)
-			} else if !present[e.Goto] {
-				v.add(Warn, id, e.Cookie, "goto empty table %d (packet will be dropped)", e.Goto)
-			}
-		}
-		v.actions(id, e.Cookie, e.Actions)
-		v.fields(id, e.Cookie, e.Match.Fields)
+	for _, e := range t.states {
+		v.gotoTarget(t.id, e.Cookie, e.Goto)
+		v.actions(t.id, e.Cookie, e.Actions)
+		v.fields(t.id, e.Cookie, e.Match.Fields)
 		if e.SetState != nil && !matchable(*e.SetState) {
-			v.add(Warn, id, e.Cookie, "writes state %d, which no transition of table %d matches", *e.SetState, id)
+			v.add(Warn, t.id, e.Cookie, "writes state %d, which no transition of table %d matches", *e.SetState, t.id)
 		}
 	}
 }
@@ -220,19 +300,23 @@ func (v *verifier) fields(table int, cookie string, fms []openflow.FieldMatch) {
 	}
 }
 
+// validPort reports whether p is a reserved port or one of the switch's
+// physical ports.
+func (v *verifier) validPort(p int) bool {
+	return p == openflow.PortController || p == openflow.PortSelf ||
+		p == openflow.PortInPort || p == openflow.PortDrop ||
+		(p >= 1 && p <= v.cfg.numPorts)
+}
+
 func (v *verifier) actions(table int, cookie string, acts []openflow.Action) {
 	for _, a := range acts {
 		switch act := a.(type) {
 		case openflow.Output:
-			p := act.Port
-			valid := p == openflow.PortController || p == openflow.PortSelf ||
-				p == openflow.PortInPort || p == openflow.PortDrop ||
-				(p >= 1 && p <= v.sw.NumPorts)
-			if !valid {
-				v.add(Err, table, cookie, "output to invalid port %d (switch has %d ports)", p, v.sw.NumPorts)
+			if !v.validPort(act.Port) {
+				v.add(Err, table, cookie, "output to invalid port %d (switch has %d ports)", act.Port, v.cfg.numPorts)
 			}
 		case openflow.Group:
-			if v.sw.GroupByID(act.ID) == nil {
+			if v.cfg.group(act.ID) == nil {
 				v.add(Err, table, cookie, "action references missing group %d", act.ID)
 			}
 		case openflow.SetField:
@@ -248,36 +332,32 @@ func (v *verifier) actions(table int, cookie string, acts []openflow.Action) {
 // groups checks group references, chaining depth/loops and FF liveness
 // coverage.
 func (v *verifier) groups() {
-	// Collect installed group IDs by probing bucket actions for chains.
-	// (The switch API has no group iterator by design; probe the ID space
-	// referenced from rules and buckets.)
+	// Only groups reachable from a rule are checked: walk the ID space
+	// referenced from rules and, transitively, from buckets.
 	seen := map[uint32]*openflow.GroupEntry{}
 	var queue []uint32
-	enqueue := func(id uint32) {
-		if _, ok := seen[id]; ok {
-			return
-		}
-		if g := v.sw.GroupByID(id); g != nil {
-			seen[id] = g
-			queue = append(queue, id)
+	enqueue := func(acts []openflow.Action) {
+		for _, a := range acts {
+			ga, ok := a.(openflow.Group)
+			if !ok {
+				continue
+			}
+			if _, dup := seen[ga.ID]; dup {
+				continue
+			}
+			if g := v.cfg.group(ga.ID); g != nil {
+				seen[ga.ID] = g
+				queue = append(queue, ga.ID)
+			}
 		}
 	}
-	for _, id := range v.sw.TableIDs() {
-		for _, e := range v.sw.Table(id).Entries() {
-			for _, a := range e.Actions {
-				if ga, ok := a.(openflow.Group); ok {
-					enqueue(ga.ID)
-				}
-			}
+	for i := range v.cfg.tables {
+		t := &v.cfg.tables[i]
+		for _, e := range t.flows {
+			enqueue(e.Actions)
 		}
-		if st := v.sw.StateTableByID(id); st != nil {
-			for _, e := range st.Entries() {
-				for _, a := range e.Actions {
-					if ga, ok := a.(openflow.Group); ok {
-						enqueue(ga.ID)
-					}
-				}
-			}
+		for _, e := range t.states {
+			enqueue(e.Actions)
 		}
 	}
 	for len(queue) > 0 {
@@ -291,27 +371,22 @@ func (v *verifier) groups() {
 		for bi, b := range g.Buckets {
 			if b.WatchPort == openflow.WatchNone {
 				hasLive = true
-			} else if b.WatchPort < 1 || b.WatchPort > v.sw.NumPorts {
+			} else if b.WatchPort < 1 || b.WatchPort > v.cfg.numPorts {
 				v.add(Err, -1, "", "group %d bucket %d watches invalid port %d", id, bi, b.WatchPort)
 			}
 			for _, a := range b.Actions {
 				switch act := a.(type) {
 				case openflow.Group:
-					if v.sw.GroupByID(act.ID) == nil {
+					if v.cfg.group(act.ID) == nil {
 						v.add(Err, -1, "", "group %d bucket %d references missing group %d", id, bi, act.ID)
-					} else {
-						enqueue(act.ID)
 					}
 				case openflow.Output:
-					p := act.Port
-					valid := p == openflow.PortController || p == openflow.PortSelf ||
-						p == openflow.PortInPort || p == openflow.PortDrop ||
-						(p >= 1 && p <= v.sw.NumPorts)
-					if !valid {
-						v.add(Err, -1, "", "group %d bucket %d outputs to invalid port %d", id, bi, p)
+					if !v.validPort(act.Port) {
+						v.add(Err, -1, "", "group %d bucket %d outputs to invalid port %d", id, bi, act.Port)
 					}
 				}
 			}
+			enqueue(b.Actions)
 		}
 		if g.Type == openflow.GroupFF && !hasLive && len(g.Buckets) > 0 {
 			v.add(Warn, -1, "", "fast-failover group %d has no unconditional bucket: packets are dropped when all %d watched ports fail", id, len(g.Buckets))
@@ -345,7 +420,14 @@ func (v *verifier) groups() {
 		}
 		state[id] = 2
 	}
+	// Ascending ID order: which group of a loop gets named must not depend
+	// on map iteration.
+	ids := make([]uint32, 0, len(seen))
 	for id := range seen {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
 		if state[id] == 0 {
 			walk(id, 1)
 		}
@@ -364,8 +446,8 @@ func (v *verifier) groups() {
 // takes — is a Warn. Each shadowed rule is reported once, against the
 // highest-priority rule covering it.
 func (v *verifier) shadowing() {
-	for _, id := range v.sw.TableIDs() {
-		entries := v.sw.Table(id).Entries() // sorted by priority desc
+	for ti := range v.cfg.tables {
+		id, entries := v.cfg.tables[ti].id, v.cfg.tables[ti].flows
 		for i, lo := range entries {
 			for _, hi := range entries[:i] {
 				if hi.Priority <= lo.Priority {

@@ -738,8 +738,10 @@ func (d *Deployment) Uninstall(slot int) {
 				return e.Goto >= tLo && e.Goto < tHi
 			})
 			sw.RemoveGroupRange(gLo, gHi)
-			// Removal outdates the compiled matchers (the mutators only bump
-			// versions); recompile so remaining services stay on the fast path.
+			// Removal outdates the matchers of table 0 and the cleared block
+			// (the mutators only bump versions); recompile those so the
+			// remaining services stay on the fast path. Their own tables were
+			// not written to and keep their matchers.
 			sw.CompileDispatch()
 		}
 		d.CP.DropPrograms(s)
