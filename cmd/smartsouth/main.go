@@ -119,13 +119,13 @@ func main() {
 	}
 
 	if *verbose {
-		d.Net.OnHop = func(h smartsouth.Hop, pkt *smartsouth.Packet, delivered bool) {
+		d.Net.ObserveHops(func(h smartsouth.Hop, pkt *smartsouth.Packet, delivered bool) {
 			status := ""
 			if !delivered {
 				status = "  [LOST]"
 			}
 			fmt.Printf("  hop %d(p%d) -> %d(p%d)%s\n", h.From, h.FromPort, h.To, h.ToPort, status)
-		}
+		})
 	}
 
 	d.OnDeliver(func(sw int, pkt *smartsouth.Packet) {

@@ -147,8 +147,14 @@ func runIteration(s int64, forceFail bool, dumpDir string) (family, dumpPath str
 	if *timeline != "" {
 		opts = append(opts, smartsouth.WithTimeline(0))
 	}
+	base := smartsouth.TelemetrySnapshot().FallbackLookups
 	d := smartsouth.Deploy(g, opts...)
 	err = oracles(d, g, rng, forceFail)
+	// Under of13 every lookup must find its matcher in place (the stateful
+	// backend's state tables have none and always report here).
+	if moved := smartsouth.TelemetrySnapshot().FallbackLookups - base; err == nil && moved != 0 && d.BackendName() == "of13" {
+		err = fmt.Errorf("%d flow-table lookups had to compile their matcher first: an install path skipped CompileDispatch", moved)
+	}
 	if *timeline != "" {
 		if werr := writeTimeline(d, *timeline); werr != nil {
 			fmt.Fprintf(os.Stderr, "soak: timeline write failed: %v\n", werr)

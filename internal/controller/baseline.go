@@ -23,20 +23,40 @@ const (
 // data packets carry a 4-byte tag holding it.
 var fDataFlow = openflow.Field{Name: "flow", Off: 0, Bits: 32}
 
+// baselineProgram starts the program of one baseline-application install.
+// Transient: baseline rules occupy no service slot, so Programs() and the
+// rule-space accounting read off it never see them. The callers put one
+// table-0 rule on each switch they touch, so InstallProgram counts one
+// flow-mod and one install message per rule.
+func baselineProgram(service string) *openflow.Program {
+	p := openflow.NewProgram(service, 0)
+	p.Transient = true
+	return p
+}
+
+// addRule puts one table-0 rule for switch sw into p.
+func (c *Controller) addRule(p *openflow.Program, sw int, e *openflow.FlowEntry) {
+	p.Ensure(sw, c.Net.Switch(sw).NumPorts)
+	p.AddFlow(sw, 0, e)
+}
+
 // InstallPuntRules installs, on every switch, a rule punting the given
 // EtherType to the controller. Out-of-band discovery requires a working
 // control channel to *every* switch — exactly the assumption SmartSouth
 // drops — so this is part of every baseline's setup.
 func (c *Controller) InstallPuntRules(ethType uint16, priority int) {
+	cookie := fmt.Sprintf("punt-%#04x", ethType)
+	p := baselineProgram(cookie)
 	for sw := 0; sw < c.Net.NumSwitches(); sw++ {
-		c.InstallFlow(sw, 0, &openflow.FlowEntry{
+		c.addRule(p, sw, &openflow.FlowEntry{
 			Priority: priority,
 			Match:    openflow.MatchEth(ethType),
 			Actions:  []openflow.Action{openflow.Output{Port: openflow.PortController}},
 			Goto:     openflow.NoGoto,
-			Cookie:   fmt.Sprintf("punt-%#04x", ethType),
+			Cookie:   cookie,
 		})
 	}
+	c.InstallProgram(p)
 }
 
 func encodeProbe(sw, port int) []byte {
@@ -189,19 +209,23 @@ func (c *Controller) ReactiveAnycast(g *topo.Graph, src int, members []int, flow
 	pkt := openflow.NewPacket(EthData, 4)
 	pkt.Store(fDataFlow, uint64(flowID))
 	match := openflow.MatchEth(EthData).WithField(fDataFlow, uint64(flowID))
+	// A shortest path visits each switch once and ends at the member, so
+	// the program holds exactly one rule per switch.
+	prog := baselineProgram(fmt.Sprintf("reactive-flow-%d", flowID))
 	for i := 0; i < len(bestPath)-1; i++ {
 		u, v := bestPath[i], bestPath[i+1]
-		c.InstallFlow(u, 0, &openflow.FlowEntry{
+		c.addRule(prog, u, &openflow.FlowEntry{
 			Priority: 50, Match: match, Goto: openflow.NoGoto,
 			Actions: []openflow.Action{openflow.Output{Port: g.PortTo(u, v)}},
 			Cookie:  fmt.Sprintf("reactive-flow-%d", flowID),
 		})
 	}
-	c.InstallFlow(best, 0, &openflow.FlowEntry{
+	c.addRule(prog, best, &openflow.FlowEntry{
 		Priority: 50, Match: match, Goto: openflow.NoGoto,
 		Actions: []openflow.Action{openflow.Output{Port: openflow.PortSelf}},
 		Cookie:  fmt.Sprintf("reactive-flow-%d-sink", flowID),
 	})
+	c.InstallProgram(prog)
 	c.PacketOut(src, openflow.PortController, pkt, at)
 	return best, len(bestPath) - 1, true
 }

@@ -33,9 +33,9 @@ type Stats struct {
 	// OutBandBytes sums the payload size of runtime messages only.
 	OutBandBytes int
 	// InstallMsgs counts the control-channel messages the offline stage
-	// actually used: one per flow-mod/group-mod on the per-rule path, one
-	// per batch on the program path. FlowMods/GroupMods stay logical rule
-	// counts, so batching shows up as InstallMsgs << FlowMods+GroupMods.
+	// actually used: one batched transaction per switch per program.
+	// FlowMods/GroupMods stay logical rule counts, so batching shows up as
+	// InstallMsgs << FlowMods+GroupMods.
 	InstallMsgs int
 }
 
@@ -132,22 +132,6 @@ func (c *Controller) DropPrograms(slot int) {
 		}
 	}
 	c.programs = kept
-}
-
-// InstallFlow sends a flow-mod (offline stage, per-rule path used by the
-// controller-centric baseline applications; InstallProgram is the batched
-// path SmartSouth services use).
-func (c *Controller) InstallFlow(sw, table int, e *openflow.FlowEntry) {
-	c.Stats.FlowMods++
-	c.Stats.InstallMsgs++
-	c.Net.Switch(sw).AddFlow(table, e)
-}
-
-// InstallGroup sends a group-mod (offline stage).
-func (c *Controller) InstallGroup(sw int, g *openflow.GroupEntry) {
-	c.Stats.GroupMods++
-	c.Stats.InstallMsgs++
-	c.Net.Switch(sw).AddGroup(g)
 }
 
 // ResetState clears the state stores of the given state tables on every

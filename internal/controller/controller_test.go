@@ -13,9 +13,13 @@ func TestInstallAndPacketOutAccounting(t *testing.T) {
 	net := network.New(g, network.Options{})
 	c := New(net)
 
-	c.InstallFlow(0, 0, &openflow.FlowEntry{Priority: 1, Match: openflow.MatchAll(),
+	p := openflow.NewProgram("test", 0)
+	p.Ensure(0, 1)
+	p.AddFlow(0, 0, &openflow.FlowEntry{Priority: 1, Match: openflow.MatchAll(),
 		Goto: openflow.NoGoto, Actions: []openflow.Action{openflow.Output{Port: openflow.PortController}}, Cookie: "punt"})
-	c.InstallGroup(1, &openflow.GroupEntry{ID: 1, Type: openflow.GroupIndirect})
+	p.Ensure(1, 1)
+	p.AddGroup(1, &openflow.GroupEntry{ID: 1, Type: openflow.GroupIndirect})
+	c.InstallProgram(p)
 	if c.Stats.FlowMods != 1 || c.Stats.GroupMods != 1 {
 		t.Errorf("offline stats: %+v", c.Stats)
 	}

@@ -24,7 +24,7 @@ func runTraversal(t *testing.T, g *topo.Graph, root int, prep func(*network.Netw
 		prep(net)
 	}
 	var hops []network.Hop
-	net.OnHop = func(h network.Hop, _ *openflow.Packet, _ bool) { hops = append(hops, h) }
+	net.ObserveHops(func(h network.Hop, _ *openflow.Packet, _ bool) { hops = append(hops, h) })
 	tr.Trigger(root, 0)
 	if _, err := net.Run(); err != nil {
 		t.Fatalf("run: %v", err)
@@ -102,7 +102,7 @@ func TestQuickCompiledEqualsGolden(t *testing.T) {
 			return false
 		}
 		var hops []network.Hop
-		net.OnHop = func(h network.Hop, _ *openflow.Packet, _ bool) { hops = append(hops, h) }
+		net.ObserveHops(func(h network.Hop, _ *openflow.Packet, _ bool) { hops = append(hops, h) })
 		tr.Trigger(root, 0)
 		if _, err := net.Run(); err != nil {
 			return false
@@ -197,7 +197,7 @@ func TestQuickCompiledEqualsGoldenUnderFailures(t *testing.T) {
 		golden := topo.GoldenDFS(g, root, deadPred, topo.Never)
 
 		var hops []network.Hop
-		net.OnHop = func(h network.Hop, _ *openflow.Packet, _ bool) { hops = append(hops, h) }
+		net.ObserveHops(func(h network.Hop, _ *openflow.Packet, _ bool) { hops = append(hops, h) })
 		tr.Trigger(root, 0)
 		if _, err := net.Run(); err != nil {
 			return false

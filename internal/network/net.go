@@ -67,8 +67,9 @@ type ethCounter struct {
 //     (the out-of-band control channel; package controller counts these).
 //   - OnSelf receives every packet delivered to PortSelf (the switch-local
 //     host, e.g. an anycast receiver).
-//   - OnHop, if set, observes every attempted link crossing, delivered or
-//     not — the ground-truth trace tests compare against the golden model.
+//
+// Hop observers (ObserveHops) see every attempted link crossing, delivered
+// or not — the ground-truth trace tests compare against the golden model.
 //
 // Packet ownership: packets passed to OnPacketIn and OnSelf belong to the
 // callback and may be retained. Packets seen by hop observers are only
@@ -80,7 +81,6 @@ type Network struct {
 
 	OnPacketIn func(sw int, pkt *openflow.Packet)
 	OnSelf     func(sw int, pkt *openflow.Packet)
-	OnHop      func(hop Hop, pkt *openflow.Packet, delivered bool)
 	// OnPortChange observes port liveness flips — the information a real
 	// switch reports with OFPT_PORT_STATUS.
 	OnPortChange func(sw, port int, up bool)
@@ -235,12 +235,11 @@ func (n *Network) Shards() int {
 // and group-bucket choices when structured recording is on.
 type ExecObserver func(sw, inPort int, pkt *openflow.Packet, res *openflow.Result)
 
-// HopObserver observes one attempted link crossing, delivered or not —
-// the same signature as the legacy OnHop field.
+// HopObserver observes one attempted link crossing, delivered or not.
 type HopObserver func(hop Hop, pkt *openflow.Packet, delivered bool)
 
 // ObserveExec registers an execution observer and turns on structured
-// step recording on every switch. Unlike the OnHop/OnPacketIn fields,
+// step recording on every switch. Unlike the OnPacketIn/OnSelf fields,
 // observers are additive: several subsystems (trace, metrics, tests) can
 // watch the same network without clobbering each other.
 func (n *Network) ObserveExec(fn ExecObserver) {
@@ -250,8 +249,8 @@ func (n *Network) ObserveExec(fn ExecObserver) {
 	}
 }
 
-// ObserveHops registers an additional hop observer. The legacy OnHop field
-// keeps working; observers fire after it.
+// ObserveHops registers a hop observer; like exec observers, they are
+// additive and fire in registration order.
 func (n *Network) ObserveHops(fn HopObserver) {
 	n.hopObs = append(n.hopObs, fn)
 }

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"errors"
 	"testing"
 
 	"smartsouth/internal/openflow"
@@ -101,12 +102,12 @@ func TestBlackholeInvisibleToLiveness(t *testing.T) {
 	}
 	hops := 0
 	var lost bool
-	n.OnHop = func(h Hop, _ *openflow.Packet, delivered bool) {
+	n.ObserveHops(func(h Hop, _ *openflow.Packet, delivered bool) {
 		hops++
 		if !delivered {
 			lost = h.From == 1 && h.To == 2
 		}
-	}
+	})
 	n.Inject(1, 1, openflow.NewPacket(testEth, 2), 0)
 	n.Run()
 	if hops != 1 || !lost {
@@ -215,19 +216,32 @@ func TestPacketInReachesController(t *testing.T) {
 	}
 }
 
+// TestEventLimitCatchesForwardingLoops: a rule set that bounces packets
+// forever must surface as ErrEventLimit from the single loop and from the
+// sharded coordinator alike. The single loop stops exactly at the budget;
+// concurrent windows share what is left of it, so a sharded run may
+// overshoot by at most one window's worth per extra shard.
 func TestEventLimitCatchesForwardingLoops(t *testing.T) {
-	g := topo.Line(2)
-	n := New(g, Options{MaxSteps: 500})
-	for i := 0; i < 2; i++ {
-		n.Switch(i).AddFlow(0, &openflow.FlowEntry{Priority: 1,
-			Match: openflow.MatchAll(), Goto: openflow.NoGoto,
-			Actions: []openflow.Action{openflow.Output{Port: openflow.PortInPort}}, Cookie: "pingpong"})
-	}
-	n.Inject(0, 1, openflow.NewPacket(testEth, 1), 0)
-	if _, err := n.Run(); err == nil {
-		t.Fatal("expected ErrEventLimit")
-	} else if _, ok := err.(ErrEventLimit); !ok {
-		t.Fatalf("wrong error type: %v", err)
+	const limit = 500
+	for _, shards := range []int{1, 4} {
+		g := topo.Ring(8)
+		n := New(g, Options{MaxSteps: limit, Shards: shards})
+		for i := 0; i < n.NumSwitches(); i++ {
+			n.Switch(i).AddFlow(0, &openflow.FlowEntry{Priority: 1,
+				Match: openflow.MatchAll(), Goto: openflow.NoGoto,
+				Actions: []openflow.Action{openflow.Output{Port: openflow.PortInPort}}, Cookie: "pingpong"})
+		}
+		for i := 0; i < n.NumSwitches(); i++ {
+			n.Inject(i, 1, openflow.NewPacket(testEth, 1), 0)
+		}
+		steps, err := n.Run()
+		var lim ErrEventLimit
+		if !errors.As(err, &lim) {
+			t.Fatalf("shards=%d: err = %v, want ErrEventLimit", shards, err)
+		}
+		if lim.Steps != steps || steps < limit || steps >= limit*shards+shards {
+			t.Errorf("shards=%d: stopped after %d steps (error says %d), budget %d", shards, steps, lim.Steps, limit)
+		}
 	}
 }
 
@@ -242,7 +256,7 @@ func TestDeterminism(t *testing.T) {
 				Actions: []openflow.Action{openflow.Output{Port: 1}}, Cookie: "p1"})
 		}
 		var hops []int
-		n.OnHop = func(h Hop, _ *openflow.Packet, _ bool) { hops = append(hops, h.From*100+h.To) }
+		n.ObserveHops(func(h Hop, _ *openflow.Packet, _ bool) { hops = append(hops, h.From*100+h.To) })
 		n.Sim.MaxSteps = 200
 		n.Inject(0, openflow.PortController, openflow.NewPacket(testEth, 1), 0)
 		n.Run()

@@ -70,9 +70,9 @@ type lane struct {
 	ctlOut []xev   //simlint:lanelocal
 
 	// Worker plumbing: the window-job channel of the lane's goroutine,
-	// the events it processed in the last window, and a persistent event
-	// tick used for telemetry sampling strides (so short windows do not
-	// skew the sampled distributions).
+	// the events it processed in the last window. ticks counts the steps
+	// the lane has ever run (any lane, sharded or not): the stride base of
+	// step's telemetry sampling.
 	jobs       chan laneJob //simlint:lanelocal
 	wprocessed int          //simlint:lanelocal
 	ticks      uint64       //simlint:lanelocal
@@ -379,13 +379,10 @@ func (l *lane) send(sw, port int, pkt *openflow.Packet) {
 			}
 		}
 	}
-	if n.OnHop != nil || len(n.hopObs) > 0 {
+	if len(n.hopObs) > 0 {
 		h := Hop{From: sw, FromPort: port, To: to, ToPort: toPort}
 		if l.worker {
 			n.obsMu.Lock()
-		}
-		if n.OnHop != nil {
-			n.OnHop(h, pkt, delivered)
 		}
 		for _, ob := range n.hopObs {
 			ob(h, pkt, delivered)
@@ -440,133 +437,20 @@ func (l *lane) decoderFor(eth uint16) *flightDecoder {
 }
 
 // runWindow drains the lane's heap up to (but excluding) simulation time
-// end, processing at most budget events, and returns the count processed.
-// It is Sim.Run's loop restricted to a window: worker heaps only ever
-// hold evProcess events (dispatch routes everything else through the
-// control lane), so the kind switch collapses to the batch path. The
-// telemetry sampling strides run off the lane's persistent tick counter
-// so short windows do not skew the sampled distributions.
+// end, processing at most budget events, and returns the count processed:
+// the window driver of lane.step. Worker heaps only ever hold evProcess
+// events — dispatch routes everything else through the control lane, the
+// only one allowed to touch shared state.
 func (l *lane) runWindow(end Time, budget int) int {
 	s := &l.sim
-	st := s.stats
 	processed := 0
-	for len(s.events) > 0 && processed < budget {
-		if s.events[0].at >= end {
-			break
-		}
-		tick := l.ticks
-		l.ticks++
-		var t0 time.Time
-		sampled := false
-		histSample := false
-		if st != nil && tick&7 == 0 {
-			histSample = true
-			st.ObserveHeapDepth(int64(len(s.events)))
-			if tick&63 == 0 {
-				//simlint:ignore determinism: wall-clock sample feeds telemetry only, never the sim
-				t0 = time.Now()
-				sampled = true
-			}
-		}
-		e := s.pop()
-		s.now = e.at
-		if st != nil {
-			st.Events[e.kind]++
-			if histSample {
-				st.QueueWait.Observe(int64(e.at - e.enq))
-			}
-		}
-		if e.kind != evProcess {
+	for len(s.events) > 0 && processed < budget && s.events[0].at < end {
+		if s.events[0].kind != evProcess {
 			panic("network: non-process event on a worker lane")
 		}
-		// Drain the maximal run of process events for the same switch at
-		// the same timestamp into one batch (see Sim.Run for why batching
-		// preserves the event order). Equal timestamps are inside the
-		// window by construction.
-		b := append(s.batch[:0], e)
-		for len(s.events) > 0 && processed+len(b) < budget {
-			nx := &s.events[0]
-			if nx.at != e.at || nx.kind != evProcess || nx.sw != e.sw {
-				break
-			}
-			b = append(b, s.pop())
-		}
-		s.batch = b
-		if st != nil && len(b) > 1 {
-			st.Events[evProcess] += uint64(len(b) - 1)
-		}
-		l.processBatch(b)
-		for i := range b {
-			b[i] = event{}
-		}
-		processed += len(b)
-		if sampled {
-			//simlint:ignore determinism: wall-clock sample feeds telemetry only, never the sim
-			st.HopWallNs.Observe(time.Since(t0).Nanoseconds())
-		}
+		processed += l.step(budget - processed)
 	}
 	return processed
-}
-
-// ctlStep pops and executes one control-lane event. It runs only at
-// window barriers, with every worker parked, so it may touch shared state
-// freely: controller callbacks (which install rules and inject packets),
-// scheduled link failures, packet-outs.
-func (l *lane) ctlStep() {
-	s := &l.sim
-	st := s.stats
-	tick := l.ticks
-	l.ticks++
-	var t0 time.Time
-	sampled := false
-	histSample := false
-	if st != nil && tick&7 == 0 {
-		histSample = true
-		st.ObserveHeapDepth(int64(len(s.events)))
-		if tick&63 == 0 {
-			//simlint:ignore determinism: wall-clock sample feeds telemetry only, never the sim
-			t0 = time.Now()
-			sampled = true
-		}
-	}
-	e := s.pop()
-	s.now = e.at
-	if st != nil {
-		st.Events[e.kind]++
-		if histSample {
-			st.QueueWait.Observe(int64(e.at - e.enq))
-		}
-	}
-	switch e.kind {
-	case evFunc:
-		e.fn()
-	case evProcess:
-		// The control lane owns no switches, so arrivals normally never
-		// land here; handle one anyway (a single-event batch) so a stray
-		// schedule degrades gracefully instead of dropping a packet.
-		b := append(s.batch[:0], e)
-		s.batch = b
-		l.processBatch(b)
-		b[0] = event{}
-	case evPacketIn:
-		if st != nil {
-			st.PacketIns++
-		}
-		if n := l.net; n.OnPacketIn != nil {
-			n.OnPacketIn(e.sw, e.pkt)
-		}
-	case evSelf:
-		if st != nil {
-			st.SelfDeliver++
-		}
-		if n := l.net; n.OnSelf != nil {
-			n.OnSelf(e.sw, e.pkt)
-		}
-	}
-	if sampled {
-		//simlint:ignore determinism: wall-clock sample feeds telemetry only, never the sim
-		st.HopWallNs.Observe(time.Since(t0).Nanoseconds())
-	}
 }
 
 // runSharded is the multi-shard event loop: a conservative time-window
@@ -638,10 +522,14 @@ func (n *Network) runSharded() (int, error) {
 		}
 		// Control events at the frontier run first, one at a time — each
 		// may mutate shared state or schedule new work anywhere, so the
-		// frontier is recomputed after every step.
+		// frontier is recomputed after every step. They run here, with
+		// every worker parked, so they may touch shared state freely:
+		// controller callbacks (which install rules and inject packets),
+		// scheduled link failures, packet-outs. The control lane owns no
+		// switches, so arrivals normally never land on it; step processes
+		// a stray one like any other rather than dropping the packet.
 		if cs := &n.ctl.sim; len(cs.events) > 0 && cs.events[0].at <= tMin {
-			n.ctl.ctlStep()
-			processed++
+			processed += n.ctl.step(1)
 			continue
 		}
 		w := tMin + n.lookahead

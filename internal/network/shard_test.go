@@ -169,6 +169,25 @@ func TestShardedEventLimit(t *testing.T) {
 	}
 }
 
+// TestStrayProcessOnControlLaneIsProcessed: the control lane of a sharded
+// network owns no switches, so arrivals never land on its heap by design —
+// but one that does (a stray schedule) runs through the same step as any
+// other event instead of being dropped.
+func TestStrayProcessOnControlLaneIsProcessed(t *testing.T) {
+	g := topo.Line(8)
+	n := New(g, Options{Shards: 2})
+	lineForwarding(n)
+	var got []int
+	n.OnSelf = func(sw int, _ *openflow.Packet) { got = append(got, sw) }
+	n.ctl.sim.schedule(0, event{kind: evProcess, sw: 1, port: 1, pkt: openflow.NewPacket(testEth, 2).ClonePooled()})
+	if _, err := n.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != 7 || n.InBandCount(testEth) != 6 {
+		t.Errorf("delivered to %v after %d hops, want [7] after 6", got, n.InBandCount(testEth))
+	}
+}
+
 // TestShardClamping: shard counts beyond the node count clamp, and 0/1
 // keep the classic single loop.
 func TestShardClamping(t *testing.T) {

@@ -75,8 +75,7 @@ type Sim struct {
 	seq    uint64
 	events []event
 
-	// lane owns this Sim and receives the typed packet events; set by
-	// network.New. A zero Sim still runs evFunc events.
+	// lane owns this Sim and executes its events; set by network.New.
 	lane *lane
 
 	// MaxSteps bounds the number of events processed per Run call, so a
@@ -85,7 +84,7 @@ type Sim struct {
 	MaxSteps int
 
 	// batch is the scratch run of same-switch, same-timestamp process
-	// events Run drains as one ExecBatch; reused across iterations.
+	// events lane.step drains as one ExecBatch; reused across steps.
 	batch []event
 
 	// stats is the telemetry scratchpad of this (single-goroutine) loop;
@@ -178,97 +177,113 @@ type ErrEventLimit struct{ Steps int }
 func (e ErrEventLimit) Error() string { return "network: event limit exceeded" }
 
 // Run processes events until the queue drains, returning the number of
-// events processed, or ErrEventLimit if MaxSteps was hit.
+// events processed, or ErrEventLimit if MaxSteps was hit. It is the
+// single-loop driver of lane.step; the sharded drivers (runWindow, the
+// coordinator's control step) run the same body under other stop
+// conditions.
 func (s *Sim) Run() (int, error) {
 	limit := s.MaxSteps
 	if limit == 0 {
 		limit = defaultMaxSteps
 	}
 	processed := 0
-	st := s.stats
 	for len(s.events) > 0 {
 		if processed >= limit {
 			return processed, ErrEventLimit{Steps: processed}
 		}
-		var t0 time.Time
-		sampled := false
-		histSample := false
-		if st != nil {
-			// The depth and queue-wait histograms are sampled 1-in-8
-			// events: stride sampling preserves the distributions while
-			// keeping the two Observe calls (~7ns together) off the
-			// per-event budget. The counters stay exact. Wall-clock cost
-			// is sampled more sparsely still (1-in-64) because each
-			// sample costs two time.Now calls.
-			if processed&7 == 0 {
-				histSample = true
-				st.ObserveHeapDepth(int64(len(s.events)))
-				if processed&63 == 0 {
-					//simlint:ignore determinism: wall-clock sample feeds telemetry only, never the sim
-					t0 = time.Now()
-					sampled = true
-				}
-			}
-		}
-		e := s.pop()
-		s.now = e.at
-		if st != nil {
-			st.Events[e.kind]++
-			if histSample {
-				st.QueueWait.Observe(int64(e.at - e.enq))
-			}
-		}
-		switch e.kind {
-		case evFunc:
-			e.fn()
-		case evProcess:
-			// Drain the maximal run of process events for the same switch
-			// at the same timestamp into one batch. Pops come off in
-			// (at, seq) order, so the batch preserves schedule order; and
-			// because pipeline execution never schedules events (only
-			// dispatch does, after the batch executes), running the batch
-			// as exec-all-then-dispatch-in-order assigns exactly the same
-			// event sequence numbers as one-at-a-time processing did —
-			// batching is invisible to the determinism golden.
-			b := append(s.batch[:0], e)
-			for len(s.events) > 0 && processed+len(b) < limit {
-				nx := &s.events[0]
-				if nx.at != e.at || nx.kind != evProcess || nx.sw != e.sw {
-					break
-				}
-				b = append(b, s.pop())
-			}
-			s.batch = b
-			if st != nil && len(b) > 1 {
-				st.Events[evProcess] += uint64(len(b) - 1)
-			}
-			// processBatch releases (or forwards) the batch packets; the
-			// scratch only needs its references dropped.
-			s.lane.processBatch(b)
-			for i := range b {
-				b[i] = event{}
-			}
-			processed += len(b) - 1
-		case evPacketIn:
-			if st != nil {
-				st.PacketIns++
-			}
-			if n := s.lane.net; n.OnPacketIn != nil {
-				n.OnPacketIn(e.sw, e.pkt)
-			}
-		case evSelf:
-			if st != nil {
-				st.SelfDeliver++
-			}
-			if n := s.lane.net; n.OnSelf != nil {
-				n.OnSelf(e.sw, e.pkt)
-			}
-		}
-		if sampled {
-			//simlint:ignore determinism: wall-clock sample feeds telemetry only, never the sim
-			st.HopWallNs.Observe(time.Since(t0).Nanoseconds())
-		}
-		processed++
+		processed += s.lane.step(limit - processed)
 	}
 	return processed, nil
+}
+
+// step pops the lane's earliest event and executes it, returning the
+// number of events consumed: one, or — for a process event — the whole
+// batch drained with it, at most budget (which must be at least one).
+// Every event of every loop, single or sharded, runs through this body.
+func (l *lane) step(budget int) int {
+	s := &l.sim
+	st := s.stats
+	tick := l.ticks
+	l.ticks++
+	var t0 time.Time
+	sampled := false
+	histSample := false
+	if st != nil && tick&7 == 0 {
+		// The depth and queue-wait histograms are sampled 1-in-8 steps:
+		// stride sampling preserves the distributions while keeping the two
+		// Observe calls (~7ns together) off the per-event budget. The
+		// counters stay exact. Wall-clock cost is sampled more sparsely
+		// still (1-in-64) because each sample costs two time.Now calls. The
+		// strides run off the lane's persistent tick so short runs and
+		// windows do not skew the sampled distributions.
+		histSample = true
+		st.ObserveHeapDepth(int64(len(s.events)))
+		if tick&63 == 0 {
+			//simlint:ignore determinism: wall-clock sample feeds telemetry only, never the sim
+			t0 = time.Now()
+			sampled = true
+		}
+	}
+	e := s.pop()
+	s.now = e.at
+	if st != nil {
+		st.Events[e.kind]++
+		if histSample {
+			st.QueueWait.Observe(int64(e.at - e.enq))
+		}
+	}
+	consumed := 1
+	switch e.kind {
+	case evFunc:
+		e.fn()
+	case evProcess:
+		// Drain the maximal run of process events for the same switch
+		// at the same timestamp into one batch. Pops come off in
+		// (at, seq) order, so the batch preserves schedule order; and
+		// because pipeline execution never schedules events (only
+		// dispatch does, after the batch executes), running the batch
+		// as exec-all-then-dispatch-in-order assigns exactly the same
+		// event sequence numbers as one-at-a-time processing did —
+		// batching is invisible to the determinism golden. Equal
+		// timestamps also keep the batch inside any window that admitted
+		// its first event.
+		b := append(s.batch[:0], e)
+		for len(s.events) > 0 && len(b) < budget {
+			nx := &s.events[0]
+			if nx.at != e.at || nx.kind != evProcess || nx.sw != e.sw {
+				break
+			}
+			b = append(b, s.pop())
+		}
+		s.batch = b
+		if st != nil && len(b) > 1 {
+			st.Events[evProcess] += uint64(len(b) - 1)
+		}
+		// processBatch releases (or forwards) the batch packets; the
+		// scratch only needs its references dropped.
+		l.processBatch(b)
+		for i := range b {
+			b[i] = event{}
+		}
+		consumed = len(b)
+	case evPacketIn:
+		if st != nil {
+			st.PacketIns++
+		}
+		if n := l.net; n.OnPacketIn != nil {
+			n.OnPacketIn(e.sw, e.pkt)
+		}
+	case evSelf:
+		if st != nil {
+			st.SelfDeliver++
+		}
+		if n := l.net; n.OnSelf != nil {
+			n.OnSelf(e.sw, e.pkt)
+		}
+	}
+	if sampled {
+		//simlint:ignore determinism: wall-clock sample feeds telemetry only, never the sim
+		st.HopWallNs.Observe(time.Since(t0).Nanoseconds())
+	}
+	return consumed
 }

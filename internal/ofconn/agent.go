@@ -172,6 +172,11 @@ func (a *Agent) handle(conn *Conn, h ofwire.Header, body []byte) error {
 			return fmt.Errorf("ofconn: unsupported multipart kind %d", kind)
 		}
 	case ofwire.TypeBarrierRequest:
+		// The barrier closes the transaction of any lone flow-mods before
+		// it: compiling their tables here, not per message (a stream of k
+		// lone mods would recompile a growing table k times), puts the next
+		// packet on the matcher like a batch install does.
+		a.SW.CompileDispatch()
 		if a.OnBarrier != nil {
 			a.OnBarrier()
 		}

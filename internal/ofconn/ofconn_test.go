@@ -165,6 +165,38 @@ func TestAgentInstallsAndFeatures(t *testing.T) {
 	}
 }
 
+// TestLoneFlowModIsServedByTheMatcher: a single FLOW_MOD outside any batch
+// must not leave its table without a compiled matcher — the packet after
+// the barrier is a matcher lookup, not an inline compile.
+func TestLoneFlowModIsServedByTheMatcher(t *testing.T) {
+	sw := openflow.NewSwitch(1, 2)
+	addr, stop := agentRig(t, &Agent{SW: sw})
+	defer stop()
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	e := &openflow.FlowEntry{Priority: 5, Match: openflow.MatchEth(0x8801),
+		Actions: []openflow.Action{openflow.Output{Port: 2}}, Goto: openflow.NoGoto, Cookie: "lone"}
+	if err := cl.InstallFlow(0, e); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	before := sw.ScanStats()
+	res := sw.Receive(openflow.NewPacket(0x8801, 1), 1)
+	if got := sw.Table(0).Entries()[0]; !res.Matched || got.Priority != 5 || got.Packets != 1 {
+		t.Fatalf("packet did not hit the wire-installed entry %v: %+v", got, res)
+	}
+	after := sw.ScanStats()
+	if after.MatcherLookups != before.MatcherLookups+1 || after.FallbackLookups != before.FallbackLookups {
+		t.Fatalf("lookup after a lone FLOW_MOD: stats %+v -> %+v, want one matcher lookup", before, after)
+	}
+}
+
 func TestAgentPacketOutAndPacketIn(t *testing.T) {
 	sw := openflow.NewSwitch(1, 2)
 	var mu sync.Mutex
@@ -305,7 +337,7 @@ func TestSmartSouthOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	var refHops []network.Hop
-	refNet.OnHop = func(h network.Hop, _ *openflow.Packet, _ bool) { refHops = append(refHops, h) }
+	refNet.ObserveHops(func(h network.Hop, _ *openflow.Packet, _ bool) { refHops = append(refHops, h) })
 	refTr.Trigger(0, 0)
 	if _, err := refNet.Run(); err != nil {
 		t.Fatal(err)
@@ -385,7 +417,7 @@ func TestSmartSouthOverTCP(t *testing.T) {
 
 	// Drain the packet-out queue into the simulator and run.
 	var tcpHops []network.Hop
-	tcpNet.OnHop = func(h network.Hop, _ *openflow.Packet, _ bool) { tcpHops = append(tcpHops, h) }
+	tcpNet.ObserveHops(func(h network.Hop, _ *openflow.Packet, _ bool) { tcpHops = append(tcpHops, h) })
 	reports := 0
 	tcpNet.OnPacketIn = func(sw int, pkt *openflow.Packet) {
 		reports++

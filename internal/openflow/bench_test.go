@@ -67,9 +67,7 @@ func BenchmarkTableLookup(b *testing.B) {
 // share the table. The table is compiled, as every installed table now is:
 // the matcher keys the probe by (EtherType, InPort) and then by the
 // discriminating field value, so the worst-case in-bucket scan collapses
-// to a single candidate and cost stays flat as services multiply. The
-// /fallback arm measures the same worst case on an uncompiled table (the
-// bucket-scan path a mutated table drops back to).
+// to a single candidate and cost stays flat as services multiply.
 func BenchmarkTableLookupIndexed(b *testing.B) {
 	f := Field{Off: 0, Bits: 16}
 	const rulesPerService = 16
@@ -104,9 +102,6 @@ func BenchmarkTableLookupIndexed(b *testing.B) {
 			probe(b, t)
 		})
 	}
-	b.Run("fallback/services=64", func(b *testing.B) {
-		probe(b, build(64))
-	})
 }
 
 // BenchmarkPipeline runs a 3-table pipeline with a fast-failover group,

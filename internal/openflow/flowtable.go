@@ -29,8 +29,8 @@ type FlowEntry struct {
 
 	// seq is the table-assigned insertion sequence number; together with
 	// Priority it totally orders entries (priority desc, insertion asc),
-	// which is what lets the dispatch index compare candidates from
-	// different buckets. Assigned by FlowTable.Add — an entry therefore
+	// which is what lets the compiled matcher compare candidates from
+	// different lists. Assigned by FlowTable.Add — an entry therefore
 	// belongs to at most one table, like a real ofp_flow_mod.
 	seq uint64
 }
@@ -48,99 +48,44 @@ func (e *FlowEntry) EntryBytes() int {
 	return 56 + 8*e.Match.NumCriteria() + 8*len(e.Actions)
 }
 
-// anyInPort is the bucket-key sentinel for entries that wildcard the
-// ingress port. It cannot collide with a packet's InPort: reserved ports
-// are small negative constants and physical ports are small positives.
-const anyInPort = int32(-1 << 30)
-
-// ftKey is the exact-match dispatch key of an entry: its EtherType plus,
-// where present, its ingress port. Entries that wildcard the EtherType do
-// not get a key and live on the wildcard list instead.
-type ftKey struct {
-	eth int32
-	in  int32
-}
-
 // FlowTable is a priority-ordered set of flow entries. Lookup returns the
 // highest-priority matching entry; ties are broken by insertion order,
 // matching the "overlapping entries are unspecified, first-add wins"
 // behaviour switches exhibit in practice.
 //
-// Internally the table keeps a dispatch index alongside the ordered entry
-// list: entries with an exact EtherType are bucketed by (EtherType,
-// InPort) — InPort collapsing to a wildcard slot when the entry does not
-// constrain it — so a lookup probes two small buckets plus the wildcard
-// list instead of scanning every entry. Every SmartSouth-compiled rule
-// carries an exact EtherType, so the wildcard list is empty in practice
-// and the probe cost is bounded by the handful of same-service,
-// same-port rules.
+// The ordered entry list is the table's only source of truth. Lookups are
+// served by the compiled matcher (matcher.go), an immutable decision tree
+// built from that list: mutators drop it, Switch.CompileDispatch rebuilds
+// it at the end of every install transaction, and a Lookup that finds it
+// missing builds it on the spot.
 type FlowTable struct {
 	ID      int
 	entries []*FlowEntry
 
-	seq     uint64                 // next insertion sequence number
-	buckets map[ftKey][]*FlowEntry // exact-EtherType dispatch index
-	wild    []*FlowEntry           // entries with a wildcarded EtherType
+	seq uint64 // next insertion sequence number
 
-	// version counts mutations (Add/RemoveIf/Clear). The compiled matcher
-	// records the version it was built at, so staleness stays auditable,
-	// but the per-packet path does not compare versions: cur caches the
-	// matcher pointer while it is current and every mutator nils it, so a
-	// mutated table transparently falls back to the bucket scan — one nil
-	// check instead of a load-and-compare — until the install path
-	// recompiles (see matcher.go).
-	version uint64
-	m       *matcher
-	cur     *matcher // m while m.version == version, else nil
+	// cur is the compiled matcher of the current entries, nil after any
+	// mutation until the next Compile.
+	cur *matcher
 
-	// mlookups / flookups / scanned count Lookup calls served by the
-	// compiled matcher, Lookup calls served by the fallback bucket scan,
-	// and entries probed across both. scanned/(mlookups+flookups) is the
-	// real fan-out of the dispatch path. Plain fields: a table belongs to
-	// one switch and one simulator goroutine, like the rest of its state.
+	// mlookups counts Lookup calls that found the matcher in place,
+	// flookups those that had to compile it first — an install path that
+	// forgot CompileDispatch — and scanned the entries probed across both.
+	// scanned/(mlookups+flookups) is the real fan-out of the dispatch
+	// path. Plain fields: a table belongs to one switch and one simulator
+	// goroutine, like the rest of its state.
 	mlookups uint64
 	flookups uint64
 	scanned  uint64
 }
 
-// keyOf classifies an entry for the dispatch index. ok is false when the
-// entry wildcards the EtherType and must go on the wildcard list.
-func keyOf(m Match) (k ftKey, ok bool) {
-	if m.EthType == AnyEthType {
-		return ftKey{}, false
-	}
-	k = ftKey{eth: int32(m.EthType), in: anyInPort}
-	if m.InPort != AnyPort {
-		k.in = int32(m.InPort)
-	}
-	return k, true
-}
-
-// insertOrdered places e into list keeping (priority desc, seq asc) order.
-// Equal-priority entries are ordered by insertion sequence, so a bucket
-// scan preserves first-add-wins exactly like the flat entry list.
-func insertOrdered(list []*FlowEntry, e *FlowEntry) []*FlowEntry {
-	i := sort.Search(len(list), func(i int) bool {
-		if list[i].Priority != e.Priority {
-			return list[i].Priority < e.Priority
-		}
-		return list[i].seq > e.seq
-	})
-	list = append(list, nil)
-	copy(list[i+1:], list[i:])
-	list[i] = e
-	return list
-}
-
 // Add inserts an entry, keeping the table sorted by descending priority.
 // The insertion point is found by binary search and equal-priority entries
 // are inserted after existing ones, preserving first-add-wins lookup order
-// without re-sorting the whole table on every install. The dispatch index
-// is maintained incrementally.
+// without re-sorting the whole table on every install.
 func (t *FlowTable) Add(e *FlowEntry) {
 	e.seq = t.seq
 	t.seq++
-	t.version++
 	t.cur = nil
 	i := sort.Search(len(t.entries), func(i int) bool {
 		return t.entries[i].Priority < e.Priority
@@ -148,15 +93,6 @@ func (t *FlowTable) Add(e *FlowEntry) {
 	t.entries = append(t.entries, nil)
 	copy(t.entries[i+1:], t.entries[i:])
 	t.entries[i] = e
-
-	if k, ok := keyOf(e.Match); ok {
-		if t.buckets == nil {
-			t.buckets = make(map[ftKey][]*FlowEntry)
-		}
-		t.buckets[k] = insertOrdered(t.buckets[k], e)
-	} else {
-		t.wild = insertOrdered(t.wild, e)
-	}
 }
 
 // byTableOrder is the table's total order: priority descending, ties
@@ -172,12 +108,11 @@ func byTableOrder(list []*FlowEntry) func(i, j int) bool {
 }
 
 // AddBatch installs a batch of entries as one mutation: sequence numbers
-// follow slice order, then the flat list and each touched dispatch bucket
-// are re-sorted once. Installing k entries into a table holding n this
-// way costs O((n+k)·log(n+k)) instead of the O(k·(n+k)) element moves of
-// k sorted inserts — the in-memory analogue of a batched flow-mod
-// transaction versus k wire messages, and what keeps a 10k-switch
-// program install linear in its rule count.
+// follow slice order, then the list is re-sorted once. Installing k
+// entries into a table holding n this way costs O((n+k)·log(n+k)) instead
+// of the O(k·(n+k)) element moves of k sorted inserts — the in-memory
+// analogue of a batched flow-mod transaction versus k wire messages, and
+// what keeps a 10k-switch program install linear in its rule count.
 func (t *FlowTable) AddBatch(es []*FlowEntry) {
 	if len(es) == 0 {
 		return
@@ -186,45 +121,13 @@ func (t *FlowTable) AddBatch(es []*FlowEntry) {
 		t.Add(es[0])
 		return
 	}
-	t.version++
 	t.cur = nil
-	var wildTouched bool
-	touched := make(map[ftKey]struct{})
 	for _, e := range es {
 		e.seq = t.seq
 		t.seq++
-		if k, ok := keyOf(e.Match); ok {
-			if t.buckets == nil {
-				t.buckets = make(map[ftKey][]*FlowEntry)
-			}
-			t.buckets[k] = append(t.buckets[k], e)
-			touched[k] = struct{}{}
-		} else {
-			t.wild = append(t.wild, e)
-			wildTouched = true
-		}
 	}
 	t.entries = append(t.entries, es...)
 	sort.Slice(t.entries, byTableOrder(t.entries))
-	//simlint:ignore determinism: each bucket is sorted independently; bucket visit order cannot affect any bucket's final order
-	for k := range touched {
-		sort.Slice(t.buckets[k], byTableOrder(t.buckets[k]))
-	}
-	if wildTouched {
-		sort.Slice(t.wild, byTableOrder(t.wild))
-	}
-}
-
-// firstMatch returns the first entry of list matching p, plus the number
-// of entries probed. Lists are kept in (priority desc, seq asc) order, so
-// the first match is the best of its list.
-func firstMatch(list []*FlowEntry, p *Packet) (*FlowEntry, int) {
-	for i, e := range list {
-		if e.Match.Matches(p) {
-			return e, i + 1
-		}
-	}
-	return nil, len(list)
 }
 
 // better returns the entry that wins overall ordering: higher priority, or
@@ -248,51 +151,43 @@ func better(a, b *FlowEntry) *FlowEntry {
 	return b
 }
 
-// Lookup returns the first matching entry, or nil for a table miss. A
-// table whose compiled matcher is current dispatches through the decision
-// tree; otherwise it probes the (EtherType, InPort) bucket, the
-// (EtherType, any-port) bucket and the wildcard list — each internally
-// ordered, so the best of the per-list first-matches is exactly the entry
-// a full priority-ordered scan would have returned. Lookup does not
-// allocate on either path.
+// Lookup returns the first matching entry, or nil for a table miss,
+// dispatching through the compiled matcher. Every install path ends in
+// Switch.CompileDispatch, so the matcher is normally in place and Lookup
+// does not allocate; a table mutated behind that seam (a lone wire
+// flow-mod, a direct Switch.AddFlow) compiles here, once, and that lookup
+// is counted as a fallback so telemetry sees the install path that forgot.
 //
 //simlint:hotpath
 func (t *FlowTable) Lookup(p *Packet) *FlowEntry {
-	if m := t.cur; m != nil {
-		e, probed := m.lookup(p)
-		t.mlookups++
+	m := t.cur
+	//simlint:cold
+	if m == nil {
+		t.Compile()
+		e, probed := t.cur.lookup(p)
+		t.flookups++
 		t.scanned += uint64(probed)
 		return e
 	}
-	var best *FlowEntry
-	probed := 0
-	if t.buckets != nil {
-		var n int
-		best, n = firstMatch(t.buckets[ftKey{eth: int32(p.EthType), in: int32(p.InPort)}], p)
-		probed += n
-		e, n := firstMatch(t.buckets[ftKey{eth: int32(p.EthType), in: anyInPort}], p)
-		probed += n
-		best = better(best, e)
-	}
-	e, n := firstMatch(t.wild, p)
-	t.flookups++
-	t.scanned += uint64(probed + n)
-	return better(best, e)
+	e, probed := m.lookup(p)
+	t.mlookups++
+	t.scanned += uint64(probed)
+	return e
 }
 
 // ScanStats is the cumulative dispatch accounting of a table (or, via
-// Switch.ScanStats, a whole switch): how many Lookup calls the compiled
-// matcher served, how many fell back to the linear bucket scan, and how
-// many entries were probed across both paths. Reporting the two paths
-// separately is what lets telemetry see a stale matcher bleeding lookups
-// back onto the slow path instead of silently undercounting.
+// Switch.ScanStats, a whole switch): how many Lookup calls found the
+// compiled matcher in place, how many had to compile it first (plus, on a
+// switch, every state-table lookup — those have no matcher), and how many
+// entries were probed across both. A non-zero flow-table FallbackLookups
+// names an install path that mutated a table without CompileDispatch.
 type ScanStats struct {
 	MatcherLookups  uint64
 	FallbackLookups uint64
 	Scanned         uint64
 }
 
-// Lookups returns the total Lookup calls across both dispatch paths.
+// Lookups returns the total Lookup calls.
 func (s ScanStats) Lookups() uint64 { return s.MatcherLookups + s.FallbackLookups }
 
 // Merge accumulates o into s.
@@ -331,8 +226,7 @@ func (t *FlowTable) RemoveByCookiePrefix(prefix string) int {
 
 // RemoveIf deletes every entry the predicate selects, returning the
 // count. The compacted tail of the backing array is cleared so removed
-// entries do not linger half-alive, and the dispatch index is rebuilt from
-// the survivors.
+// entries do not linger half-alive.
 func (t *FlowTable) RemoveIf(pred func(*FlowEntry) bool) int {
 	kept := t.entries[:0]
 	removed := 0
@@ -350,38 +244,15 @@ func (t *FlowTable) RemoveIf(pred func(*FlowEntry) bool) int {
 	}
 	t.entries = kept
 	if removed > 0 {
-		t.version++
 		t.cur = nil
-		t.reindex()
 	}
 	return removed
 }
 
-// reindex rebuilds the dispatch index from the (already ordered) entry
-// list. Removal is a control-plane operation, so an O(n) rebuild is the
-// simple way to keep the index exact.
-func (t *FlowTable) reindex() {
-	t.buckets = nil
-	t.wild = nil
-	for _, e := range t.entries {
-		if k, ok := keyOf(e.Match); ok {
-			if t.buckets == nil {
-				t.buckets = make(map[ftKey][]*FlowEntry)
-			}
-			t.buckets[k] = append(t.buckets[k], e)
-		} else {
-			t.wild = append(t.wild, e)
-		}
-	}
-}
-
-// Clear removes every entry and drops the dispatch index.
+// Clear removes every entry.
 func (t *FlowTable) Clear() int {
 	n := len(t.entries)
 	t.entries = nil
-	t.buckets = nil
-	t.wild = nil
-	t.version++
 	t.cur = nil
 	return n
 }

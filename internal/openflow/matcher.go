@@ -19,9 +19,7 @@ import "slices"
 // node cannot place under a value key fall through to its residual linear
 // list. Every list is kept in (priority desc, insertion asc) order, so
 // the best of the per-list first matches — combined with better() — is
-// exactly the entry a full priority-ordered scan would return. This is
-// the same correctness argument the (EtherType, InPort) bucket index
-// already relies on, with one more keyed level.
+// exactly the entry a full priority-ordered scan would return.
 //
 // Criteria already tested by the path to a list are stripped from its
 // entries, and what remains is compiled to crit records — bit range,
@@ -32,13 +30,39 @@ import "slices"
 // per-node slices scattered across the heap, which matters once a sweep
 // touches hundreds of switches and their caches are cold.
 //
-// Lifecycle. The matcher is immutable once built; FlowTable mutators bump
-// the table's version instead of touching it. Lookup uses the matcher
-// only while its compiled-at version matches the table, so a mutated
-// table falls back to the (slower, always-correct) bucket scan until the
-// install path recompiles it via Switch.CompileDispatch, which rebuilds
-// stale tables only: the tables a transaction did not write keep their
-// matcher.
+// Lifecycle. The matcher is immutable once built; FlowTable mutators drop
+// the table's pointer to it instead of touching it. The install path
+// rebuilds it via Switch.CompileDispatch, which compiles only the tables
+// left without one — the tables a transaction did not write keep their
+// matcher — so compile cost stays in the install stage. A Lookup that
+// still finds no matcher (a table mutated behind that seam) compiles it
+// itself and is counted as a fallback lookup.
+
+// anyInPort is the key sentinel for entries that wildcard the ingress
+// port. It cannot collide with a packet's InPort: reserved ports are small
+// negative constants and physical ports are small positives.
+const anyInPort = int32(-1 << 30)
+
+// ftKey is the exact-match dispatch key of an entry: its EtherType plus,
+// where present, its ingress port. Entries that wildcard the EtherType do
+// not get a key and live on the wildcard list instead.
+type ftKey struct {
+	eth int32
+	in  int32
+}
+
+// keyOf classifies an entry for the tree. ok is false when the entry
+// wildcards the EtherType and must go on the wildcard list.
+func keyOf(m Match) (k ftKey, ok bool) {
+	if m.EthType == AnyEthType {
+		return ftKey{}, false
+	}
+	k = ftKey{eth: int32(m.EthType), in: anyInPort}
+	if m.InPort != AnyPort {
+		k.in = int32(m.InPort)
+	}
+	return k, true
+}
 
 // crit is one residual field criterion in compiled form: the field
 // reduced to its bit range, the mask resolved (a zero FieldMatch mask
@@ -171,10 +195,9 @@ const smallEthMax = 16
 
 // matcher is the compiled dispatch tree of one FlowTable.
 type matcher struct {
-	version uint64 // FlowTable.version this matcher was compiled at
-	eths    []ethNode
-	ethIdx  map[int32]int32 // index into eths; nil while the set is small
-	wild    mList           // entries with a wildcarded EtherType
+	eths   []ethNode
+	ethIdx map[int32]int32 // index into eths; nil while the set is small
+	wild   mList           // entries with a wildcarded EtherType
 }
 
 func (m *matcher) ethAt(e int32) *ethNode {
@@ -453,9 +476,9 @@ func (pl *nodePlan) emit(nd *mNode, a *arena) {
 }
 
 // compileMatcher builds the dispatch tree from entries (already in
-// match order) for a table at the given version.
-func compileMatcher(entries []*FlowEntry, version uint64) *matcher {
-	m := &matcher{version: version}
+// match order).
+func compileMatcher(entries []*FlowEntry) *matcher {
+	m := &matcher{}
 	// Partition by exact EtherType, in order, remembering each type's
 	// named ingress ports and which of them every entry names; entries
 	// without an exact EtherType go on the wildcard list.
@@ -587,17 +610,16 @@ func compileMatcher(entries []*FlowEntry, version uint64) *matcher {
 }
 
 // Compile (re)builds the table's compiled matcher from the current
-// entries. The matcher is immutable and versioned: any later mutation
-// nils the cached pointer and sends Lookup back to the fallback scan
-// until the next Compile. Install is an off-hot-path phase, so compile
-// cost never taxes packet time.
+// entries. The matcher is immutable: any later mutation drops it, and the
+// next Compile — or, failing that, the next Lookup — builds a fresh one.
+// Install is an off-hot-path phase, so compiling there never taxes packet
+// time.
 func (t *FlowTable) Compile() {
-	t.m = compileMatcher(t.entries, t.version)
-	t.cur = t.m
+	t.cur = compileMatcher(t.entries)
 }
 
-// Compiled reports whether Lookup is currently served by the compiled
-// matcher (a matcher exists and no mutation has outdated it).
+// Compiled reports whether the table holds a matcher of its current
+// entries (one was built and no mutation has dropped it since).
 func (t *FlowTable) Compiled() bool {
 	return t.cur != nil
 }

@@ -10,8 +10,7 @@ import (
 
 // refLookup is the reference semantics of Lookup: first match over the
 // full entry list, which FlowTable keeps in (priority desc, insertion
-// asc) order. Every dispatch structure — bucket index and compiled
-// matcher alike — must agree with it on every packet.
+// asc) order. The compiled matcher must agree with it on every packet.
 func refLookup(t *FlowTable, p *Packet) *FlowEntry {
 	for _, e := range t.entries {
 		if e.Match.Matches(p) {
@@ -115,9 +114,9 @@ func randFuzzPacket(r *rand.Rand, cfg fuzzCfg) *Packet {
 }
 
 // TestMatcherDifferentialFuzz replays random packets through the
-// compiled matcher, the fallback bucket scan and the reference linear
-// scan on randomly generated tables, asserting all three pick the same
-// entry — including priority ties, where insertion order decides.
+// compiled matcher and the reference linear scan on randomly generated
+// tables, asserting both pick the same entry — including priority ties,
+// where insertion order decides.
 func TestMatcherDifferentialFuzz(t *testing.T) {
 	for _, cfg := range fuzzCfgs {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -130,34 +129,79 @@ func TestMatcherDifferentialFuzz(t *testing.T) {
 				}
 				for i := 0; i < 500; i++ {
 					p := randFuzzPacket(r, cfg)
-					want := refLookup(ft, p)
-					if got, _ := ft.m.lookup(p); got != want {
+					if got, want := ft.Lookup(p), refLookup(ft, p); got != want {
 						t.Fatalf("seed %d pkt %d: matcher chose %v, reference %v (pkt eth=%#x in=%d ttl=%d tag=%x)",
 							seed, i, got, want, p.EthType, p.InPort, p.TTL, p.Tag)
 					}
-					if got := ft.Lookup(p); got != want {
-						t.Fatalf("seed %d pkt %d: Lookup chose %v, reference %v", seed, i, got, want)
-					}
 				}
-				// The same packets must agree on the fallback path too:
-				// invalidate the cached matcher the way mutators do so
-				// Lookup distrusts it.
-				ft.version++
-				ft.cur = nil
-				r2 := rand.New(rand.NewSource(seed + 1000))
-				for i := 0; i < 200; i++ {
-					p := randFuzzPacket(r2, cfg)
-					if got, want := ft.Lookup(p), refLookup(ft, p); got != want {
-						t.Fatalf("seed %d pkt %d: fallback chose %v, reference %v", seed, i, got, want)
-					}
-				}
-				st := ft.ScanStats()
-				if st.MatcherLookups == 0 || st.FallbackLookups == 0 {
-					t.Fatalf("seed %d: expected both dispatch paths exercised, got %+v", seed, st)
+				if st := ft.ScanStats(); st.MatcherLookups != 500 || st.FallbackLookups != 0 {
+					t.Fatalf("seed %d: a compiled table must serve every lookup from the matcher, got %+v", seed, st)
 				}
 			}
 		})
 	}
+}
+
+// FuzzLookupMatchesLinear interleaves table mutations with lookups: each
+// byte of ops picks one of Add, AddBatch, RemoveIf, Clear or an explicit
+// Compile, and a burst of random packets follows every one. Lookup must
+// agree with the linear reference throughout, and must count a lookup as
+// a fallback exactly when the mutation before it left the table without a
+// matcher — the inline-compile path.
+func FuzzLookupMatchesLinear(f *testing.F) {
+	for shape := range fuzzCfgs {
+		f.Add(uint8(shape), int64(shape), []byte{0, 1, 2, 4, 0, 3, 1, 2})
+		f.Add(uint8(shape), int64(shape)+7, []byte{1, 1, 4, 2, 2, 0, 4, 3, 0})
+	}
+	f.Fuzz(func(t *testing.T, shape uint8, seed int64, ops []byte) {
+		cfg := fuzzCfgs[int(shape)%len(fuzzCfgs)]
+		cfg.entries /= 4 // the ops grow the table from a small start
+		r := rand.New(rand.NewSource(seed))
+		ft := randFuzzTable(r, cfg)
+		next := ft.Len()
+		mk := func() *FlowEntry {
+			next++
+			return &FlowEntry{Priority: r.Intn(5), Match: randMatch(r, cfg),
+				Cookie: fmt.Sprintf("e%d", next), Goto: NoGoto}
+		}
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		for step, op := range ops {
+			switch op % 5 {
+			case 0:
+				ft.Add(mk())
+			case 1:
+				es := make([]*FlowEntry, 2+r.Intn(6))
+				for i := range es {
+					es[i] = mk()
+				}
+				ft.AddBatch(es)
+			case 2:
+				prio := r.Intn(5)
+				ft.RemoveIf(func(e *FlowEntry) bool { return e.Priority == prio && e.seq%2 == 0 })
+			case 3:
+				ft.Clear()
+			case 4:
+				ft.Compile()
+			}
+			for i := 0; i < 8; i++ {
+				compiled := ft.Compiled()
+				before := ft.ScanStats()
+				p := randFuzzPacket(r, cfg)
+				if got, want := ft.Lookup(p), refLookup(ft, p); got != want {
+					t.Fatalf("step %d (op %d) pkt %d: Lookup chose %v, reference %v (pkt eth=%#x in=%d ttl=%d tag=%x)",
+						step, op%5, i, got, want, p.EthType, p.InPort, p.TTL, p.Tag)
+				}
+				after := ft.ScanStats()
+				inline := after.FallbackLookups - before.FallbackLookups
+				if after.Lookups() != before.Lookups()+1 || (inline == 1) == compiled || !ft.Compiled() {
+					t.Fatalf("step %d (op %d) pkt %d: compiled=%v before the lookup, stats %+v -> %+v",
+						step, op%5, i, compiled, before, after)
+				}
+			}
+		}
+	})
 }
 
 // TestMatcherPackedBackToBack pins the physical layout the sizing pass
@@ -223,10 +267,10 @@ func TestMatcherPackedBackToBack(t *testing.T) {
 	}
 }
 
-// TestMatcherObservesMutation pins the version-guard lifecycle: a
-// post-compile edit must immediately divert Lookup to the fallback scan
-// (which sees the edit), and the next rebuild must fold the edit into
-// the matcher.
+// TestMatcherObservesMutation pins the matcher lifecycle: a mutation
+// drops the matcher, the next Lookup rebuilds it on the spot — seeing the
+// edit, counted once as a fallback — and the lookups after that are back
+// on the matcher with no further compile.
 func TestMatcherObservesMutation(t *testing.T) {
 	ft := &FlowTable{ID: 0}
 	mk := func(prio int, cookie string) *FlowEntry {
@@ -234,55 +278,60 @@ func TestMatcherObservesMutation(t *testing.T) {
 		m.InPort = 1
 		return &FlowEntry{Priority: prio, Match: m, Cookie: cookie, Goto: NoGoto}
 	}
+	p := NewPacket(0x8801, 2)
+	p.InPort = 1
+	var want ScanStats
+	check := func(stage string, wantEntry *FlowEntry, inline bool) {
+		t.Helper()
+		if inline == ft.Compiled() {
+			t.Fatalf("%s: Compiled() = %v before the lookup", stage, ft.Compiled())
+		}
+		if got := ft.Lookup(p); got != wantEntry {
+			t.Fatalf("%s: got %v, want %v", stage, got, wantEntry)
+		}
+		if inline {
+			want.FallbackLookups++
+		} else {
+			want.MatcherLookups++
+		}
+		want.Scanned = ft.ScanStats().Scanned
+		if st := ft.ScanStats(); st != want {
+			t.Fatalf("%s: stats %+v, want %+v", stage, st, want)
+		}
+		if !ft.Compiled() {
+			t.Fatalf("%s: table left without a matcher after a lookup", stage)
+		}
+	}
+
 	a := mk(1, "a")
 	ft.Add(a)
 	ft.Compile()
-	p := NewPacket(0x8801, 2)
-	p.InPort = 1
+	check("compiled", a, false)
 
-	if got := ft.Lookup(p); got != a {
-		t.Fatalf("compiled lookup: got %v, want a", got)
-	}
-	if st := ft.ScanStats(); st.MatcherLookups != 1 || st.FallbackLookups != 0 {
-		t.Fatalf("expected a matcher-path lookup, got %+v", st)
-	}
-
-	// Higher-priority add: the stale matcher must not serve it.
+	// Higher-priority add: the next lookup must see it.
 	b := mk(2, "b")
 	ft.Add(b)
-	if ft.Compiled() {
-		t.Fatal("matcher still marked current after Add")
-	}
-	if got := ft.Lookup(p); got != b {
-		t.Fatalf("post-add fallback lookup: got %v, want b", got)
-	}
-	if st := ft.ScanStats(); st.FallbackLookups != 1 {
-		t.Fatalf("expected a fallback-path lookup, got %+v", st)
-	}
-
-	// Rebuild: the matcher must now serve the new entry.
-	ft.Compile()
-	if !ft.Compiled() {
-		t.Fatal("matcher not current after Compile")
-	}
-	if got := ft.Lookup(p); got != b {
-		t.Fatalf("recompiled lookup: got %v, want b", got)
+	check("first lookup after Add", b, true)
+	m := ft.cur
+	check("second lookup after Add", b, false)
+	check("third lookup after Add", b, false)
+	if ft.cur != m {
+		t.Fatal("matcher rebuilt again without a mutation")
 	}
 
 	// Removal through the same lifecycle.
 	if n := ft.RemoveByCookiePrefix("b"); n != 1 {
 		t.Fatalf("removed %d entries, want 1", n)
 	}
-	if ft.Compiled() {
-		t.Fatal("matcher still marked current after removal")
-	}
-	if got := ft.Lookup(p); got != a {
-		t.Fatalf("post-remove fallback lookup: got %v, want a", got)
-	}
-	ft.Compile()
-	if got := ft.Lookup(p); got != a {
-		t.Fatalf("recompiled post-remove lookup: got %v, want a", got)
-	}
+	check("first lookup after removal", a, true)
+	check("second lookup after removal", a, false)
+
+	// A batch add and a clear drop the matcher too.
+	ft.AddBatch([]*FlowEntry{mk(3, "c"), mk(3, "d")})
+	check("first lookup after AddBatch", ft.ByCookie("c"), true)
+	ft.Clear()
+	check("first lookup after Clear", nil, true)
+	check("second lookup after Clear", nil, false)
 }
 
 // TestCompileDispatchRecompilesStaleTablesOnly pins the switch-level seam

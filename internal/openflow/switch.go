@@ -273,7 +273,8 @@ func (sw *Switch) ScanStats() ScanStats {
 // CompileDispatch brings every flow table's matcher in sync with its
 // entries — the third phase of an install (lower → verify →
 // compile-dispatch), invoked by the install and uninstall paths after
-// they finish mutating the tables. Only stale tables are recompiled: a
+// they finish mutating the tables, so the packet path never pays for a
+// compile. Only tables a mutation left without a matcher are compiled: a
 // transaction pays for the tables it wrote to, so a group-mod or
 // state-only program compiles nothing and a service install recompiles
 // table 0 plus its own block. State tables are exact-match keyed already

@@ -249,29 +249,6 @@ func (f *Fabric) DropPrograms(slot int) {
 	f.programs = kept
 }
 
-// InstallFlow sends the entry as a wire FLOW_MOD (per-rule compatibility
-// path; InstallProgram is the batched path).
-func (f *Fabric) InstallFlow(sw, table int, e *openflow.FlowEntry) {
-	f.mu.Lock()
-	f.Stats.FlowMods++
-	f.Stats.InstallMsgs++
-	f.mu.Unlock()
-	if err := f.clients[sw].InstallFlow(table, e); err != nil {
-		f.fail(err)
-	}
-}
-
-// InstallGroup sends the group as a wire GROUP_MOD.
-func (f *Fabric) InstallGroup(sw int, g *openflow.GroupEntry) {
-	f.mu.Lock()
-	f.Stats.GroupMods++
-	f.Stats.InstallMsgs++
-	f.mu.Unlock()
-	if err := f.clients[sw].InstallGroup(g); err != nil {
-		f.fail(err)
-	}
-}
-
 // ResetState is a no-op: an OpenFlow 1.3 fabric has no state tables to
 // reset (stateful programs are rejected at install time).
 func (f *Fabric) ResetState(tables ...int) {}

@@ -53,8 +53,8 @@ func (m *Metrics) WriteProm(w io.Writer) {
 	promGauge(w, "smartsouth_pool_hit_rate", "packet freelist hit rate (1 = every clone recycled)", m.PoolHitRate())
 
 	promCounter(w, "smartsouth_flowtable_lookups_total", "FlowTable lookups", m.FlowLookups.Load())
-	promCounter(w, "smartsouth_flowtable_matcher_lookups_total", "lookups served by the compiled matcher", m.MatcherLookups.Load())
-	promCounter(w, "smartsouth_flowtable_fallback_lookups_total", "lookups served by the linear fallback scan", m.FallbackLookups.Load())
+	promCounter(w, "smartsouth_flowtable_matcher_lookups_total", "lookups served by a compiled matcher already in place", m.MatcherLookups.Load())
+	promCounter(w, "smartsouth_flowtable_fallback_lookups_total", "flow-table lookups that had to compile the matcher first, plus state-table lookups", m.FallbackLookups.Load())
 	promCounter(w, "smartsouth_flowtable_entries_scanned_total", "flow entries probed across all lookups", m.FlowScanned.Load())
 	promCounter(w, "smartsouth_state_commits_total", "committed state-table writes (stateful-backend EFSM transitions)", m.StateCommits.Load())
 	if lk := m.FlowLookups.Load(); lk > 0 {

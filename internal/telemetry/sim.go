@@ -51,14 +51,15 @@ type Metrics struct {
 
 	// FlowTable dispatch: total lookups and entries probed (the ratio is
 	// the dispatch fan-out; 1.0 = every lookup hit its first candidate),
-	// split into lookups served by the compiled matcher vs the linear
-	// fallback scan. FallbackLookups staying near zero is the health
-	// signal that installs are recompiling dispatch; a stale matcher
-	// bleeds lookups into FallbackLookups instead of undercounting.
+	// split into lookups that found the compiled matcher in place vs
+	// those that did not: flow-table lookups that had to compile it first,
+	// and every state-table lookup (state tables have no matcher).
+	// FallbackLookups staying zero on an of13 run is the health signal
+	// that every install path ends in CompileDispatch.
 	FlowLookups     Counter // total = matcher + fallback
 	FlowScanned     Counter
-	MatcherLookups  Counter // lookups served by the compiled matcher
-	FallbackLookups Counter // lookups served by the linear/bucket fallback
+	MatcherLookups  Counter // lookups served by a matcher already in place
+	FallbackLookups Counter // inline-compiled flow-table lookups + state-table lookups
 
 	// StateCommits counts committed state-table writes — the stateful
 	// backend's wire-speed EFSM transitions. Zero under the of13 backend.

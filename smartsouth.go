@@ -70,7 +70,8 @@ type (
 	Packet = openflow.Packet
 	// Time is simulation time in nanoseconds.
 	Time = network.Time
-	// Hop is one in-band link crossing, as observed by Network.OnHop.
+	// Hop is one in-band link crossing, as reported to Network.ObserveHops
+	// observers.
 	Hop = network.Hop
 
 	// Snapshot is the §3.1 in-band topology snapshot service.

@@ -55,10 +55,6 @@ var AllAnalyzers = []string{
 	AnalyzerPoolOwn,
 }
 
-// PoolAnalyzers is the subset the retired poollint entry point keeps
-// running: the pooled-packet ownership discipline only.
-var PoolAnalyzers = []string{AnalyzerPool, AnalyzerPoolOwn}
-
 // Diagnostic is one finding, positioned for vet's file:line:col output.
 type Diagnostic struct {
 	Pos      token.Position

@@ -11,8 +11,7 @@ import (
 	"strings"
 )
 
-// Main is the shared entry point for the suite's vet tools: simlint
-// (all analyzers) and the poollint alias (pool discipline only). It
+// Main is the entry point of the suite's vet tool, tools/simlint. It
 // speaks the protocol `go vet -vettool` expects — -V=full for build
 // caching, -flags for flag discovery, and a JSON .cfg unit file per
 // package — and doubles as a standalone checker over source

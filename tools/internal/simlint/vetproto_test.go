@@ -152,26 +152,6 @@ func Grow(n int) []byte { return make([]byte, n) }
 	}
 }
 
-// TestPoollintAliasSubset: the retired entry point still runs the pool
-// discipline and nothing else — a hotpath violation must pass it.
-func TestPoollintAliasSubset(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the tool and vets a module; skipped with -short")
-	}
-	tool := buildTool(t, "tools/poollint")
-	dir := writeModule(t, map[string]string{"scratch.go": violatingSrc})
-	out, failed := govet(t, tool, dir)
-	if !failed {
-		t.Fatalf("poollint alias missed the pool violation\n%s", out)
-	}
-	if !strings.Contains(out, `use of pooled packet "c" after Release`) {
-		t.Errorf("poollint alias lost the pool diagnostic\n%s", out)
-	}
-	if strings.Contains(out, "hotpath") {
-		t.Errorf("poollint alias ran the hotpath analyzer\n%s", out)
-	}
-}
-
 // TestStandaloneJSONMode: `simlint -json dir` emits findings in the
 // oflint codec: kind simlint-<analyzer>, severity error, coordinates
 // -1, position+message in detail.
