@@ -1,7 +1,8 @@
 // benchguard is the performance regression gate: it reads `go test
 // -bench` output, compares every benchmark against a committed baseline
-// (BENCH_*.json) and exits non-zero when any ns/op regresses past the
-// threshold. CI pipes the benchmark run straight through it:
+// (BENCH_*.json) and exits non-zero when any ns/op — or any allocs/op the
+// baseline records — regresses past the threshold. CI pipes the benchmark
+// run straight through it:
 //
 //	go test -bench . -benchmem ./... | benchguard -baseline BENCH_pr3.json -out BENCH_pr5.json
 //
@@ -140,13 +141,24 @@ func ParseBench(r io.Reader) ([]Result, error) {
 }
 
 // Comparison is the verdict for one benchmark present in both runs.
+// Allocation counts are compared where the baseline row records one: they
+// repeat across machines, so they catch a per-item allocation coming back
+// even where timing noise would hide it. -scale does not apply to them.
 type Comparison struct {
-	Name       string
-	Package    string
-	BaselineNs float64
-	MeasuredNs float64 // after -scale
-	Ratio      float64
-	Regressed  bool
+	Name           string
+	Package        string
+	BaselineNs     float64
+	MeasuredNs     float64 // after -scale
+	Ratio          float64
+	BaselineAllocs int64
+	MeasuredAllocs int64
+	Regressed      bool // ns/op or allocs/op past the threshold
+}
+
+// AllocsRegressed reports whether the allocation count alone is past the
+// threshold.
+func (c Comparison) AllocsRegressed(threshold float64) bool {
+	return c.BaselineAllocs > 0 && float64(c.MeasuredAllocs) > float64(c.BaselineAllocs)*threshold
 }
 
 // Compare matches measured results against the baseline by package+name
@@ -190,12 +202,13 @@ func Compare(baseline []Result, measured []Result, threshold, scale float64) []C
 			continue
 		}
 		got := m.NsOp * scale
-		ratio := got / b.NsOp
-		out = append(out, Comparison{
+		c := Comparison{
 			Name: m.Name, Package: m.Package,
-			BaselineNs: b.NsOp, MeasuredNs: got, Ratio: ratio,
-			Regressed: ratio > threshold,
-		})
+			BaselineNs: b.NsOp, MeasuredNs: got, Ratio: got / b.NsOp,
+			BaselineAllocs: b.AllocsOp, MeasuredAllocs: m.AllocsOp,
+		}
+		c.Regressed = c.Ratio > threshold || c.AllocsRegressed(threshold)
+		out = append(out, c)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Ratio > out[j].Ratio })
 	return out
@@ -260,8 +273,14 @@ func main() {
 	for _, c := range comps {
 		if c.Regressed {
 			regressions++
-			fmt.Printf("REGRESSION %-50s %10.0f -> %10.0f ns/op  (%.2fx > %.2fx)\n",
-				c.Name, c.BaselineNs, c.MeasuredNs, c.Ratio, *threshold)
+			if c.AllocsRegressed(*threshold) {
+				fmt.Printf("REGRESSION %-50s %10d -> %10d allocs/op  (> %.2fx)\n",
+					c.Name, c.BaselineAllocs, c.MeasuredAllocs, *threshold)
+			}
+			if c.Ratio > *threshold {
+				fmt.Printf("REGRESSION %-50s %10.0f -> %10.0f ns/op  (%.2fx > %.2fx)\n",
+					c.Name, c.BaselineNs, c.MeasuredNs, c.Ratio, *threshold)
+			}
 		} else if *verbose {
 			fmt.Printf("ok         %-50s %10.0f -> %10.0f ns/op  (%.2fx)\n",
 				c.Name, c.BaselineNs, c.MeasuredNs, c.Ratio)

@@ -90,6 +90,28 @@ func TestCompareSyntheticRegression(t *testing.T) {
 	}
 }
 
+func TestCompareGatesAllocsWhereTheBaselineRecordsThem(t *testing.T) {
+	base := []Result{
+		{Name: "BenchmarkCompile/snapshot/isp", NsOp: 100, AllocsOp: 1000},
+		{Name: "BenchmarkLinkCrossing", NsOp: 100}, // no allocation count recorded
+	}
+	measured := []Result{
+		{Name: "BenchmarkCompile/snapshot/isp", NsOp: 90, AllocsOp: 8000}, // faster, but allocates per item again
+		{Name: "BenchmarkLinkCrossing", NsOp: 100, AllocsOp: 3},
+	}
+	for _, c := range Compare(base, measured, 1.2, 1.0) {
+		if want := c.Name == "BenchmarkCompile/snapshot/isp"; c.Regressed != want || c.AllocsRegressed(1.2) != want {
+			t.Errorf("%s: regressed=%v, want %v: %+v", c.Name, c.Regressed, want, c)
+		}
+	}
+	measured[0].AllocsOp = 1100 // inside the threshold
+	for _, c := range Compare(base, measured, 1.2, 1.0) {
+		if c.Regressed {
+			t.Errorf("10%% more allocations tripped a 20%% gate: %+v", c)
+		}
+	}
+}
+
 func TestCompareNameOnlyFallback(t *testing.T) {
 	base := []Result{{Name: "BenchmarkLinkCrossing", NsOp: 255}} // no package
 	comps := Compare(base, mustParseFixture(t), 1.2, 1.0)

@@ -37,7 +37,6 @@ func InstallAnycast(c ControlPlane, g *topo.Graph, slot int, groups map[uint32][
 	t0, tFin, gb := Slot(slot)
 	a.Tmpl = &Template{
 		G: g, L: l, Eth: EthAnycast, T0: t0, TFin: tFin, GroupBase: gb,
-		Hooks: Hooks{Uniform: true},
 	}
 	p := newProgram("anycast", slot, g, l)
 	if err := cfg.Backend.Lower(a.Tmpl, p); err != nil {

@@ -68,8 +68,6 @@ func InstallBlackholeTTL(c ControlPlane, g *topo.Graph, slot int, opts ...Instal
 					openflow.Output{Port: openflow.PortController},
 				}
 			},
-			// The hooks write shared fields only, never the node id.
-			Uniform: true,
 		},
 	}
 	p := newProgram("blackhole-ttl", slot, g, l)
@@ -320,10 +318,6 @@ func InstallBlackholeCounter(c ControlPlane, g *topo.Graph, slot int, opts ...In
 			},
 			// A healthy dance traversal ends silently at the root; only
 			// the checker reports.
-
-			// fetch(out) depends on the port only; counters share the
-			// degree-determined group-id scheme across nodes.
-			Uniform: true,
 		},
 	}
 	if err := cfg.Backend.Lower(b.A, prog); err != nil {
@@ -345,7 +339,6 @@ func InstallBlackholeCounter(c ControlPlane, g *topo.Graph, slot int, opts ...In
 				// Completion with out_port=0: "no blackhole found".
 				return []openflow.Action{openflow.Output{Port: openflow.PortController}}
 			},
-			Uniform: true,
 		},
 	}
 	if err := cfg.Backend.Lower(b.B, prog); err != nil {

@@ -85,7 +85,6 @@ func InstallChaincast(c ControlPlane, g *topo.Graph, slotBase int, chain [][]int
 			StatePar:       states[s].par,
 			StateCur:       states[s].cur,
 			DispatchFields: []openflow.FieldMatch{{F: cc.FStage, Value: uint64(s)}},
-			Hooks:          Hooks{Uniform: true},
 		}
 		if err := cfg.Backend.Lower(tmpl, p); err != nil {
 			return nil, err

@@ -75,74 +75,121 @@ func TestAllServiceProgramsCheckClean(t *testing.T) {
 	}
 }
 
-// TestCompileMemoizationMatchesDirect compiles the same uniform template
-// with and without per-degree memoization: the programs must be identical
-// entry for entry.
-func TestCompileMemoizationMatchesDirect(t *testing.T) {
-	g := topo.RandomConnected(14, 9, 7)
-	l := NewLayout(g)
-	t0, tFin, gb := Slot(0)
-	build := func(noMemo bool) *Program {
-		tmpl := &Template{
-			G: g, L: l, Eth: EthTraversal, T0: t0, TFin: tFin, GroupBase: gb,
-			Hooks:  Hooks{Finish: finishToController, Uniform: true},
-			noMemo: noMemo,
-		}
-		p := newProgram("traversal", 0, g, l)
-		if err := tmpl.Compile(p); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	memo, direct := build(false), build(true)
-	if memo.FlowCount() != direct.FlowCount() || memo.GroupCount() != direct.GroupCount() {
-		t.Fatalf("memo %d/%d entries, direct %d/%d",
-			memo.FlowCount(), memo.GroupCount(), direct.FlowCount(), direct.GroupCount())
-	}
-	for _, id := range direct.SwitchIDs() {
-		ms, ds := memo.At(id), direct.At(id)
-		for i := range ds.Flows {
-			me, de := ms.Flows[i].Entry, ds.Flows[i].Entry
-			if ms.Flows[i].Table != ds.Flows[i].Table || me.Priority != de.Priority ||
-				me.Cookie != de.Cookie || me.Match.String() != de.Match.String() ||
-				len(me.Actions) != len(de.Actions) || me.Goto != de.Goto {
-				t.Fatalf("switch %d flow %d: memo %v, direct %v", id, i, me, de)
+// TestCompileAllocsScaleQuadratically: a hub of degree Δ has (Δ+1)² advance
+// groups holding O(Δ³) buckets, but its compile may only allocate O(Δ²)
+// times — per rule and per distinct list, never per bucket. Doubling the
+// degree must therefore multiply allocations by at most about 4; an
+// allocation per bucket reads 6 at these degrees (and tends to 8).
+func TestCompileAllocsScaleQuadratically(t *testing.T) {
+	allocs := func(degree int) float64 {
+		g := topo.Star(degree + 1)
+		l := NewLayout(g)
+		return testing.AllocsPerRun(5, func() {
+			if err := snapshotOnController(g, l).Compile(newProgram("snapshot", 0, g, l)); err != nil {
+				t.Fatal(err)
 			}
-		}
-		for i := range ds.Groups {
-			if ms.Groups[i].ID != ds.Groups[i].ID || len(ms.Groups[i].Buckets) != len(ds.Groups[i].Buckets) {
-				t.Fatalf("switch %d group %d diverges", id, i)
-			}
-		}
+		})
+	}
+	lo, hi := allocs(16), allocs(32)
+	if ratio := hi / lo; ratio > 5 {
+		t.Errorf("compile allocates %.0f times at degree 16 and %.0f at degree 32: ratio %.1f, want <= 5", lo, hi, ratio)
 	}
 }
 
-// BenchmarkCompile measures the compile-once/retarget-many memoization win
-// on a large regular topology, where every node shares one degree class.
-func BenchmarkCompile(b *testing.B) {
-	g := topo.Ring(400)
+// TestGroupBytesCountEveryBucket: the modelled hardware footprint is per
+// bucket — a switch stores each bucket's actions — however few distinct
+// lists the compiled program keeps in memory.
+func TestGroupBytesCountEveryBucket(t *testing.T) {
+	const d = 8
+	g := topo.Star(d + 1)
 	l := NewLayout(g)
-	t0, tFin, gb := Slot(0)
-	for _, mode := range []struct {
-		name   string
-		noMemo bool
-	}{{"memoized", false}, {"direct", true}} {
-		b.Run(mode.name, func(b *testing.B) {
+	p := newProgram("snapshot", 0, g, l)
+	if err := snapshotOnController(g, l).Compile(p); err != nil {
+		t.Fatal(err)
+	}
+	hub := p.At(0)
+
+	// Every forwarding bucket carries three actions (push OUT or UP, set
+	// cur, output), the root fallback one (cur := 0).
+	want, buckets := 0, 0
+	for s := 1; s <= d+1; s++ {
+		for par := 0; par <= d; par++ {
+			forward := max(0, d-s+1)
+			if par >= s {
+				forward--
+			}
+			want += 16 + forward*(16+3*8)
+			if par >= 1 {
+				want += 16 + 3*8
+			} else {
+				want += 16 + 1*8
+			}
+			buckets += forward + 1
+		}
+	}
+	if got := hub.GroupBytes(); got != want {
+		t.Errorf("hub GroupBytes = %d, want %d (every bucket's actions counted)", got, want)
+	}
+	sw := openflow.NewSwitch(0, d)
+	hub.Materialize(sw)
+	if got := sw.ConfigBytes(); got != hub.GroupBytes()+hub.FlowBytes() {
+		t.Errorf("materialized hub ConfigBytes = %d, program says %d", got, hub.GroupBytes()+hub.FlowBytes())
+	}
+
+	distinct := map[*openflow.Action]bool{}
+	for _, grp := range hub.Groups {
+		for _, b := range grp.Buckets {
+			distinct[&b.Actions[0]] = true
+		}
+	}
+	// One list per out-port, one per parent return, one root fallback.
+	if len(distinct) != 2*d+1 {
+		t.Errorf("hub's %d buckets point at %d distinct action lists, want %d", buckets, len(distinct), 2*d+1)
+	}
+}
+
+// BenchmarkCompile measures the OF13 template compile on the shapes the
+// repository's benchmark deploys: a large regular topology (one small
+// degree class), the 10k-switch ISP (a long tail of high-degree hubs, where
+// a per-bucket allocation shows as O(Δ³)) and a fat-tree (every node at
+// degree 16). allocs/op is gated next to ns/op (cmd/benchguard).
+func BenchmarkCompile(b *testing.B) {
+	isp, err := topo.ISP(500, 20, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fattree, err := topo.FatTree(16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name string
+		g    *topo.Graph
+		tmpl func(g *topo.Graph, l *Layout) *Template
+	}{
+		{"traversal/ring400", topo.Ring(400), func(g *topo.Graph, l *Layout) *Template {
+			t0, tFin, gb := Slot(0)
+			return &Template{
+				G: g, L: l, Eth: EthTraversal, T0: t0, TFin: tFin, GroupBase: gb,
+				Hooks: Hooks{Finish: finishToController},
+			}
+		}},
+		{"snapshot/isp", isp, snapshotOnController},
+		{"snapshot/fattree16", fattree, snapshotOnController},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
+			l := NewLayout(arm.g)
 			for i := 0; i < b.N; i++ {
-				tmpl := &Template{
-					G: g, L: l, Eth: EthTraversal, T0: t0, TFin: tFin, GroupBase: gb,
-					Hooks:  Hooks{Finish: finishToController, Uniform: true},
-					noMemo: mode.noMemo,
-				}
-				p := openflow.NewProgram("bench", 0)
-				for n := 0; n < g.NumNodes(); n++ {
-					p.Ensure(n, g.Degree(n))
-				}
-				if err := tmpl.Compile(p); err != nil {
+				p := newProgram("bench", 0, arm.g, l)
+				if err := arm.tmpl(arm.g, l).Compile(p); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+func snapshotOnController(g *topo.Graph, l *Layout) *Template {
+	return snapshotTemplate(g, l, 0, openflow.PortController)
 }

@@ -108,9 +108,6 @@ func InstallCritical(c ControlPlane, g *topo.Graph, slot int, opts ...InstallOpt
 					openflow.Output{Port: openflow.PortController},
 				}
 			},
-			// Hooks depend only on degree and port arguments (the state
-			// fields FFirst/FToPar/FVerd are shared across nodes).
-			Uniform: true,
 		},
 	}
 	p := newProgram("critical", slot, g, l)

@@ -82,7 +82,7 @@ func InstallLoadMap(c ControlPlane, g *topo.Graph, slot int, opts ...InstallOpti
 
 	lm.Tmpl = &Template{
 		G: g, L: l, Eth: EthLoadMap, T0: t0, TFin: tFin, GroupBase: gb,
-		Hooks: Hooks{Finish: finishToController, Uniform: true},
+		Hooks: Hooks{Finish: finishToController},
 	}
 	if err := cfg.Backend.Lower(lm.Tmpl, prog); err != nil {
 		return nil, err

@@ -38,126 +38,107 @@ func (t *Template) CompileStateful(p *openflow.Program) error {
 	if t.L.TagBytes() > p.TagBytes {
 		p.TagBytes = t.L.TagBytes()
 	}
+	c := newLowering(t)
 	for node := 0; node < t.G.NumNodes(); node++ {
-		p.Ensure(node, t.G.Degree(node))
-		t.compileNodeStateful(p, node)
+		sp := p.Ensure(node, t.G.Degree(node))
+		c.compileNodeStateful(node)
+		sp.Flows = append(sp.Flows, c.flowRules...)
+		ts := sp.StateSpec(t.T0)
+		ts.Entries = append(ts.Entries, c.stateRules...)
 	}
 	return nil
 }
 
-func (t *Template) compileNodeStateful(p *openflow.Program, i int) {
+// emitState adds a base transition plus its variants (see expand) to the
+// current node. Terminal variants neither forward nor change state.
+func (c *lowering) emitState(prio int, anyState bool, state, mask uint64, m openflow.Match,
+	pre, cont []openflow.Action, set *uint64, gotoT int, vs []Variant, cookie string) {
+	c.expand(m, pre, cont, vs, cookie,
+		func(vi int, m openflow.Match, acts []openflow.Action, terminal bool, cookie string) {
+			e := c.states.one()
+			*e = openflow.StateEntry{
+				Priority: prio + 1 + vi, AnyState: anyState, State: state, StateMask: mask,
+				Match: m, Actions: acts, SetState: set, Goto: gotoT, Cookie: cookie,
+			}
+			if terminal {
+				e.SetState, e.Goto = nil, openflow.NoGoto
+			}
+			c.stateRules = append(c.stateRules, e)
+		})
+}
+
+// compileNodeStateful compiles node i's dispatcher and finish flow rules
+// and its T0 transitions.
+func (c *lowering) compileNodeStateful(i int) {
+	t := c.t
+	c.beginNode(i)
 	d := t.G.Degree(i)
 	B := openflow.BitsFor(uint64(d))
 	S := t.L.Start
 	if t.StateStart.Valid() {
 		S = t.StateStart
 	}
-	base := openflow.MatchEth(t.Eth)
 	st := func(par, cur int) uint64 { return uint64(par)<<B | uint64(cur) }
+	next := func(par, cur int) *uint64 {
+		v := c.nexts.one()
+		*v = st(par, cur)
+		return v
+	}
 
 	// Dispatcher: identical to the OF13 lowering — table 0 is an ordinary
 	// flow table under both backends.
-	disp := base
-	for _, fm := range t.DispatchFields {
-		disp = disp.WithMasked(fm.F, fm.Value, fm.Mask)
-	}
-	p.AddFlow(i, 0, &openflow.FlowEntry{
-		Priority: 100, Match: disp, Goto: t.T0,
-		Cookie: fmt.Sprintf("svc%04x/dispatch", t.Eth),
+	c.addFlow(0, openflow.FlowEntry{
+		Priority: 100, Match: c.match(openflow.AnyPort, t.DispatchFields...), Goto: t.T0,
+		Cookie: c.dispatch,
 	})
 
 	// advance resolves Send_next_neighbor statically: the first port in
 	// s..d that is not the parent, else back to the parent, else (root)
 	// into the finish table. Mirrors the FF advance-group bucket order.
+	// The continuation is the node's shared copy, like an OF13 bucket's.
 	advance := func(s, par int) (cont []openflow.Action, set *uint64, gotoT int) {
 		gotoT = openflow.NoGoto
 		if t.Hooks.DeferOutput {
 			gotoT = t.TFin
 		}
+		// forward builds the actions that leave via port k; up is the
+		// UpField value (1 on parent returns).
+		forward := func(hook []openflow.Action, k int, up uint64) []openflow.Action {
+			c.acts = append(c.acts[:0], hook...)
+			if t.Hooks.DeferOutput {
+				c.acts = append(c.acts, openflow.SetField{F: t.Hooks.OutField, Value: uint64(k)})
+				if t.Hooks.UpField.Valid() {
+					c.acts = append(c.acts, openflow.SetField{F: t.Hooks.UpField, Value: up})
+				}
+			} else {
+				c.acts = append(c.acts, openflow.Output{Port: k})
+			}
+			return c.intern(c.acts)
+		}
 		for k := s; k <= d; k++ {
 			if k == par {
 				continue
 			}
-			var acts []openflow.Action
+			var hook []openflow.Action
 			if t.Hooks.SendNext != nil {
-				acts = append(acts, t.Hooks.SendNext(i, s, par, k)...)
+				hook = t.Hooks.SendNext(i, s, par, k)
 			}
-			if t.Hooks.DeferOutput {
-				acts = append(acts, openflow.SetField{F: t.Hooks.OutField, Value: uint64(k)})
-				if t.Hooks.UpField.Valid() {
-					acts = append(acts, openflow.SetField{F: t.Hooks.UpField, Value: 0})
-				}
-			} else {
-				acts = append(acts, openflow.Output{Port: k})
-			}
-			v := st(par, k)
-			return acts, &v, gotoT
+			return forward(hook, k, 0), next(par, k), gotoT
 		}
 		if par >= 1 {
-			var acts []openflow.Action
+			var hook []openflow.Action
 			if t.Hooks.SendParent != nil {
-				acts = append(acts, t.Hooks.SendParent(i, par)...)
+				hook = t.Hooks.SendParent(i, par)
 			}
-			if t.Hooks.DeferOutput {
-				acts = append(acts, openflow.SetField{F: t.Hooks.OutField, Value: uint64(par)})
-				if t.Hooks.UpField.Valid() {
-					acts = append(acts, openflow.SetField{F: t.Hooks.UpField, Value: 1})
-				}
-			} else {
-				acts = append(acts, openflow.Output{Port: par})
-			}
-			v := st(par, par)
-			return acts, &v, gotoT
+			return forward(hook, par, 1), next(par, par), gotoT
 		}
 		// Root exhausted every port: back to state 0, fall into the finish
 		// table (the OF13 root-fallback bucket's cur := 0, par = 0 case).
-		var acts []openflow.Action
+		c.acts = c.acts[:0]
 		if t.Hooks.DeferOutput {
-			acts = append(acts, openflow.SetField{F: t.Hooks.OutField, Value: 0})
+			c.acts = append(c.acts, openflow.SetField{F: t.Hooks.OutField, Value: 0})
 		}
-		zero := uint64(0)
-		return acts, &zero, t.TFin
-	}
-
-	// emit installs a base transition plus its variants, with the same
-	// folding discipline as the OF13 emit: unconditional variants merge
-	// into the base actions, Terminal variants replace the continuation
-	// (and then neither forward nor change state).
-	emit := func(prio int, anyState bool, state, mask uint64, m openflow.Match,
-		pre, cont []openflow.Action, set *uint64, gotoT int, vs []Variant, cookie string) {
-		var conditional []Variant
-		for _, v := range vs {
-			if len(v.Match) == 0 && !v.Terminal {
-				pre = append(append([]openflow.Action{}, pre...), v.Do...)
-			} else {
-				conditional = append(conditional, v)
-			}
-		}
-		vs = conditional
-		all := append(append([]openflow.Action{}, pre...), cont...)
-		p.AddState(i, t.T0, &openflow.StateEntry{
-			Priority: prio, AnyState: anyState, State: state, StateMask: mask,
-			Match: m, Actions: all, SetState: set, Goto: gotoT, Cookie: cookie,
-		})
-		for vi, v := range vs {
-			vm := m
-			for _, fm := range v.Match {
-				vm = vm.WithMasked(fm.F, fm.Value, fm.Mask)
-			}
-			e := &openflow.StateEntry{
-				Priority: prio + 1 + vi, AnyState: anyState, State: state, StateMask: mask,
-				Match: vm, Cookie: fmt.Sprintf("%s/v%d", cookie, vi),
-			}
-			if v.Terminal {
-				e.Actions = append([]openflow.Action{}, v.Do...)
-				e.Goto = openflow.NoGoto
-			} else {
-				e.Actions = append(append(append([]openflow.Action{}, pre...), v.Do...), cont...)
-				e.SetState = set
-				e.Goto = gotoT
-			}
-			p.AddState(i, t.T0, e)
-		}
+		return c.intern(c.acts), next(0, 0), t.TFin
 	}
 
 	// Start: pkt.start = 0 in state 0 — this switch becomes the DFS root.
@@ -166,8 +147,8 @@ func (t *Template) compileNodeStateful(p *openflow.Program, i int) {
 		rootActs = append(rootActs, t.Hooks.RootStart(i)...)
 	}
 	cont, set, g := advance(1, 0)
-	emit(PrioStart, false, 0, 0, base.WithField(S, 0), rootActs, cont, set, g, nil,
-		fmt.Sprintf("svc%04x/n%d/start", t.Eth, i))
+	c.emitState(PrioStart, false, 0, 0, c.match(openflow.AnyPort, eq(S, 0)), rootActs, cont, set, g, nil,
+		c.cookie("start", -1, "", -1))
 
 	// First visit: state 0, one transition per ingress port — the parent
 	// is recorded in the state word instead of a packet field.
@@ -177,19 +158,13 @@ func (t *Template) compileNodeStateful(p *openflow.Program, i int) {
 			vs = t.Hooks.FirstVisit(i, q)
 		}
 		cont, set, g := advance(1, q)
-		emit(PrioFirst, false, 0, 0, base.WithInPort(q), nil, cont, set, g, vs,
-			fmt.Sprintf("svc%04x/n%d/first-in%d", t.Eth, i, q))
+		c.emitState(PrioFirst, false, 0, 0, c.match(q), nil, cont, set, g, vs,
+			c.cookie("first-in", q, "", -1))
 	}
 
 	seenHook := t.Hooks.Bounce
 	if t.Hooks.BounceSplit {
 		seenHook = t.Hooks.BounceSeen
-	}
-	callHook := func(h func(int, int) []Variant, node, in int) []Variant {
-		if h == nil {
-			return nil
-		}
-		return h(node, in)
 	}
 	inPort := []openflow.Action{openflow.Output{Port: openflow.PortInPort}}
 
@@ -197,17 +172,15 @@ func (t *Template) compileNodeStateful(p *openflow.Program, i int) {
 	for pp := 1; pp <= d; pp++ {
 		if t.Hooks.BouncePerIn {
 			for q := 1; q <= d; q++ {
-				emit(PrioFinished, false, st(pp, pp), 0, base.WithInPort(q),
+				c.emitState(PrioFinished, false, st(pp, pp), 0, c.match(q),
 					nil, inPort, nil, openflow.NoGoto,
-					callHook(seenHook, i, q),
-					fmt.Sprintf("svc%04x/n%d/done-p%d-in%d", t.Eth, i, pp, q))
+					callHook(seenHook, i, q), c.cookie("done-p", pp, "-in", q))
 			}
 			continue
 		}
-		emit(PrioFinished, false, st(pp, pp), 0, base,
+		c.emitState(PrioFinished, false, st(pp, pp), 0, c.match(openflow.AnyPort),
 			nil, inPort, nil, openflow.NoGoto,
-			callHook(seenHook, i, openflow.AnyPort),
-			fmt.Sprintf("svc%04x/n%d/done-p%d", t.Eth, i, pp))
+			callHook(seenHook, i, openflow.AnyPort), c.cookie("done-p", pp, "", -1))
 	}
 
 	// Expected return (in = cur): one transition per (cur, par) pair, the
@@ -222,8 +195,8 @@ func (t *Template) compileNodeStateful(p *openflow.Program, i int) {
 				vs = t.Hooks.FromCur(i, q, pp)
 			}
 			cont, set, g := advance(q+1, pp)
-			emit(PrioExpected, false, st(pp, q), 0, base.WithInPort(q), nil, cont, set, g, vs,
-				fmt.Sprintf("svc%04x/n%d/ret-c%d-p%d", t.Eth, i, q, pp))
+			c.emitState(PrioExpected, false, st(pp, q), 0, c.match(q), nil, cont, set, g, vs,
+				c.cookie("ret-c", q, "-p", pp))
 		}
 	}
 
@@ -234,28 +207,24 @@ func (t *Template) compileNodeStateful(p *openflow.Program, i int) {
 		curMask := uint64(1)<<B - 1
 		for q := 1; q <= d; q++ {
 			for cv := q + 1; cv <= d; cv++ {
-				emit(PrioSeen, false, uint64(cv), curMask, base.WithInPort(q),
+				c.emitState(PrioSeen, false, uint64(cv), curMask, c.match(q),
 					nil, inPort, nil, openflow.NoGoto,
-					callHook(t.Hooks.BounceSeen, i, q),
-					fmt.Sprintf("svc%04x/n%d/seen-in%d-c%d", t.Eth, i, q, cv))
+					callHook(t.Hooks.BounceSeen, i, q), c.cookie("seen-in", q, "-c", cv))
 			}
-			emit(PrioNew, true, 0, 0, base.WithInPort(q),
+			c.emitState(PrioNew, true, 0, 0, c.match(q),
 				nil, inPort, nil, openflow.NoGoto,
-				callHook(t.Hooks.BounceNew, i, q),
-				fmt.Sprintf("svc%04x/n%d/new-in%d", t.Eth, i, q))
+				callHook(t.Hooks.BounceNew, i, q), c.cookie("new-in", q, "", -1))
 		}
 	} else if t.Hooks.BouncePerIn {
 		for q := 1; q <= d; q++ {
-			emit(PrioNew, true, 0, 0, base.WithInPort(q),
+			c.emitState(PrioNew, true, 0, 0, c.match(q),
 				nil, inPort, nil, openflow.NoGoto,
-				callHook(t.Hooks.Bounce, i, q),
-				fmt.Sprintf("svc%04x/n%d/bounce-in%d", t.Eth, i, q))
+				callHook(t.Hooks.Bounce, i, q), c.cookie("bounce-in", q, "", -1))
 		}
 	} else {
-		emit(PrioNew, true, 0, 0, base,
+		c.emitState(PrioNew, true, 0, 0, c.match(openflow.AnyPort),
 			nil, inPort, nil, openflow.NoGoto,
-			callHook(t.Hooks.Bounce, i, openflow.AnyPort),
-			fmt.Sprintf("svc%04x/n%d/bounce", t.Eth, i))
+			callHook(t.Hooks.Bounce, i, openflow.AnyPort), c.cookie("bounce", -1, "", -1))
 	}
 
 	// Finish table: only reachable via the root-exhaust transition (or,
@@ -266,9 +235,9 @@ func (t *Template) compileNodeStateful(p *openflow.Program, i int) {
 	if t.Hooks.Finish != nil {
 		fin = t.Hooks.Finish(i)
 	}
-	p.AddFlow(i, t.TFin, &openflow.FlowEntry{
-		Priority: PrioFinish, Match: base,
-		Actions: fin, Goto: openflow.NoGoto,
-		Cookie: fmt.Sprintf("svc%04x/n%d/finish", t.Eth, i),
+	c.addFlow(t.TFin, openflow.FlowEntry{
+		Priority: PrioFinish, Match: c.match(openflow.AnyPort),
+		Actions: c.intern(fin), Goto: openflow.NoGoto,
+		Cookie: c.cookie("finish", -1, "", -1),
 	})
 }

@@ -152,8 +152,6 @@ func InstallPktLoss(c ControlPlane, g *topo.Graph, slot int, primes []int, opts 
 					openflow.Output{Port: openflow.PortController},
 				}
 			},
-			// The counter group-ids depend on ports only, never nodes.
-			Uniform: true,
 		},
 	}
 	if err := cfg.Backend.Lower(pl.Tmpl, prog); err != nil {

@@ -119,8 +119,6 @@ func InstallPriocast(c ControlPlane, g *topo.Graph, slot int, groups map[uint32]
 				}
 				return vs
 			},
-			// Not Uniform: FirstVisit compiles this node's group
-			// memberships into the rules.
 		},
 	}
 	prog := newProgram("priocast", slot, g, l)

@@ -77,9 +77,32 @@ func InstallSnapshotLocal(c ControlPlane, g *topo.Graph, slot int, opts ...Insta
 func installSnapshot(c ControlPlane, g *topo.Graph, slot, reportPort int, opts []InstallOption) (*Snapshot, error) {
 	cfg := resolveInstall(opts)
 	l := cfg.Backend.NewLayout(g)
-	t0, tFin, gb := Slot(slot)
 	s := &Snapshot{G: g, L: l, ctl: c, be: cfg.Backend}
-	s.Tmpl = &Template{
+	s.Tmpl = snapshotTemplate(g, l, slot, reportPort)
+	p := newProgram("snapshot", slot, g, l)
+	if err := cfg.Backend.Lower(s.Tmpl, p); err != nil {
+		return nil, err
+	}
+	if err := installProgram(c, p); err != nil {
+		return nil, err
+	}
+	s.Prog = p
+	return s, nil
+}
+
+// snapshotTemplate is the snapshot service as a template. SendNext runs
+// once per advance bucket — O(Δ³) times per node — so the records that do
+// not name the node are built here, once, and the hooks hand out the same
+// list every time (the compiler copies what it keeps).
+func snapshotTemplate(g *topo.Graph, l *Layout, slot, reportPort int) *Template {
+	t0, tFin, gb := Slot(slot)
+	outRec := make([][]openflow.Action, g.MaxDegree()+1)
+	for k := range outRec {
+		outRec[k] = []openflow.Action{openflow.PushLabel{Value: encRec(recOut, 0, k)}}
+	}
+	upRec := []openflow.Action{openflow.PushLabel{Value: encRec(recUp, 0, 0)}}
+	popOut := []Variant{{Do: []openflow.Action{openflow.PopLabel{}}}}
+	return &Template{
 		G: g, L: l, Eth: EthSnapshot, T0: t0, TFin: tFin, GroupBase: gb,
 		Hooks: Hooks{
 			RootStart: func(node int) []openflow.Action {
@@ -91,34 +114,23 @@ func installSnapshot(c ControlPlane, g *topo.Graph, slot, reportPort int, opts [
 			},
 			BounceSplit: true,
 			BounceSeen: func(node, in int) []Variant {
-				return []Variant{{Do: []openflow.Action{openflow.PopLabel{}}}}
+				return popOut
 			},
 			BounceNew: func(node, in int) []Variant {
 				return []Variant{{Do: []openflow.Action{
 					openflow.PushLabel{Value: encRec(recBounce, node, in)}}}}
 			},
 			SendNext: func(node, s, par, out int) []openflow.Action {
-				return []openflow.Action{openflow.PushLabel{Value: encRec(recOut, 0, out)}}
+				return outRec[out]
 			},
 			SendParent: func(node, par int) []openflow.Action {
-				return []openflow.Action{openflow.PushLabel{Value: encRec(recUp, 0, 0)}}
+				return upRec
 			},
 			Finish: func(int) []openflow.Action {
 				return []openflow.Action{openflow.Output{Port: reportPort}}
 			},
-			// Not Uniform: the pushed records embed the node id, so rule
-			// blocks cannot be shared between same-degree nodes.
 		},
 	}
-	p := newProgram("snapshot", slot, g, l)
-	if err := cfg.Backend.Lower(s.Tmpl, p); err != nil {
-		return nil, err
-	}
-	if err := installProgram(c, p); err != nil {
-		return nil, err
-	}
-	s.Prog = p
-	return s, nil
 }
 
 // Trigger requests a snapshot by injecting the trigger packet at switch

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"smartsouth/internal/network"
 	"smartsouth/internal/openflow"
@@ -67,27 +68,31 @@ func InstallSnapshotSplit(c ControlPlane, g *topo.Graph, slot, budget int, opts 
 	}
 	t0, tFin, gb := Slot(slot)
 
-	// safePush returns the variants for a record push at a safe site:
-	// for every possible counter value, push the record, and either
-	// increment the counter or — when the budget is reached — flush a
-	// fragment to the controller and strip the live packet.
+	// pushRecord returns the actions of a record push at a safe site when
+	// the counter reads x: push the record, and either increment the
+	// counter or — when the budget is reached — flush a fragment to the
+	// controller and strip the live packet. The list has room for one more
+	// action.
+	pushRecord := func(label uint32, x int) []openflow.Action {
+		do := make([]openflow.Action, 0, x+5)
+		do = append(do, openflow.PushLabel{Value: label})
+		if x+1 < budget {
+			return append(do, openflow.SetField{F: s.FCnt, Value: uint64(x + 1)})
+		}
+		do = append(do, openflow.Output{Port: openflow.PortController})
+		for j := 0; j < x+1; j++ {
+			do = append(do, openflow.PopLabel{})
+		}
+		return append(do, openflow.SetField{F: s.FCnt, Value: 0})
+	}
+	// safePush returns one variant per possible counter value.
 	safePush := func(label uint32) []Variant {
-		var vs []Variant
-		for x := 0; x <= budget+1; x++ {
-			do := []openflow.Action{openflow.PushLabel{Value: label}}
-			if x+1 >= budget {
-				do = append(do, openflow.Output{Port: openflow.PortController})
-				for j := 0; j < x+1; j++ {
-					do = append(do, openflow.PopLabel{})
-				}
-				do = append(do, openflow.SetField{F: s.FCnt, Value: 0})
-			} else {
-				do = append(do, openflow.SetField{F: s.FCnt, Value: uint64(x + 1)})
-			}
-			vs = append(vs, Variant{
+		vs := make([]Variant, budget+2)
+		for x := range vs {
+			vs[x] = Variant{
 				Match: []openflow.FieldMatch{{F: s.FCnt, Value: uint64(x)}},
-				Do:    do,
-			})
+				Do:    pushRecord(label, x),
+			}
 		}
 		return vs
 	}
@@ -125,8 +130,6 @@ func InstallSnapshotSplit(c ControlPlane, g *topo.Graph, slot, budget int, opts 
 				return safePush(encRec(recBounce, node, in))
 			},
 			Finish: finishToController,
-			// Not Uniform: the pushed NODE/BOUNCE records embed the node
-			// id, so rule blocks differ between same-degree nodes.
 		},
 	}
 	p := newProgram("snapsplit", slot, g, l)
@@ -138,49 +141,75 @@ func InstallSnapshotSplit(c ControlPlane, g *topo.Graph, slot, budget int, opts 
 	// packet's parent field under OF13, the up flag under the stateful
 	// backend) push an UP record (safe site), everything else is an
 	// advance pushing an OUT record (never flushed).
+	//
+	// Neither rule's actions name the node, and only the OF13 parent-return
+	// match does, so every node's rules for (port k, counter x) point at
+	// one action list — and, where the match allows, one criteria list —
+	// built here once. A node's entries and remaining criteria come out of
+	// one allocation each.
+	per := budget + 2 // counter values 0..budget+1
+	at := func(k, x int) int { return (k-1)*per + x }
+	maxD := g.MaxDegree()
+	upActs := make([][]openflow.Action, maxD*per)
+	outActs := make([][]openflow.Action, maxD*per)
+	outCrit := make([]openflow.FieldMatch, 0, 2*maxD*per)
+	for k := 1; k <= maxD; k++ {
+		for x := 0; x < per; x++ {
+			// Parent return: push UP, maybe flush, then forward.
+			upActs[at(k, x)] = append(pushRecord(encRec(recUp, 0, 0), x), openflow.Output{Port: k})
+			// Advance: push OUT and increment, never flush.
+			outActs[at(k, x)] = []openflow.Action{
+				openflow.PushLabel{Value: encRec(recOut, 0, k)},
+				openflow.SetField{F: s.FCnt, Value: uint64(x + 1)},
+				openflow.Output{Port: k},
+			}
+			outCrit = append(outCrit, eq(s.FOut, k), eq(s.FCnt, x))
+		}
+	}
+	// upCriteria lists the parent-return criteria for ports 1..d, three
+	// per (k, x): out_port = k, the backend's is-parent test, rec_cnt = x.
+	upCriteria := func(d int, isParent func(k int) openflow.FieldMatch) []openflow.FieldMatch {
+		crit := make([]openflow.FieldMatch, 0, 3*d*per)
+		for k := 1; k <= d; k++ {
+			for x := 0; x < per; x++ {
+				crit = append(crit, eq(s.FOut, k), isParent(k), eq(s.FCnt, x))
+			}
+		}
+		return crit
+	}
+	var upCrit []openflow.FieldMatch
+	if cfg.Backend.Stateful() {
+		upCrit = upCriteria(maxD, func(int) openflow.FieldMatch { return eq(s.FUp, 1) })
+	}
 	eth := openflow.MatchEth(EthSnapSplit)
+	var cookies cookieSlab
 	for i := 0; i < g.NumNodes(); i++ {
 		d := g.Degree(i)
+		if !cfg.Backend.Stateful() {
+			upCrit = upCriteria(d, func(k int) openflow.FieldMatch { return eq(l.Par[i], k) })
+		}
+		sp := p.At(i)
+		sp.Flows = slices.Grow(sp.Flows, 2*d*per)
+		entries := make([]openflow.FlowEntry, 2*d*per)
+		prefix := fmt.Sprintf("snapsplit/n%d/", i)
 		for k := 1; k <= d; k++ {
-			for x := 0; x <= budget+1; x++ {
-				// Parent return: push UP, maybe flush, then forward.
-				var acts []openflow.Action
-				acts = append(acts, openflow.PushLabel{Value: encRec(recUp, 0, 0)})
-				if x+1 >= budget {
-					acts = append(acts, openflow.Output{Port: openflow.PortController})
-					for j := 0; j < x+1; j++ {
-						acts = append(acts, openflow.PopLabel{})
-					}
-					acts = append(acts, openflow.SetField{F: s.FCnt, Value: 0})
-				} else {
-					acts = append(acts, openflow.SetField{F: s.FCnt, Value: uint64(x + 1)})
+			for x := 0; x < per; x++ {
+				n := at(k, x)
+				up, out := &entries[2*n], &entries[2*n+1]
+				*up = openflow.FlowEntry{
+					Priority: PrioFinish + 60, Match: eth,
+					Actions: upActs[n], Goto: openflow.NoGoto,
+					Cookie: cookies.cut(prefix, "up-k", k, "-x", x),
 				}
-				acts = append(acts, openflow.Output{Port: k})
-				upMatch := eth.WithField(s.FOut, uint64(k))
-				if cfg.Backend.Stateful() {
-					upMatch = upMatch.WithField(s.FUp, 1)
-				} else {
-					upMatch = upMatch.WithField(l.Par[i], uint64(k))
+				up.Match.Fields = upCrit[3*n : 3*n+3 : 3*n+3]
+				*out = openflow.FlowEntry{
+					Priority: PrioFinish + 40, Match: eth,
+					Actions: outActs[n], Goto: openflow.NoGoto,
+					Cookie: cookies.cut(prefix, "out-k", k, "-x", x),
 				}
-				p.AddFlow(i, tFin, &openflow.FlowEntry{
-					Priority: PrioFinish + 60,
-					Match:    upMatch.WithField(s.FCnt, uint64(x)),
-					Actions:  acts, Goto: openflow.NoGoto,
-					Cookie: fmt.Sprintf("snapsplit/n%d/up-k%d-x%d", i, k, x),
-				})
-
-				// Advance: push OUT and increment, never flush.
-				p.AddFlow(i, tFin, &openflow.FlowEntry{
-					Priority: PrioFinish + 40,
-					Match:    eth.WithField(s.FOut, uint64(k)).WithField(s.FCnt, uint64(x)),
-					Actions: []openflow.Action{
-						openflow.PushLabel{Value: encRec(recOut, 0, k)},
-						openflow.SetField{F: s.FCnt, Value: uint64(x + 1)},
-						openflow.Output{Port: k},
-					},
-					Goto:   openflow.NoGoto,
-					Cookie: fmt.Sprintf("snapsplit/n%d/out-k%d-x%d", i, k, x),
-				})
+				out.Match.Fields = outCrit[2*n : 2*n+2 : 2*n+2]
+				p.AddFlow(i, tFin, up)
+				p.AddFlow(i, tFin, out)
 			}
 		}
 	}

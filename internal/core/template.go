@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"smartsouth/internal/openflow"
 	"smartsouth/internal/topo"
@@ -47,7 +47,9 @@ type Variant struct {
 // Hooks are the service-specific functions of Table 1. Every hook may be
 // nil. Hooks run at *compile time* and return the constant actions (or
 // match-refined rule variants) to install; nothing here executes per
-// packet.
+// packet. The compiler copies what it keeps of a hook's result, so a hook
+// may return the same slice on every call (SendNext runs once per advance
+// bucket, O(Δ³) times per node).
 type Hooks struct {
 	// RootStart runs when the trigger packet starts the traversal at this
 	// node (pkt.start = 0).
@@ -102,16 +104,6 @@ type Hooks struct {
 	// par field against OutField, but the stateful backend keeps par in
 	// switch state where a finish-table flow rule cannot see it.
 	UpField openflow.Field
-
-	// Uniform declares that every hook's output depends only on the node's
-	// degree and the port/state arguments — never on the node id itself
-	// (no node-id constants in pushed labels, match values or actions).
-	// The compiler then memoizes rule blocks per degree: one representative
-	// node per degree is compiled in full and every other node of the same
-	// degree receives a copy with only its per-node state fields and rule
-	// cookies rewritten. On regular topologies this turns an O(n·Δ²)
-	// compile into O(Δ²) + O(n·Δ) copying.
-	Uniform bool
 }
 
 // Template compiles Algorithm 1 for every node of a graph into flow and
@@ -139,10 +131,6 @@ type Template struct {
 	// several templates sharing an EtherType (e.g. chaincast stages) can
 	// demultiplex on a stage field.
 	DispatchFields []openflow.FieldMatch
-
-	// noMemo disables the per-degree memoization even for Uniform hooks;
-	// the compile benchmark uses it to measure the win.
-	noMemo bool
 }
 
 // stateFields resolves the effective DFS state fields for node i.
@@ -168,28 +156,8 @@ func (t *Template) AdvGroup(node, s, par int) uint32 {
 	return t.GroupBase + uint32(s*(d+2)+par)
 }
 
-// nodeBlock is the compiled rule block of one node: every flow rule and
-// group entry the template produces for it. Blocks are the unit of the
-// per-degree memoization — a block compiled for a representative node can
-// be re-targeted to any other node of the same degree.
-type nodeBlock struct {
-	node   int
-	flows  []openflow.FlowRule
-	groups []*openflow.GroupEntry
-}
-
-func (b *nodeBlock) addFlow(table int, e *openflow.FlowEntry) {
-	b.flows = append(b.flows, openflow.FlowRule{Table: table, Entry: e})
-}
-
-func (b *nodeBlock) addGroup(g *openflow.GroupEntry) {
-	b.groups = append(b.groups, g)
-}
-
 // Compile compiles the template for every node of the graph into the
-// program (the paper's offline stage, minus installation). With
-// Hooks.Uniform set, nodes sharing a degree share one compiled block,
-// re-targeted per node by rewriting state fields and cookies.
+// program (the paper's offline stage, minus installation).
 func (t *Template) Compile(p *openflow.Program) error {
 	if err := t.validate(); err != nil {
 		return err
@@ -197,27 +165,12 @@ func (t *Template) Compile(p *openflow.Program) error {
 	if t.L.TagBytes() > p.TagBytes {
 		p.TagBytes = t.L.TagBytes()
 	}
-	memo := map[int]*nodeBlock{}
+	c := newLowering(t)
 	for node := 0; node < t.G.NumNodes(); node++ {
-		d := t.G.Degree(node)
-		p.Ensure(node, d)
-		var b *nodeBlock
-		if t.Hooks.Uniform && !t.noMemo {
-			if rep, ok := memo[d]; ok {
-				b = t.retarget(rep, node)
-			} else {
-				b = t.compileNode(node)
-				memo[d] = b
-			}
-		} else {
-			b = t.compileNode(node)
-		}
-		for _, fr := range b.flows {
-			p.AddFlow(node, fr.Table, fr.Entry)
-		}
-		for _, g := range b.groups {
-			p.AddGroup(node, g)
-		}
+		sp := p.Ensure(node, t.G.Degree(node))
+		c.compileNode(node)
+		sp.Flows = append(sp.Flows, c.flowRules...)
+		sp.Groups = append(sp.Groups, c.groupRules...)
 	}
 	return nil
 }
@@ -247,178 +200,109 @@ func (t *Template) Install(c ControlPlane) error {
 	return nil
 }
 
-// retarget produces node's block from a representative block of the same
-// degree: per-node DFS state fields are remapped (the layout gives every
-// node its own Par/Cur bits) and the node id inside rule cookies is
-// rewritten. Everything else — group IDs, priorities, port constants — is
-// degree-determined and carried over as-is; Hooks.Uniform is the caller's
-// promise that no other node-specific constant exists.
-func (t *Template) retarget(rep *nodeBlock, node int) *nodeBlock {
-	_, repP, repC := t.stateFields(rep.node)
-	_, nodeP, nodeC := t.stateFields(node)
-	fm := map[openflow.Field]openflow.Field{repP: nodeP, repC: nodeC}
-	oldTag := fmt.Sprintf("/n%d/", rep.node)
-	newTag := fmt.Sprintf("/n%d/", node)
-
-	out := &nodeBlock{node: node}
-	out.flows = make([]openflow.FlowRule, len(rep.flows))
-	for i, fr := range rep.flows {
-		ne := *fr.Entry
-		ne.Cookie = strings.ReplaceAll(ne.Cookie, oldTag, newTag)
-		if len(ne.Match.Fields) > 0 {
-			fs := make([]openflow.FieldMatch, len(ne.Match.Fields))
-			copy(fs, ne.Match.Fields)
-			for j := range fs {
-				if nf, ok := fm[fs[j].F]; ok {
-					fs[j].F = nf
-				}
+// emit adds an OF13 base rule plus its variants (see expand) to the
+// current node.
+func (c *lowering) emit(table, prio int, m openflow.Match, cont openflow.Action,
+	gotoT int, vs []Variant, cookie string, pre ...openflow.Action) {
+	c.cont[0] = cont
+	c.expand(m, pre, c.cont[:], vs, cookie,
+		func(vi int, m openflow.Match, acts []openflow.Action, terminal bool, cookie string) {
+			next := gotoT
+			if terminal {
+				next = openflow.NoGoto
 			}
-			ne.Match.Fields = fs
-		}
-		ne.Actions = remapActions(ne.Actions, fm)
-		out.flows[i] = openflow.FlowRule{Table: fr.Table, Entry: &ne}
-	}
-	out.groups = make([]*openflow.GroupEntry, len(rep.groups))
-	for i, g := range rep.groups {
-		ng := &openflow.GroupEntry{ID: g.ID, Type: g.Type, Buckets: make([]openflow.Bucket, len(g.Buckets))}
-		for j, bk := range g.Buckets {
-			ng.Buckets[j] = openflow.Bucket{WatchPort: bk.WatchPort, Actions: remapActions(bk.Actions, fm)}
-		}
-		out.groups[i] = ng
-	}
-	return out
+			c.addFlow(table, openflow.FlowEntry{
+				Priority: prio + 1 + vi, Match: m, Actions: acts, Goto: next, Cookie: cookie,
+			})
+		})
 }
 
-// remapActions rewrites SetField targets through fm. SetField is the only
-// action kind that names a tag field, so the remap is complete by
-// construction.
-func remapActions(acts []openflow.Action, fm map[openflow.Field]openflow.Field) []openflow.Action {
-	out := make([]openflow.Action, len(acts))
-	for i, a := range acts {
-		if sf, ok := a.(openflow.SetField); ok {
-			if nf, ok := fm[sf.F]; ok {
-				sf.F = nf
-			}
-			out[i] = sf
-			continue
-		}
-		out[i] = a
-	}
-	return out
-}
-
-func (t *Template) compileNode(i int) *nodeBlock {
-	b := &nodeBlock{node: i}
+// compileNode compiles node i's OF13 rule block.
+func (c *lowering) compileNode(i int) {
+	t := c.t
+	c.beginNode(i)
 	d := t.G.Degree(i)
 	S, P, C := t.stateFields(i)
-	base := openflow.MatchEth(t.Eth)
 
 	// Dispatcher: table 0 demultiplexes the service EtherType (plus any
 	// extra dispatch criteria, e.g. a chain-stage field).
-	disp := base
-	for _, fm := range t.DispatchFields {
-		disp = disp.WithMasked(fm.F, fm.Value, fm.Mask)
-	}
-	b.addFlow(0, &openflow.FlowEntry{
-		Priority: 100, Match: disp, Goto: t.T0,
-		Cookie: fmt.Sprintf("svc%04x/dispatch", t.Eth),
+	c.addFlow(0, openflow.FlowEntry{
+		Priority: 100, Match: c.match(openflow.AnyPort, t.DispatchFields...), Goto: t.T0,
+		Cookie: c.dispatch,
 	})
+
+	// Every bucket that forwards via port k ends in the same two actions:
+	// cur := k, then the output (or, deferred, the output selection). Box
+	// them once per port; index 0 is the root fallback's cur := 0.
+	c.ports = c.ports[:0]
+	for k := 0; k <= d; k++ {
+		var out openflow.Action = openflow.Output{Port: k}
+		if t.Hooks.DeferOutput {
+			out = openflow.SetField{F: t.Hooks.OutField, Value: uint64(k)}
+		}
+		c.ports = append(c.ports, portActions{setCur: openflow.SetField{F: C, Value: uint64(k)}, out: out})
+	}
 
 	// Advance groups: for every scan start s and parent value par, probe
 	// ports s..d in order, skipping par and dead ports (fast failover),
 	// then fall back to the parent (par >= 1) or finish (par = 0, root).
+	// There are O(Δ³) buckets but a bucket's actions depend (almost) only
+	// on its port, so nearly all of them share a handful of lists.
+	groups := c.groups.take((d + 1) * (d + 1))
 	for s := 1; s <= d+1; s++ {
 		for par := 0; par <= d; par++ {
-			var buckets []openflow.Bucket
+			n := 1 + max(0, d-s+1)
+			if par >= s {
+				n--
+			}
+			buckets := c.buckets.take(n)[:0]
 			for k := s; k <= d; k++ {
 				if k == par {
 					continue
 				}
-				var acts []openflow.Action
+				c.acts = c.acts[:0]
 				if t.Hooks.SendNext != nil {
-					acts = append(acts, t.Hooks.SendNext(i, s, par, k)...)
+					c.acts = append(c.acts, t.Hooks.SendNext(i, s, par, k)...)
 				}
-				acts = append(acts, openflow.SetField{F: C, Value: uint64(k)})
-				if t.Hooks.DeferOutput {
-					acts = append(acts, openflow.SetField{F: t.Hooks.OutField, Value: uint64(k)})
-				} else {
-					acts = append(acts, openflow.Output{Port: k})
+				port := &c.ports[k]
+				c.acts = append(c.acts, port.setCur, port.out)
+				// Nearly always the list this port's previous bucket got:
+				// look there before hashing.
+				if !slices.Equal(port.last, c.acts) {
+					port.last = c.intern(c.acts)
 				}
-				buckets = append(buckets, openflow.Bucket{WatchPort: k, Actions: acts})
+				buckets = append(buckets, openflow.Bucket{WatchPort: k, Actions: port.last})
 			}
+			c.acts = c.acts[:0]
 			if par >= 1 {
-				var acts []openflow.Action
 				if t.Hooks.SendParent != nil {
-					acts = append(acts, t.Hooks.SendParent(i, par)...)
+					c.acts = append(c.acts, t.Hooks.SendParent(i, par)...)
 				}
-				acts = append(acts, openflow.SetField{F: C, Value: uint64(par)})
-				if t.Hooks.DeferOutput {
-					acts = append(acts, openflow.SetField{F: t.Hooks.OutField, Value: uint64(par)})
-				} else {
-					acts = append(acts, openflow.Output{Port: par})
-				}
-				buckets = append(buckets, openflow.Bucket{WatchPort: openflow.WatchNone, Actions: acts})
+				c.acts = append(c.acts, c.ports[par].setCur, c.ports[par].out)
 			} else {
 				// Root fallback: mark finished (cur := 0); the entry
 				// rule's goto into the finish table picks it up.
-				acts := []openflow.Action{openflow.SetField{F: C, Value: 0}}
+				c.acts = append(c.acts, c.ports[0].setCur)
 				if t.Hooks.DeferOutput {
-					acts = append(acts, openflow.SetField{F: t.Hooks.OutField, Value: 0})
+					c.acts = append(c.acts, c.ports[0].out)
 				}
-				buckets = append(buckets, openflow.Bucket{WatchPort: openflow.WatchNone, Actions: acts})
 			}
-			b.addGroup(&openflow.GroupEntry{ID: t.AdvGroup(i, s, par), Type: openflow.GroupFF, Buckets: buckets})
+			buckets = append(buckets, openflow.Bucket{WatchPort: openflow.WatchNone, Actions: c.intern(c.acts)})
+			g := &groups[len(c.groupRules)]
+			*g = openflow.GroupEntry{ID: t.AdvGroup(i, s, par), Type: openflow.GroupFF, Buckets: buckets}
+			c.groupRules = append(c.groupRules, g)
 		}
 	}
-
-	// emit installs a base rule plus its variants.
-	emit := func(table, prio int, m openflow.Match, pre []openflow.Action,
-		cont []openflow.Action, gotoT int, vs []Variant, cookie string) {
-		// A variant with no extra match criteria is unconditional: fold
-		// its actions into the base rule (and, transitively, into every
-		// conditional variant) instead of emitting a shadowing rule.
-		var conditional []Variant
-		for _, v := range vs {
-			if len(v.Match) == 0 && !v.Terminal {
-				pre = append(append([]openflow.Action{}, pre...), v.Do...)
-			} else {
-				conditional = append(conditional, v)
-			}
-		}
-		vs = conditional
-		all := append(append([]openflow.Action{}, pre...), cont...)
-		b.addFlow(table, &openflow.FlowEntry{
-			Priority: prio, Match: m, Actions: all, Goto: gotoT, Cookie: cookie,
-		})
-		for vi, v := range vs {
-			vm := m
-			for _, fm := range v.Match {
-				vm = vm.WithMasked(fm.F, fm.Value, fm.Mask)
-			}
-			var acts []openflow.Action
-			g := gotoT
-			if v.Terminal {
-				acts = append([]openflow.Action{}, v.Do...)
-				g = openflow.NoGoto
-			} else {
-				acts = append(append(append([]openflow.Action{}, pre...), v.Do...), cont...)
-			}
-			b.addFlow(table, &openflow.FlowEntry{
-				Priority: prio + 1 + vi, Match: vm, Actions: acts, Goto: g,
-				Cookie: fmt.Sprintf("%s/v%d", cookie, vi),
-			})
-		}
-	}
+	adv := func(s, par int) openflow.Action { return openflow.Group{ID: t.AdvGroup(i, s, par)} }
+	var bounce openflow.Action = openflow.Output{Port: openflow.PortInPort}
 
 	// Start rule: pkt.start = 0 — this switch becomes the DFS root.
-	var rootActs []openflow.Action
-	rootActs = append(rootActs, openflow.SetField{F: S, Value: 1})
+	rootActs := []openflow.Action{openflow.SetField{F: S, Value: 1}}
 	if t.Hooks.RootStart != nil {
 		rootActs = append(rootActs, t.Hooks.RootStart(i)...)
 	}
-	emit(t.T0, PrioStart, base.WithField(S, 0), rootActs,
-		[]openflow.Action{openflow.Group{ID: t.AdvGroup(i, 1, 0)}}, t.TFin, nil,
-		fmt.Sprintf("svc%04x/n%d/start", t.Eth, i))
+	c.emit(t.T0, PrioStart, c.match(openflow.AnyPort, eq(S, 0)), adv(1, 0), t.TFin, nil,
+		c.cookie("start", -1, "", -1), rootActs...)
 
 	// First visit: cur = 0, one rule per ingress port, because set-field
 	// can only write immediates — the packet's parent field is set to the
@@ -428,10 +312,8 @@ func (t *Template) compileNode(i int) *nodeBlock {
 		if t.Hooks.FirstVisit != nil {
 			vs = t.Hooks.FirstVisit(i, q)
 		}
-		emit(t.T0, PrioFirst, base.WithInPort(q).WithField(C, 0),
-			[]openflow.Action{openflow.SetField{F: P, Value: uint64(q)}},
-			[]openflow.Action{openflow.Group{ID: t.AdvGroup(i, 1, q)}}, t.TFin, vs,
-			fmt.Sprintf("svc%04x/n%d/first-in%d", t.Eth, i, q))
+		c.emit(t.T0, PrioFirst, c.match(q, eq(C, 0)), adv(1, q), t.TFin, vs,
+			c.cookie("first-in", q, "", -1), openflow.SetField{F: P, Value: uint64(q)})
 	}
 
 	// seenHook resolves which hook covers "already seen" arrivals.
@@ -439,30 +321,19 @@ func (t *Template) compileNode(i int) *nodeBlock {
 	if t.Hooks.BounceSplit {
 		seenHook = t.Hooks.BounceSeen
 	}
-	callHook := func(h func(int, int) []Variant, node, in int) []Variant {
-		if h == nil {
-			return nil
-		}
-		return h(node, in)
-	}
 
 	// Finished state (cur = par >= 1): every arrival is treated like the
 	// "already seen" bounce, per the paper's cur=par remark.
 	for p := 1; p <= d; p++ {
-		m := base.WithField(C, uint64(p)).WithField(P, uint64(p))
 		if t.Hooks.BouncePerIn {
 			for q := 1; q <= d; q++ {
-				emit(t.T0, PrioFinished, m.WithInPort(q),
-					nil, []openflow.Action{openflow.Output{Port: openflow.PortInPort}}, openflow.NoGoto,
-					callHook(seenHook, i, q),
-					fmt.Sprintf("svc%04x/n%d/done-p%d-in%d", t.Eth, i, p, q))
+				c.emit(t.T0, PrioFinished, c.match(q, eq(C, p), eq(P, p)), bounce, openflow.NoGoto,
+					callHook(seenHook, i, q), c.cookie("done-p", p, "-in", q))
 			}
 			continue
 		}
-		emit(t.T0, PrioFinished, m,
-			nil, []openflow.Action{openflow.Output{Port: openflow.PortInPort}}, openflow.NoGoto,
-			callHook(seenHook, i, openflow.AnyPort),
-			fmt.Sprintf("svc%04x/n%d/done-p%d", t.Eth, i, p))
+		c.emit(t.T0, PrioFinished, c.match(openflow.AnyPort, eq(C, p), eq(P, p)), bounce, openflow.NoGoto,
+			callHook(seenHook, i, openflow.AnyPort), c.cookie("done-p", p, "", -1))
 	}
 
 	// Expected return (in = cur): advance to cur+1. One rule per
@@ -477,10 +348,8 @@ func (t *Template) compileNode(i int) *nodeBlock {
 			if t.Hooks.FromCur != nil {
 				vs = t.Hooks.FromCur(i, q, p)
 			}
-			emit(t.T0, PrioExpected,
-				base.WithInPort(q).WithField(C, uint64(q)).WithField(P, uint64(p)),
-				nil, []openflow.Action{openflow.Group{ID: t.AdvGroup(i, q+1, p)}}, t.TFin, vs,
-				fmt.Sprintf("svc%04x/n%d/ret-c%d-p%d", t.Eth, i, q, p))
+			c.emit(t.T0, PrioExpected, c.match(q, eq(C, q), eq(P, p)), adv(q+1, p), t.TFin, vs,
+				c.cookie("ret-c", q, "-p", p))
 		}
 	}
 
@@ -491,28 +360,20 @@ func (t *Template) compileNode(i int) *nodeBlock {
 	if t.Hooks.BounceSplit {
 		for q := 1; q <= d; q++ {
 			for cv := q + 1; cv <= d; cv++ {
-				emit(t.T0, PrioSeen, base.WithInPort(q).WithField(C, uint64(cv)),
-					nil, []openflow.Action{openflow.Output{Port: openflow.PortInPort}}, openflow.NoGoto,
-					callHook(t.Hooks.BounceSeen, i, q),
-					fmt.Sprintf("svc%04x/n%d/seen-in%d-c%d", t.Eth, i, q, cv))
+				c.emit(t.T0, PrioSeen, c.match(q, eq(C, cv)), bounce, openflow.NoGoto,
+					callHook(t.Hooks.BounceSeen, i, q), c.cookie("seen-in", q, "-c", cv))
 			}
-			emit(t.T0, PrioNew, base.WithInPort(q),
-				nil, []openflow.Action{openflow.Output{Port: openflow.PortInPort}}, openflow.NoGoto,
-				callHook(t.Hooks.BounceNew, i, q),
-				fmt.Sprintf("svc%04x/n%d/new-in%d", t.Eth, i, q))
+			c.emit(t.T0, PrioNew, c.match(q), bounce, openflow.NoGoto,
+				callHook(t.Hooks.BounceNew, i, q), c.cookie("new-in", q, "", -1))
 		}
 	} else if t.Hooks.BouncePerIn {
 		for q := 1; q <= d; q++ {
-			emit(t.T0, PrioNew, base.WithInPort(q),
-				nil, []openflow.Action{openflow.Output{Port: openflow.PortInPort}}, openflow.NoGoto,
-				callHook(t.Hooks.Bounce, i, q),
-				fmt.Sprintf("svc%04x/n%d/bounce-in%d", t.Eth, i, q))
+			c.emit(t.T0, PrioNew, c.match(q), bounce, openflow.NoGoto,
+				callHook(t.Hooks.Bounce, i, q), c.cookie("bounce-in", q, "", -1))
 		}
 	} else {
-		emit(t.T0, PrioNew, base, nil,
-			[]openflow.Action{openflow.Output{Port: openflow.PortInPort}}, openflow.NoGoto,
-			callHook(t.Hooks.Bounce, i, openflow.AnyPort),
-			fmt.Sprintf("svc%04x/n%d/bounce", t.Eth, i))
+		c.emit(t.T0, PrioNew, c.match(openflow.AnyPort), bounce, openflow.NoGoto,
+			callHook(t.Hooks.Bounce, i, openflow.AnyPort), c.cookie("bounce", -1, "", -1))
 	}
 
 	// Finish table: reached by goto after every advance; fires only when
@@ -522,11 +383,10 @@ func (t *Template) compileNode(i int) *nodeBlock {
 	if t.Hooks.Finish != nil {
 		fin = t.Hooks.Finish(i)
 	}
-	b.addFlow(t.TFin, &openflow.FlowEntry{
+	c.addFlow(t.TFin, openflow.FlowEntry{
 		Priority: PrioFinish,
-		Match:    base.WithField(C, 0).WithField(P, 0),
-		Actions:  fin, Goto: openflow.NoGoto,
-		Cookie: fmt.Sprintf("svc%04x/n%d/finish", t.Eth, i),
+		Match:    c.match(openflow.AnyPort, eq(C, 0), eq(P, 0)),
+		Actions:  c.intern(fin), Goto: openflow.NoGoto,
+		Cookie: c.cookie("finish", -1, "", -1),
 	})
-	return b
 }

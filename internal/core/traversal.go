@@ -47,7 +47,7 @@ func InstallTraversal(c ControlPlane, g *topo.Graph, slot int, opts ...InstallOp
 	tr := &Traversal{G: g, L: l, ctl: c, be: cfg.Backend}
 	tr.Tmpl = &Template{
 		G: g, L: l, Eth: EthTraversal, T0: t0, TFin: tFin, GroupBase: gb,
-		Hooks: Hooks{Finish: finishToController, Uniform: true},
+		Hooks: Hooks{Finish: finishToController},
 	}
 	p := newProgram("traversal", slot, g, l)
 	if err := cfg.Backend.Lower(tr.Tmpl, p); err != nil {

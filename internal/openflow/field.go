@@ -91,7 +91,26 @@ func (f Field) loadWide(tag []byte) uint64 {
 // Store writes v into the field, truncating v to the field width. Writes
 // beyond the end of tag are silently dropped (the switch cannot grow a
 // packet); callers size the tag area when the packet is created.
+//
+// The first branch mirrors Load's: a ≤9-bit field lies inside a two-byte
+// window, rewritten under a mask without a branch. When the field sits in
+// a single byte the window holds that byte twice and the mask (shifted by
+// ≥8) covers the high copy only; the low copy is written back first,
+// unchanged, and the high copy over it.
 func (f Field) Store(tag []byte, v uint64) {
+	if first, last := f.Off>>3, (f.Off+f.Bits-1)>>3; uint(f.Bits-1) < 9 && first >= 0 && last < len(tag) {
+		shift := uint(16 - (f.Off + f.Bits - first*8))
+		mask := uint16(1<<uint(f.Bits)-1) << shift
+		w := uint16(tag[first])<<8 | uint16(tag[last])
+		w = w&^mask | uint16(v)<<shift&mask
+		tag[last] = byte(w)
+		tag[first] = byte(w >> 8)
+		return
+	}
+	f.storeWide(tag, v)
+}
+
+func (f Field) storeWide(tag []byte, v uint64) {
 	for i := f.Bits - 1; i >= 0; i-- {
 		pos := f.Off + i
 		byteIdx, bitIdx := pos>>3, 7-uint(pos&7)

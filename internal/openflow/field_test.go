@@ -117,6 +117,37 @@ func TestQuickFieldLoadMatchesBitwise(t *testing.T) {
 	}
 }
 
+// TestFieldFastPathsMatchBitwise pins Store and Load — fast paths and wide
+// paths alike — against the bit-at-a-time reference for every offset and
+// every width up to 64, on tags the field fits, straddles the end of, and
+// lies wholly beyond.
+func TestFieldFastPathsMatchBitwise(t *testing.T) {
+	values := []uint64{0, 1, 0x155, 0x0AA, 0xDEADBEEFCAFEF00D, ^uint64(0)}
+	for _, tagLen := range []int{0, 1, 2, 3, 12} {
+		for off := 0; off < tagLen*8+10; off++ {
+			for bits := 1; bits <= 64; bits++ {
+				f := Field{Off: off, Bits: bits}
+				for _, fill := range []byte{0x00, 0xFF, 0xA5} {
+					for _, v := range values {
+						got, want := make([]byte, tagLen), make([]byte, tagLen)
+						for i := range got {
+							got[i], want[i] = fill, fill
+						}
+						f.Store(got, v)
+						f.storeWide(want, v)
+						if string(got) != string(want) {
+							t.Fatalf("%v.Store(%d-byte tag of %#x, %#x) = %x, bitwise %x", f, tagLen, fill, v, got, want)
+						}
+						if l, ref := f.Load(got), loadBitwise(f, got); l != ref {
+							t.Fatalf("%v.Load(%x) = %#x, bitwise %#x", f, got, l, ref)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBitsFor(t *testing.T) {
 	cases := []struct {
 		max  uint64

@@ -96,15 +96,17 @@ func (g *GroupEntry) Bytes() int {
 	return n
 }
 
-// Clone returns a copy of the group entry with fresh runtime state: bucket
-// packet counters and the round-robin pointer are reset. Programs hand
-// clones to switches so two deployments never share counter state.
-func (g *GroupEntry) Clone() *GroupEntry {
-	ng := &GroupEntry{ID: g.ID, Type: g.Type, Buckets: make([]Bucket, len(g.Buckets))}
+// cloneInto makes *ng a copy of g with fresh runtime state — bucket packet
+// counters, the round-robin pointer and the liveness cache are reset —
+// whose buckets live in the given slice (len(g.Buckets) long). Programs
+// hand such copies to switches so two deployments never share counter
+// state. The buckets' action lists are shared with g: they are immutable
+// once compiled.
+func (g *GroupEntry) cloneInto(ng *GroupEntry, buckets []Bucket) {
+	*ng = GroupEntry{ID: g.ID, Type: g.Type, Buckets: buckets}
 	for i, b := range g.Buckets {
-		ng.Buckets[i] = Bucket{WatchPort: b.WatchPort, Actions: b.Actions}
+		buckets[i] = Bucket{WatchPort: b.WatchPort, Actions: b.Actions}
 	}
-	return ng
 }
 
 // apply executes the group against the packet per its type semantics.

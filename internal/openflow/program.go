@@ -75,27 +75,40 @@ func (sp *SwitchProgram) GroupBytes() int {
 }
 
 // Materialize installs the switch program onto a live switch. Entries and
-// groups are cloned first: a Program is a reusable compile artifact, and
-// runtime state (packet counters, round-robin pointers) must never be
-// shared between the program and a deployment, or between two deployments
-// of the same program.
+// groups are copied first: a Program is a reusable compile artifact, and
+// runtime state (packet counters, round-robin pointers, the fast-failover
+// liveness cache) must never be shared between the program and a
+// deployment, or between two deployments of the same program. The copies
+// of one kind come out of one allocation per switch. What never changes
+// after compile — action lists, match criteria, state-table keys — is
+// shared with the program, not copied.
 func (sp *SwitchProgram) Materialize(sw *Switch) {
+	nb := 0
 	for _, g := range sp.Groups {
-		sw.AddGroup(g.Clone())
+		nb += len(g.Buckets)
 	}
-	rules := make([]FlowRule, len(sp.Flows))
+	groups, buckets := make([]GroupEntry, len(sp.Groups)), make([]Bucket, nb)
+	for i, g := range sp.Groups {
+		n := len(g.Buckets)
+		g.cloneInto(&groups[i], buckets[:n:n])
+		buckets = buckets[n:]
+		sw.AddGroup(&groups[i])
+	}
+	flows, rules := make([]FlowEntry, len(sp.Flows)), make([]FlowRule, len(sp.Flows))
 	for i, r := range sp.Flows {
-		ne := *r.Entry
-		ne.Packets = 0
-		rules[i] = FlowRule{Table: r.Table, Entry: &ne}
+		flows[i] = *r.Entry
+		flows[i].Packets = 0
+		rules[i] = FlowRule{Table: r.Table, Entry: &flows[i]}
 	}
 	sw.AddFlows(rules)
 	for _, ts := range sp.States {
-		for _, e := range ts.Entries {
-			ne := *e
-			ne.Packets = 0
-			sw.AddStateEntry(ts.Table, ts.Key, &ne)
+		states, batch := make([]StateEntry, len(ts.Entries)), make([]*StateEntry, len(ts.Entries))
+		for i, e := range ts.Entries {
+			states[i] = *e
+			states[i].Packets = 0
+			batch[i] = &states[i]
 		}
+		sw.AddStateEntries(ts.Table, ts.Key, batch)
 	}
 }
 

@@ -37,6 +37,56 @@ func TestProgramMaterializeClonesState(t *testing.T) {
 	if v1, v2 := sw1.GroupByID(7).CounterValue(), sw2.GroupByID(7).CounterValue(); v1 != 1 || v2 != 0 {
 		t.Fatalf("group counters = %d, %d; want 1, 0", v1, v2)
 	}
+	g0, g1, g2 := p.At(0).Groups[0], sw1.GroupByID(7), sw2.GroupByID(7)
+	if g0.Buckets[0].Packets != 0 || g1.Buckets[0].Packets != 1 || g2.Buckets[0].Packets != 0 {
+		t.Fatalf("bucket 0 packets = %d (program), %d, %d; want 0, 1, 0",
+			g0.Buckets[0].Packets, g1.Buckets[0].Packets, g2.Buckets[0].Packets)
+	}
+	// What is private is the counters, not the rules' content: both
+	// switches execute the program's own action lists.
+	if &g1.Buckets[0].Actions[0] != &g0.Buckets[0].Actions[0] || &g2.Buckets[1].Actions[0] != &g0.Buckets[1].Actions[0] {
+		t.Error("materialized buckets copied their action lists instead of sharing the program's")
+	}
+	if &sw1.Table(0).Entries()[0].Actions[0] != &p.At(0).Flows[0].Entry.Actions[0] {
+		t.Error("materialized flow entry copied its action list instead of sharing the program's")
+	}
+}
+
+// TestStateTableAddBatchMatchesSequentialAdd: a batched insert must leave
+// the transitions in the order one sorted Add per entry produces —
+// priority descending, insertion order among equals — also when the table
+// already holds entries.
+func TestStateTableAddBatchMatchesSequentialAdd(t *testing.T) {
+	prios := []int{5, 9, 5, 1, 9, 7, 5, 1, 9, 3}
+	entries := func() []*StateEntry {
+		es := make([]*StateEntry, len(prios))
+		for i, pr := range prios {
+			es[i] = &StateEntry{Priority: pr, Cookie: string(rune('a' + i))}
+		}
+		return es
+	}
+	order := func(st *StateTable) string {
+		var s string
+		for _, e := range st.Entries() {
+			s += e.Cookie
+		}
+		return s
+	}
+	for _, held := range []int{0, 1, 4} { // entries added before the batch
+		one, batch := NewStateTable(1, nil), NewStateTable(1, nil)
+		es := entries()
+		for _, e := range es {
+			one.Add(e)
+		}
+		es = entries()
+		for _, e := range es[:held] {
+			batch.Add(e)
+		}
+		batch.AddBatch(es[held:])
+		if got, want := order(batch), order(one); got != want {
+			t.Errorf("%d held + batch: order %q, one by one %q", held, got, want)
+		}
+	}
 }
 
 func TestProgramAccountingMatchesSwitchWalk(t *testing.T) {

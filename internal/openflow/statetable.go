@@ -133,6 +133,25 @@ func (t *StateTable) Add(e *StateEntry) {
 	t.entries[i] = e
 }
 
+// AddBatch inserts a batch of transitions as one mutation: sequence
+// numbers follow slice order, then the list is stably re-sorted by
+// priority once — the order k sorted Adds would produce, without their
+// O(k·n) element moves (the state-table counterpart of FlowTable.AddBatch).
+func (t *StateTable) AddBatch(es []*StateEntry) {
+	if len(es) == 1 {
+		t.Add(es[0])
+		return
+	}
+	for _, e := range es {
+		e.seq = t.seq
+		t.seq++
+	}
+	t.entries = append(t.entries, es...)
+	sort.SliceStable(t.entries, func(i, j int) bool {
+		return t.entries[i].Priority > t.entries[j].Priority
+	})
+}
+
 // FlowKey computes the packet's flow key under this table's Key fields.
 func (t *StateTable) FlowKey(p *Packet) uint64 {
 	var key uint64

@@ -335,14 +335,18 @@ func (sw *Switch) StateTableIDs() []int {
 	return ids
 }
 
-// AddStateEntry installs a transition entry into state table id, setting
-// the table's flow key on first use.
-func (sw *Switch) AddStateEntry(id int, key []Field, e *StateEntry) {
+// AddStateEntries installs the transitions of one transaction into state
+// table id as one batch (see StateTable.AddBatch), setting the table's
+// flow key on first use. The entries become the switch's own.
+func (sw *Switch) AddStateEntries(id int, key []Field, es []*StateEntry) {
+	if len(es) == 0 {
+		return // no entries, no table: an empty state table would still shadow a flow table
+	}
 	t := sw.StateTab(id)
 	if t.Len() == 0 && len(key) > 0 {
 		t.Key = key
 	}
-	t.Add(e)
+	t.AddBatch(es)
 }
 
 // FindState returns the installed transition with the given cookie in

@@ -2,6 +2,7 @@ package smartsouth
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"smartsouth/internal/openflow"
@@ -135,6 +136,105 @@ func TestInstallPathLifecycle(t *testing.T) {
 			}
 			if errs := d.VerifyErrors(); len(errs) != 0 {
 				t.Errorf("lived-in deployment fails verification: %v", errs)
+			}
+		})
+	}
+}
+
+// frozenLists records every distinct action list a set of programs holds,
+// next to a deep copy of it.
+type frozenLists struct {
+	refs  int // rules, transitions and buckets holding a non-empty list
+	lists []struct{ live, was []openflow.Action }
+}
+
+func freezeLists(progs []*Program) *frozenLists {
+	f := &frozenLists{}
+	seen := map[*openflow.Action]bool{}
+	add := func(list []openflow.Action) {
+		if len(list) == 0 {
+			return
+		}
+		f.refs++
+		if !seen[&list[0]] {
+			seen[&list[0]] = true
+			f.lists = append(f.lists, struct{ live, was []openflow.Action }{list, slices.Clone(list)})
+		}
+	}
+	for _, p := range progs {
+		for _, id := range p.SwitchIDs() {
+			sp := p.At(id)
+			for _, r := range sp.Flows {
+				add(r.Entry.Actions)
+			}
+			for _, ts := range sp.States {
+				for _, e := range ts.Entries {
+					add(e.Actions)
+				}
+			}
+			for _, g := range sp.Groups {
+				for _, b := range g.Buckets {
+					add(b.Actions)
+				}
+			}
+		}
+	}
+	return f
+}
+
+// TestSharedActionListsAreImmutable: compiled programs share action lists
+// between buckets and rules, and every switch materialized from a program
+// executes the program's own lists. Nothing downstream of the compiler may
+// write to one: not an install (parallel across switches), not the sharded
+// hop loop, not a counter reset, an uninstall or a reinstall. Run under
+// -race, the concurrent readers of one list would also trip on any writer.
+func TestSharedActionListsAreImmutable(t *testing.T) {
+	g := RandomConnected(30, 15, 7)
+	for _, backend := range []string{"of13", "stateful"} {
+		t.Run(backend, func(t *testing.T) {
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			d := Deploy(g, WithBackend(backend), WithShards(2))
+			run := func(trigger func(at Time)) {
+				t.Helper()
+				d.CP.ClearInbox()
+				trigger(d.Net.Sim.Now() + 1)
+				must(d.Run())
+			}
+			snap, err := d.InstallSnapshot()
+			must(err)
+			split, err := d.InstallSnapshotSplit(8)
+			must(err)
+			bh, err := d.InstallBlackholeCounter()
+			must(err)
+			any, err := d.InstallAnycast(map[uint32][]int{1: {17}})
+			must(err)
+
+			frozen := freezeLists(d.Programs())
+			if backend == "of13" && len(frozen.lists)*2 > frozen.refs {
+				t.Errorf("%d references to %d distinct action lists: the compiler is not sharing", frozen.refs, len(frozen.lists))
+			}
+
+			run(func(at Time) { snap.Trigger(0, at) })
+			run(func(at Time) { split.Trigger(3, at) })
+			run(func(at Time) { bh.Detect(0, at, 0) })
+			bh.ResetCounters()
+			run(func(at Time) { bh.Detect(0, at, 0) })
+			run(func(at Time) { any.Send(5, 1, nil, at) })
+			d.Uninstall(any.Prog.Slot)
+			any, err = d.InstallAnycast(map[uint32][]int{1: {23}})
+			must(err)
+			run(func(at Time) { any.Send(5, 1, nil, at) })
+			run(func(at Time) { snap.Trigger(9, at) })
+
+			for _, l := range frozen.lists {
+				if !slices.Equal(l.live, l.was) {
+					t.Errorf("shared action list changed after compile: %v, was %v", l.live, l.was)
+				}
 			}
 		})
 	}
