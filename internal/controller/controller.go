@@ -88,9 +88,10 @@ func (c *Controller) ClearInbox() {
 	c.inbox = c.inbox[:0]
 }
 
-// InstallProgram applies a compiled program, batched per switch: entries
-// and groups are cloned onto each switch (a program is a reusable compile
-// artifact), the dispatch matchers of the tables the program wrote to are
+// InstallProgram applies a compiled program, batched per switch: each
+// switch is handed the program's own entries and groups (a program is a
+// read-only compile artifact; the switch keeps the runtime state on its
+// side), the dispatch matchers of the tables the program wrote to are
 // recompiled — install is the one seam both backends' lowerings pass
 // through, and CompileDispatch skips tables that are still current, so a
 // group-only or state-only program compiles nothing — and the program is
@@ -198,11 +199,10 @@ func (c *Controller) PortLive(sw, port int) bool { return c.Net.Switch(sw).PortL
 
 // GroupCounter reads a group's round-robin pointer for diagnostics.
 func (c *Controller) GroupCounter(sw int, id uint32) int {
-	g := c.Net.Switch(sw).GroupByID(id)
-	if g == nil {
-		return -1
+	if v, ok := c.Net.Switch(sw).CounterValue(id); ok {
+		return v
 	}
-	return g.CounterValue()
+	return -1
 }
 
 // ResetRuntimeStats zeroes the runtime counters, keeping the offline

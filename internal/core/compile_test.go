@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"smartsouth/internal/controller"
@@ -145,6 +146,61 @@ func TestGroupBytesCountEveryBucket(t *testing.T) {
 	// One list per out-port, one per parent return, one root fallback.
 	if len(distinct) != 2*d+1 {
 		t.Errorf("hub's %d buckets point at %d distinct action lists, want %d", buckets, len(distinct), 2*d+1)
+	}
+}
+
+// TestAdvanceGroupsShareBucketSuffixes: group (s, par) probes the ports
+// group (s-1, par) probes after its first, so it is stored as the tail of
+// that group's bucket array. A hub of degree Δ then holds one array per
+// parent value — at most (Δ+1)² bucket structs, not the O(Δ³) its groups
+// list — while every group still lists, and is billed for, all of its own
+// buckets.
+func TestAdvanceGroupsShareBucketSuffixes(t *testing.T) {
+	const d = 16
+	g := topo.Star(d + 1)
+	l := NewLayout(g)
+	p := newProgram("snapshot", 0, g, l)
+	tmpl := snapshotOnController(g, l)
+	if err := tmpl.Compile(p); err != nil {
+		t.Fatal(err)
+	}
+	stored := map[*openflow.Bucket]bool{}
+	listed := 0
+	byID := map[uint32]*openflow.GroupEntry{}
+	for _, grp := range p.At(0).Groups {
+		byID[grp.ID] = grp
+		for i := range grp.Buckets {
+			stored[&grp.Buckets[i]] = true
+		}
+		listed += len(grp.Buckets)
+	}
+	if limit := (d+1)*(d+1) + d + 1; len(stored) > limit {
+		t.Errorf("hub stores %d bucket structs for the %d its groups list, want <= %d", len(stored), listed, limit)
+	}
+	for s := 1; s <= d+1; s++ {
+		for par := 0; par <= d; par++ {
+			grp := byID[tmpl.AdvGroup(0, s, par)]
+			var watch []int
+			for k := s; k <= d; k++ {
+				if k != par {
+					watch = append(watch, k)
+				}
+			}
+			watch = append(watch, openflow.WatchNone)
+			// Three actions per forwarding bucket (push OUT or UP, set cur,
+			// output), one in the root fallback (cur := 0).
+			bytes := 16 + len(watch)*(16+3*8)
+			if par == 0 {
+				bytes -= 2 * 8
+			}
+			var got []int
+			for _, b := range grp.Buckets {
+				got = append(got, b.WatchPort)
+			}
+			if !slices.Equal(got, watch) || grp.Bytes() != bytes {
+				t.Fatalf("group (s=%d, par=%d): watch ports %v in %d bytes, want %v in %d", s, par, got, grp.Bytes(), watch, bytes)
+			}
+		}
 	}
 }
 

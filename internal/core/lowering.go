@@ -73,8 +73,11 @@ type lowering struct {
 	nexts   slab[uint64]
 
 	// ports[k] serves the current node's advance buckets that forward via
-	// port k (OF13 only).
+	// port k; bkts is the bucket list under construction and tails[par]
+	// the stored list of parent par's latest advance group (OF13 only).
 	ports []portActions
+	bkts  []openflow.Bucket
+	tails [][]openflow.Bucket
 }
 
 // portActions is what the advance buckets of one port have in common: the
@@ -136,6 +139,13 @@ func (c *lowering) intern(list []openflow.Action) []openflow.Action {
 		c.lists[h] = own
 	}
 	return own
+}
+
+// sameBucket reports whether two buckets of one node are interchangeable:
+// the same watch port and the same interned action list.
+func sameBucket(a, b openflow.Bucket) bool {
+	return a.WatchPort == b.WatchPort && len(a.Actions) == len(b.Actions) &&
+		(len(a.Actions) == 0 || &a.Actions[0] == &b.Actions[0])
 }
 
 // hashActions mixes what tells the compiled action kinds apart. Unlisted

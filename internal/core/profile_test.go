@@ -67,11 +67,12 @@ func TestRuleHitProfile(t *testing.T) {
 
 	hits := func(sw int, substr string) (total uint64) {
 		for _, tid := range net.Switch(sw).TableIDs() {
-			for _, e := range net.Switch(sw).Table(tid).Entries() {
+			net.Switch(sw).Table(tid).Each(func(e *openflow.FlowEntry, n uint64) bool {
 				if strings.Contains(e.Cookie, substr) {
-					total += e.Packets
+					total += n
 				}
-			}
+				return true
+			})
 		}
 		return total
 	}

@@ -247,15 +247,15 @@ func (c *lowering) compileNode(i int) {
 	// ports s..d in order, skipping par and dead ports (fast failover),
 	// then fall back to the parent (par >= 1) or finish (par = 0, root).
 	// There are O(Δ³) buckets but a bucket's actions depend (almost) only
-	// on its port, so nearly all of them share a handful of lists.
+	// on its port, so nearly all of them share a handful of lists — and
+	// group (s, par)'s bucket list is then the tail of group (s-1, par)'s,
+	// so it is that tail: a node stores O(Δ²) buckets unless SendNext
+	// depends on s.
 	groups := c.groups.take((d + 1) * (d + 1))
+	c.tails = append(c.tails[:0], make([][]openflow.Bucket, d+1)...)
 	for s := 1; s <= d+1; s++ {
 		for par := 0; par <= d; par++ {
-			n := 1 + max(0, d-s+1)
-			if par >= s {
-				n--
-			}
-			buckets := c.buckets.take(n)[:0]
+			buckets := c.bkts[:0]
 			for k := s; k <= d; k++ {
 				if k == par {
 					continue
@@ -288,8 +288,20 @@ func (c *lowering) compileNode(i int) {
 				}
 			}
 			buckets = append(buckets, openflow.Bucket{WatchPort: openflow.WatchNone, Actions: c.intern(c.acts)})
+			c.bkts = buckets
+			// The previous scan start's list for this parent, minus the
+			// bucket of port s-1 it opened with unless that was the parent.
+			tail := c.tails[par]
+			if s-1 >= 1 && s-1 != par {
+				tail = tail[1:]
+			}
+			if !slices.EqualFunc(tail, buckets, sameBucket) {
+				tail = c.buckets.take(len(buckets))
+				copy(tail, buckets)
+			}
+			c.tails[par] = tail
 			g := &groups[len(c.groupRules)]
-			*g = openflow.GroupEntry{ID: t.AdvGroup(i, s, par), Type: openflow.GroupFF, Buckets: buckets}
+			*g = openflow.GroupEntry{ID: t.AdvGroup(i, s, par), Type: openflow.GroupFF, Buckets: tail}
 			c.groupRules = append(c.groupRules, g)
 		}
 	}

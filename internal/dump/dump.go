@@ -23,14 +23,15 @@ func Switch(sw *openflow.Switch) string {
 	for _, tid := range sw.TableIDs() {
 		t := sw.Table(tid)
 		fmt.Fprintf(&b, "  table %d (%d entries)\n", tid, t.Len())
-		for _, e := range t.Entries() {
+		t.Each(func(e *openflow.FlowEntry, hits uint64) bool {
 			gotoStr := ""
 			if e.Goto != openflow.NoGoto {
 				gotoStr = fmt.Sprintf(" goto:%d", e.Goto)
 			}
 			fmt.Fprintf(&b, "    [%5d] %s -> %s%s  #%s (hits %d)\n",
-				e.Priority, e.Match, actionsString(e.Actions), gotoStr, e.Cookie, e.Packets)
-		}
+				e.Priority, e.Match, actionsString(e.Actions), gotoStr, e.Cookie, hits)
+			return true
+		})
 	}
 
 	groups := sw.Groups()

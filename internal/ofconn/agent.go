@@ -144,26 +144,22 @@ func (a *Agent) handle(conn *Conn, h ofwire.Header, body []byte) error {
 			if err != nil {
 				return err
 			}
-			g := a.SW.GroupByID(gid)
-			if g == nil {
+			hits := a.SW.BucketHits(gid)
+			if hits == nil {
 				return fmt.Errorf("ofconn: stats for missing group %d", gid)
 			}
-			gs := ofwire.GroupStats{ID: gid}
-			for _, bk := range g.Buckets {
-				gs.BucketPackets = append(gs.BucketPackets, bk.Packets)
-			}
-			return conn.Send(ofwire.MarshalGroupStatsReply(h.XID, gs))
+			return conn.Send(ofwire.MarshalGroupStatsReply(h.XID, ofwire.GroupStats{ID: gid, BucketPackets: hits}))
 		case ofwire.MultipartFlow:
 			table, err := ofwire.ParseFlowStatsRequest(body)
 			if err != nil {
 				return err
 			}
 			var stats []ofwire.FlowStat
-			a.SW.Table(table).Each(func(e *openflow.FlowEntry) bool {
+			a.SW.Table(table).Each(func(e *openflow.FlowEntry, hits uint64) bool {
 				stats = append(stats, ofwire.FlowStat{
 					Priority: e.Priority,
 					Cookie:   ofwire.CookieHash(e.Cookie),
-					Packets:  e.Packets,
+					Packets:  hits,
 				})
 				return true
 			})

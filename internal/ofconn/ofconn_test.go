@@ -188,9 +188,12 @@ func TestLoneFlowModIsServedByTheMatcher(t *testing.T) {
 	}
 	before := sw.ScanStats()
 	res := sw.Receive(openflow.NewPacket(0x8801, 1), 1)
-	if got := sw.Table(0).Entries()[0]; !res.Matched || got.Priority != 5 || got.Packets != 1 {
-		t.Fatalf("packet did not hit the wire-installed entry %v: %+v", got, res)
-	}
+	sw.Table(0).Each(func(got *openflow.FlowEntry, hits uint64) bool {
+		if !res.Matched || got.Priority != 5 || hits != 1 {
+			t.Fatalf("packet did not hit the wire-installed entry %v (%d hits): %+v", got, hits, res)
+		}
+		return false
+	})
 	after := sw.ScanStats()
 	if after.MatcherLookups != before.MatcherLookups+1 || after.FallbackLookups != before.FallbackLookups {
 		t.Fatalf("lookup after a lone FLOW_MOD: stats %+v -> %+v, want one matcher lookup", before, after)

@@ -2,7 +2,6 @@ package openflow
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -10,7 +9,10 @@ import (
 const NoGoto = -1
 
 // FlowEntry is one row of a flow table: a priority, a match, an
-// apply-actions list and an optional goto-table instruction.
+// apply-actions list and an optional goto-table instruction. An entry is
+// read-only once built and carries no runtime state, so one entry may sit
+// in the tables of any number of switches at once; the counter a switch
+// keeps for it lives in the table (see ruleList).
 type FlowEntry struct {
 	Priority int
 	Match    Match
@@ -20,19 +22,6 @@ type FlowEntry struct {
 	// Cookie is a human-readable rule name used in traces and debugging;
 	// it plays the role of the OpenFlow cookie.
 	Cookie string
-
-	// Packets counts how many packets hit this entry (the per-entry
-	// counter every OpenFlow switch keeps). Note that the pipeline cannot
-	// *match* on this counter — that limitation is exactly why the paper
-	// introduces smart counters built from round-robin groups.
-	Packets uint64
-
-	// seq is the table-assigned insertion sequence number; together with
-	// Priority it totally orders entries (priority desc, insertion asc),
-	// which is what lets the compiled matcher compare candidates from
-	// different lists. Assigned by FlowTable.Add — an entry therefore
-	// belongs to at most one table, like a real ofp_flow_mod.
-	seq uint64
 }
 
 func (e *FlowEntry) String() string {
@@ -59,10 +48,8 @@ func (e *FlowEntry) EntryBytes() int {
 // it at the end of every install transaction, and a Lookup that finds it
 // missing builds it on the spot.
 type FlowTable struct {
-	ID      int
-	entries []*FlowEntry
-
-	seq uint64 // next insertion sequence number
+	ID int
+	ruleList[*FlowEntry]
 
 	// cur is the compiled matcher of the current entries, nil after any
 	// mutation until the next Compile.
@@ -79,84 +66,31 @@ type FlowTable struct {
 	scanned  uint64
 }
 
-// Add inserts an entry, keeping the table sorted by descending priority.
-// The insertion point is found by binary search and equal-priority entries
-// are inserted after existing ones, preserving first-add-wins lookup order
-// without re-sorting the whole table on every install.
+// Add inserts an entry, keeping the table in match order: behind the
+// installed entries of its priority.
 func (t *FlowTable) Add(e *FlowEntry) {
-	e.seq = t.seq
-	t.seq++
 	t.cur = nil
-	i := sort.Search(len(t.entries), func(i int) bool {
-		return t.entries[i].Priority < e.Priority
-	})
-	t.entries = append(t.entries, nil)
-	copy(t.entries[i+1:], t.entries[i:])
-	t.entries[i] = e
+	t.add(e)
 }
 
-// byTableOrder is the table's total order: priority descending, ties
-// broken by insertion sequence — exactly the order incremental Add
-// maintains.
-func byTableOrder(list []*FlowEntry) func(i, j int) bool {
-	return func(i, j int) bool {
-		if list[i].Priority != list[j].Priority {
-			return list[i].Priority > list[j].Priority
-		}
-		return list[i].seq < list[j].seq
-	}
-}
-
-// AddBatch installs a batch of entries as one mutation: sequence numbers
-// follow slice order, then the list is re-sorted once. Installing k
-// entries into a table holding n this way costs O((n+k)·log(n+k)) instead
-// of the O(k·(n+k)) element moves of k sorted inserts — the in-memory
-// analogue of a batched flow-mod transaction versus k wire messages, and
-// what keeps a 10k-switch program install linear in its rule count.
+// AddBatch installs a batch of entries as one mutation, in the order
+// per-entry Adds would leave, at the batched cost (see ruleList.addBatch)
+// — what keeps a 10k-switch program install linear in its rule count.
 func (t *FlowTable) AddBatch(es []*FlowEntry) {
 	if len(es) == 0 {
 		return
 	}
-	if len(es) == 1 {
-		t.Add(es[0])
-		return
-	}
 	t.cur = nil
-	for _, e := range es {
-		e.seq = t.seq
-		t.seq++
-	}
-	t.entries = append(t.entries, es...)
-	sort.Slice(t.entries, byTableOrder(t.entries))
+	t.addBatch(es)
 }
 
-// better returns the entry that wins overall ordering: higher priority, or
-// earlier insertion on a tie. Either argument may be nil.
-func better(a, b *FlowEntry) *FlowEntry {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	if a.Priority != b.Priority {
-		if a.Priority > b.Priority {
-			return a
-		}
-		return b
-	}
-	if a.seq <= b.seq {
-		return a
-	}
-	return b
-}
-
-// Lookup returns the first matching entry, or nil for a table miss,
-// dispatching through the compiled matcher. Every install path ends in
-// Switch.CompileDispatch, so the matcher is normally in place and Lookup
-// does not allocate; a table mutated behind that seam (a lone wire
-// flow-mod, a direct Switch.AddFlow) compiles here, once, and that lookup
-// is counted as a fallback so telemetry sees the install path that forgot.
+// Lookup returns the first matching entry, counting the hit, or nil for a
+// table miss, dispatching through the compiled matcher. Every install
+// path ends in Switch.CompileDispatch, so the matcher is normally in place
+// and Lookup does not allocate; a table mutated behind that seam (a lone
+// wire flow-mod, a direct Switch.AddFlow) compiles here, once, and that
+// lookup is counted as a fallback so telemetry sees the install path that
+// forgot.
 //
 //simlint:hotpath
 func (t *FlowTable) Lookup(p *Packet) *FlowEntry {
@@ -164,15 +98,22 @@ func (t *FlowTable) Lookup(p *Packet) *FlowEntry {
 	//simlint:cold
 	if m == nil {
 		t.Compile()
-		e, probed := t.cur.lookup(p)
 		t.flookups++
-		t.scanned += uint64(probed)
-		return e
+		return t.count(t.cur.lookup(p))
 	}
-	e, probed := m.lookup(p)
 	t.mlookups++
+	return t.count(m.lookup(p))
+}
+
+// count books the outcome of one lookup: the entries probed and, on a
+// match, the hit — one blind store into the table's own counter array.
+func (t *FlowTable) count(me *mEntry, probed int) *FlowEntry {
 	t.scanned += uint64(probed)
-	return e
+	if me == nil {
+		return nil
+	}
+	t.hits[me.ord]++
+	return me.e
 }
 
 // ScanStats is the cumulative dispatch accounting of a table (or, via
@@ -202,19 +143,6 @@ func (t *FlowTable) ScanStats() ScanStats {
 	return ScanStats{MatcherLookups: t.mlookups, FallbackLookups: t.flookups, Scanned: t.scanned}
 }
 
-// ByCookie returns the first entry with exactly the given cookie, or nil.
-// SmartSouth cookies are unique per rule within a table, so this is the
-// reverse mapping from a retained Program's declarative rules to their
-// live hit counters.
-func (t *FlowTable) ByCookie(cookie string) *FlowEntry {
-	for _, e := range t.entries {
-		if e.Cookie == cookie {
-			return e
-		}
-	}
-	return nil
-}
-
 // RemoveByCookiePrefix deletes every entry whose cookie starts with
 // prefix (the OFPFC_DELETE-by-cookie-mask idiom), returning how many were
 // removed.
@@ -225,24 +153,9 @@ func (t *FlowTable) RemoveByCookiePrefix(prefix string) int {
 }
 
 // RemoveIf deletes every entry the predicate selects, returning the
-// count. The compacted tail of the backing array is cleared so removed
-// entries do not linger half-alive.
+// count.
 func (t *FlowTable) RemoveIf(pred func(*FlowEntry) bool) int {
-	kept := t.entries[:0]
-	removed := 0
-	for _, e := range t.entries {
-		if pred(e) {
-			removed++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	// Nil out the compaction tail: the backing array otherwise keeps the
-	// removed entries (and their action lists) reachable indefinitely.
-	for i := len(kept); i < len(t.entries); i++ {
-		t.entries[i] = nil
-	}
-	t.entries = kept
+	removed := t.removeIf(pred)
 	if removed > 0 {
 		t.cur = nil
 	}
@@ -251,10 +164,8 @@ func (t *FlowTable) RemoveIf(pred func(*FlowEntry) bool) int {
 
 // Clear removes every entry.
 func (t *FlowTable) Clear() int {
-	n := len(t.entries)
-	t.entries = nil
 	t.cur = nil
-	return n
+	return t.clear()
 }
 
 // Len returns the number of entries installed.
@@ -269,11 +180,11 @@ func (t *FlowTable) Entries() []*FlowEntry {
 	return out
 }
 
-// Each calls fn for every entry in match order until fn returns false.
-// It does not allocate; dump and verify use it on their hot paths.
-func (t *FlowTable) Each(fn func(*FlowEntry) bool) {
-	for _, e := range t.entries {
-		if !fn(e) {
+// Each calls fn for every entry in match order, with the packets that hit
+// it so far (ofp_flow_stats), until fn returns false. It does not allocate.
+func (t *FlowTable) Each(fn func(e *FlowEntry, hits uint64) bool) {
+	for i, e := range t.entries {
+		if !fn(e, t.hits[i]) {
 			return
 		}
 	}

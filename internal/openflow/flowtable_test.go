@@ -12,7 +12,7 @@ func entry(prio int, cookie string) *FlowEntry {
 
 func cookies(t *FlowTable) []string {
 	var out []string
-	t.Each(func(e *FlowEntry) bool {
+	t.Each(func(e *FlowEntry, _ uint64) bool {
 		out = append(out, e.Cookie)
 		return true
 	})

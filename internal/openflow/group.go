@@ -48,41 +48,41 @@ const WatchNone = 0
 type Bucket struct {
 	WatchPort int
 	Actions   []Action
-
-	// Packets counts executions of this bucket (ofp_bucket_counter). The
-	// controller can read it with a group-stats multipart request; for a
-	// round-robin SELECT group the bucket counters reveal the smart
-	// counter's value out of band.
-	Packets uint64
 }
 
-// GroupEntry is one group-table entry.
+// GroupEntry is one group-table entry. Like a flow entry it is read-only
+// once built and carries no runtime state: one entry may be installed on
+// many switches, and the bucket arrays of different entries may overlap
+// (the compiler points a node's advance groups at suffixes of one array).
+// What a switch keeps per installed group lives in its groupSlot.
 type GroupEntry struct {
 	ID      uint32
 	Type    GroupType
 	Buckets []Bucket
+}
+
+// groupSlot is one installed group: the shared entry plus the switch's own
+// state for it. A group-mod that replaces an entry installs a fresh slot,
+// which is what resets a smart counter.
+type groupSlot struct {
+	g *GroupEntry
+
+	// hits[i] counts executions of bucket i (ofp_bucket_counter). The
+	// controller can read it with a group-stats multipart request; for a
+	// round-robin SELECT group the bucket counters reveal the smart
+	// counter's value out of band. The slots of one install transaction
+	// carve their arrays from one pointer-free chunk.
+	hits []uint64
 
 	// rr is the round-robin pointer of a GroupSelectRR group — switch
 	// state that survives between packets. It is the smart counter value.
-	rr int
+	rr int32
 
 	// ffLive caches 1+index of the first live bucket of a GroupFF group,
 	// so the steady-state failover path skips the liveness scan. 0 means
-	// unknown; Switch.SetPortLive invalidates every group's cache on any
+	// unknown; Switch.SetPortLive invalidates every slot's cache on any
 	// liveness flip (failovers are rare, packets are not).
 	ffLive int16
-}
-
-// CounterValue exposes the round-robin pointer for tests and diagnostics.
-// The data plane itself can only learn it through bucket side effects.
-func (g *GroupEntry) CounterValue() int { return g.rr }
-
-// SetCounter overwrites the round-robin pointer. The controller can do
-// this out of band (a group-mod resets bucket state); tests use it too.
-func (g *GroupEntry) SetCounter(v int) {
-	if len(g.Buckets) > 0 {
-		g.rr = v % len(g.Buckets)
-	}
 }
 
 // Bytes estimates the hardware footprint of the group entry, mirroring the
@@ -96,21 +96,9 @@ func (g *GroupEntry) Bytes() int {
 	return n
 }
 
-// cloneInto makes *ng a copy of g with fresh runtime state — bucket packet
-// counters, the round-robin pointer and the liveness cache are reset —
-// whose buckets live in the given slice (len(g.Buckets) long). Programs
-// hand such copies to switches so two deployments never share counter
-// state. The buckets' action lists are shared with g: they are immutable
-// once compiled.
-func (g *GroupEntry) cloneInto(ng *GroupEntry, buckets []Bucket) {
-	*ng = GroupEntry{ID: g.ID, Type: g.Type, Buckets: buckets}
-	for i, b := range g.Buckets {
-		buckets[i] = Bucket{WatchPort: b.WatchPort, Actions: b.Actions}
-	}
-}
-
 // apply executes the group against the packet per its type semantics.
-func (g *GroupEntry) apply(x *ExecContext, p *Packet) {
+func (s *groupSlot) apply(x *ExecContext, p *Packet) {
+	g := s.g
 	switch g.Type {
 	case GroupAll:
 		for i := range g.Buckets {
@@ -119,7 +107,7 @@ func (g *GroupEntry) apply(x *ExecContext, p *Packet) {
 				x.trace("group %d bucket %d (all)", g.ID, i)
 			}
 			x.step(g, i)
-			g.Buckets[i].Packets++
+			s.hits[i]++
 			for _, a := range g.Buckets[i].Actions {
 				applyAction(x, a, c)
 			}
@@ -138,18 +126,18 @@ func (g *GroupEntry) apply(x *ExecContext, p *Packet) {
 				x.trace("group %d bucket 0 (indirect)", g.ID)
 			}
 			x.step(g, 0)
-			g.Buckets[0].Packets++
+			s.hits[0]++
 			for _, a := range g.Buckets[0].Actions {
 				applyAction(x, a, p)
 			}
 		}
 	case GroupFF:
-		i := int(g.ffLive) - 1
+		i := int(s.ffLive) - 1
 		if i < 0 {
 			for j := range g.Buckets {
 				if w := g.Buckets[j].WatchPort; w == WatchNone || x.sw.PortLive(w) {
 					i = j
-					g.ffLive = int16(j + 1)
+					s.ffLive = int16(j + 1)
 					break
 				}
 			}
@@ -166,7 +154,7 @@ func (g *GroupEntry) apply(x *ExecContext, p *Packet) {
 			x.trace("group %d bucket %d (ff, watch %d)", g.ID, i, b.WatchPort)
 		}
 		x.step(g, i)
-		b.Packets++
+		s.hits[i]++
 		for _, a := range b.Actions {
 			applyAction(x, a, p)
 		}
@@ -174,13 +162,13 @@ func (g *GroupEntry) apply(x *ExecContext, p *Packet) {
 		if len(g.Buckets) == 0 {
 			return
 		}
-		i := g.rr
-		g.rr = (g.rr + 1) % len(g.Buckets)
+		i := int(s.rr)
+		s.rr = int32((i + 1) % len(g.Buckets))
 		if x.tracing {
 			x.trace("group %d bucket %d (select-rr)", g.ID, i)
 		}
 		x.step(g, i)
-		g.Buckets[i].Packets++
+		s.hits[i]++
 		for _, a := range g.Buckets[i].Actions {
 			applyAction(x, a, p)
 		}

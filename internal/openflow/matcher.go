@@ -17,9 +17,11 @@ import "slices"
 // install-time memory for one probe on the hot path: the common lookup is
 // one node probe plus one value probe, no cross-list merge. Entries the
 // node cannot place under a value key fall through to its residual linear
-// list. Every list is kept in (priority desc, insertion asc) order, so
-// the best of the per-list first matches — combined with better() — is
-// exactly the entry a full priority-ordered scan would return.
+// list. Every list is kept in match order and every reduced entry carries
+// its ordinal — its position in the table's entry list — so the best of
+// the per-list first matches, combined with better(), is exactly the entry
+// a full priority-ordered scan would return, and the table finds the
+// entry's hit counter without a second lookup.
 //
 // Criteria already tested by the path to a list are stripped from its
 // entries, and what remains is compiled to crit records — bit range,
@@ -85,21 +87,20 @@ func (c *crit) ok(p *Packet) bool {
 }
 
 // mEntry is one flow entry reduced to the criteria the matcher's tree
-// has not already tested on the way to its list. The first residual
-// criterion sits inline (c0) so the common zero- and one-criterion
-// probes never chase the extra slice.
+// has not already tested on the way to its list: the EtherType always,
+// and the ingress port everywhere but on the wildcard list, whose scan
+// reads it off the entry. The first residual criterion sits inline (c0) so
+// the common zero- and one-criterion probes never chase the extra slice.
+// 64 bytes: one cache line per probe.
 type mEntry struct {
-	e      *FlowEntry
-	inPort int32 // anyInPort when unconstrained or keyed by the path
-	ttl    int16 // -1 when wildcarded
-	c0     crit
-	extra  []crit
+	e     *FlowEntry
+	ord   int32 // e's position in the table's entry list: its rank, and its slot in hits
+	ttl   int16 // -1 when wildcarded
+	c0    crit
+	extra []crit
 }
 
 func (me *mEntry) matches(p *Packet) bool {
-	if me.inPort != anyInPort && int(me.inPort) != p.InPort {
-		return false
-	}
 	if me.ttl >= 0 && int16(p.TTL) != me.ttl {
 		return false
 	}
@@ -117,17 +118,26 @@ func (me *mEntry) matches(p *Packet) bool {
 	return true
 }
 
-// mList is a (priority desc, insertion asc)-ordered list of reduced
-// entries; the first match is the best of the list.
+// mList is a list of reduced entries in match order; the first match is
+// the best of the list.
 type mList []mEntry
 
-func (l mList) first(p *Packet) (*FlowEntry, int) {
+func (l mList) first(p *Packet) (*mEntry, int) {
 	for i := range l {
 		if l[i].matches(p) {
-			return l[i].e, i + 1
+			return &l[i], i + 1
 		}
 	}
 	return nil, len(l)
+}
+
+// better returns the entry that comes first in match order. Either
+// argument may be nil.
+func better(a, b *mEntry) *mEntry {
+	if a == nil || (b != nil && b.ord < a.ord) {
+		return b
+	}
+	return a
 }
 
 // mNode is the field-test node of one (EtherType, InPort) bucket: when
@@ -150,7 +160,7 @@ type mNode struct {
 	vals     map[uint64]mList // large splits
 }
 
-func (nd *mNode) lookup(p *Packet) (*FlowEntry, int) {
+func (nd *mNode) lookup(p *Packet) (*mEntry, int) {
 	if !nd.split {
 		return nd.resid.first(p)
 	}
@@ -167,7 +177,7 @@ func (nd *mNode) lookup(p *Packet) (*FlowEntry, int) {
 		keyed = nd.vals[v]
 	}
 	best, probed := keyed.first(p)
-	if best != nil && (len(nd.resid) == 0 || best.Priority > nd.residTop) {
+	if best != nil && (len(nd.resid) == 0 || best.e.Priority > nd.residTop) {
 		// Every residual entry is outranked; ties still scan, since an
 		// equal-priority residual entry could win on insertion order.
 		return best, probed
@@ -219,8 +229,8 @@ func (m *matcher) ethAt(e int32) *ethNode {
 // probed. It never allocates.
 //
 //simlint:hotpath
-func (m *matcher) lookup(p *Packet) (*FlowEntry, int) {
-	var best *FlowEntry
+func (m *matcher) lookup(p *Packet) (*mEntry, int) {
+	var best *mEntry
 	probed := 0
 	if en := m.ethAt(int32(p.EthType)); en != nil {
 		nd := en.any
@@ -235,10 +245,13 @@ func (m *matcher) lookup(p *Packet) (*FlowEntry, int) {
 			best, probed = nd.lookup(p)
 		}
 	}
-	if len(m.wild) > 0 {
-		e, n := m.wild.first(p)
-		probed += n
-		best = better(best, e)
+	for i := range m.wild {
+		me := &m.wild[i]
+		probed++
+		if in := me.e.Match.InPort; (in == AnyPort || in == p.InPort) && me.matches(p) {
+			best = better(best, me)
+			break
+		}
 	}
 	return best, probed
 }
@@ -281,14 +294,18 @@ func (a *arena) take(n int) mList {
 	return a.ents[s : s+n : s+n]
 }
 
+// ordEntry is a flow entry on its way through the compile, with its
+// position in the table's entry list.
+type ordEntry struct {
+	*FlowEntry
+	ord int32
+}
+
 // reduce fills me with the mEntry of e for a list whose path already
-// tested the EtherType, the ingress port (portKeyed), and optionally one
-// field criterion (dropField >= 0, an index into e.Match.Fields).
-func (a *arena) reduce(me *mEntry, e *FlowEntry, portKeyed bool, dropField int) {
-	*me = mEntry{e: e, inPort: anyInPort, ttl: -1}
-	if !portKeyed && e.Match.InPort != AnyPort {
-		me.inPort = int32(e.Match.InPort)
-	}
+// tested the EtherType, the ingress port, and optionally one field
+// criterion (dropField >= 0, an index into e.Match.Fields).
+func (a *arena) reduce(me *mEntry, e ordEntry, dropField int) {
+	*me = mEntry{e: e.FlowEntry, ord: e.ord, ttl: -1}
 	if e.Match.TTL != AnyTTL {
 		me.ttl = int16(e.Match.TTL)
 	}
@@ -310,7 +327,7 @@ func (a *arena) reduce(me *mEntry, e *FlowEntry, portKeyed bool, dropField int) 
 
 // extraCrits is the number of residual criteria of e beyond the inline
 // first, when keyed of its fields are tested by the path.
-func extraCrits(e *FlowEntry, keyed int) int {
+func extraCrits(e ordEntry, keyed int) int {
 	return max(len(e.Match.Fields)-keyed-1, 0)
 }
 
@@ -319,13 +336,12 @@ func extraCrits(e *FlowEntry, keyed int) int {
 // plans of a whole table size its arena exactly; emit then writes every
 // reduced entry once, straight into its final slot.
 type nodePlan struct {
-	list      []*FlowEntry // match order
-	portKeyed bool
-	split     bool
-	key       fkey     // split: the keyed field
-	keys      []uint64 // split: the distinct match values, ascending
-	cnt       []int    // split: entries under each key
-	nCrit     int      // residual criteria beyond each entry's inline first
+	list  []ordEntry // match order
+	split bool
+	key   fkey     // split: the keyed field
+	keys  []uint64 // split: the distinct match values, ascending
+	cnt   []int    // split: entries under each key
+	nCrit int      // residual criteria beyond each entry's inline first
 }
 
 // smallSplitMax is the value-set size up to which a split node keeps its
@@ -334,10 +350,10 @@ const smallSplitMax = 12
 
 func (pl *nodePlan) small() bool { return pl.split && len(pl.keys) <= smallSplitMax }
 
-// planNode sizes one node. list is in (priority desc, insertion asc)
-// order; dealing it out in order keeps every sub-list ordered too.
-func planNode(list []*FlowEntry, portKeyed bool) nodePlan {
-	pl := nodePlan{list: list, portKeyed: portKeyed}
+// planNode sizes one node. list is in match order; dealing it out in
+// order keeps every sub-list ordered too.
+func planNode(list []ordEntry) nodePlan {
+	pl := nodePlan{list: list}
 	// Pick the full-width-exact field covering the most entries; the first
 	// field to reach the top count wins a tie. An entry naming a field twice
 	// counts once. Nodes see a handful of distinct fields, so the tally is a
@@ -405,7 +421,7 @@ func (pl *nodePlan) emit(nd *mNode, a *arena) {
 	block := a.take(len(pl.list))
 	if !pl.split {
 		for i, e := range pl.list {
-			a.reduce(&block[i], e, pl.portKeyed, -1)
+			a.reduce(&block[i], e, -1)
 		}
 		nd.resid = block
 		return
@@ -415,7 +431,7 @@ func (pl *nodePlan) emit(nd *mNode, a *arena) {
 	// A stable counting sort deals the entries to their lists; filling the
 	// slots in slot order keeps the residual criteria in the same order as
 	// the entries that own them.
-	listOf := func(e *FlowEntry) int { // 0 is the residual list
+	listOf := func(e ordEntry) int { // 0 is the residual list
 		i := exactOn(e.Match.Fields, pl.key)
 		if i < 0 {
 			return 0
@@ -441,7 +457,7 @@ func (pl *nodePlan) emit(nd *mNode, a *arena) {
 	}
 	for slot, i := range order {
 		e := pl.list[i]
-		a.reduce(&block[slot], e, pl.portKeyed, exactOn(e.Match.Fields, pl.key))
+		a.reduce(&block[slot], e, exactOn(e.Match.Fields, pl.key))
 	}
 	sub := func(li int) mList {
 		if start[li] == start[li+1] {
@@ -483,17 +499,18 @@ func compileMatcher(entries []*FlowEntry) *matcher {
 	// named ingress ports and which of them every entry names; entries
 	// without an exact EtherType go on the wildcard list.
 	type ethBucket struct {
-		all   []*FlowEntry // this EtherType's entries, in match order
-		pidx  []int32      // per entry: index into ports, -1 for any port
-		ports []int32      // distinct exact ingress ports, first-seen order
-		named []int        // per port: entries naming it
-		nAny  int          // port-wildcard entries
+		all   []ordEntry // this EtherType's entries, in match order
+		pidx  []int32    // per entry: index into ports, -1 for any port
+		ports []int32    // distinct exact ingress ports, first-seen order
+		named []int      // per port: entries naming it
+		nAny  int        // port-wildcard entries
 	}
 	byEth := make(map[int32]*ethBucket)
 	var order []int32
-	var wild []*FlowEntry
+	var wild []ordEntry
 	nNodes, nC := 0, 0
-	for _, e := range entries {
+	for i, fe := range entries {
+		e := ordEntry{fe, int32(i)}
 		k, ok := keyOf(e.Match)
 		if !ok {
 			wild = append(wild, e)
@@ -536,8 +553,8 @@ func compileMatcher(entries []*FlowEntry) *matcher {
 		for _, n := range b.named {
 			total += n + b.nAny
 		}
-		block := make([]*FlowEntry, total)
-		lists := make([][]*FlowEntry, len(b.ports)+1) // last: any-port
+		block := make([]ordEntry, total)
+		lists := make([][]ordEntry, len(b.ports)+1) // last: any-port
 		off := 0
 		for i := range lists {
 			n := b.nAny
@@ -559,8 +576,8 @@ func compileMatcher(entries []*FlowEntry) *matcher {
 		if b.nAny == 0 {
 			lists = lists[:len(b.ports)]
 		}
-		for i, l := range lists {
-			pl := planNode(l, i < len(b.ports))
+		for _, l := range lists {
+			pl := planNode(l)
 			plans = append(plans, pl)
 			nC += pl.nCrit
 			if pl.small() {
@@ -577,7 +594,7 @@ func compileMatcher(entries []*FlowEntry) *matcher {
 	}
 	m.wild = a.take(len(wild))
 	for i, e := range wild {
-		a.reduce(&m.wild[i], e, false, -1)
+		a.reduce(&m.wild[i], e, -1)
 	}
 	nodes := make([]mNode, len(plans))
 	for i := range plans {

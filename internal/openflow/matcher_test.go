@@ -179,7 +179,7 @@ func FuzzLookupMatchesLinear(f *testing.F) {
 				ft.AddBatch(es)
 			case 2:
 				prio := r.Intn(5)
-				ft.RemoveIf(func(e *FlowEntry) bool { return e.Priority == prio && e.seq%2 == 0 })
+				ft.RemoveIf(func(e *FlowEntry) bool { return e.Priority == prio && e.Cookie[len(e.Cookie)-1]%2 == 0 })
 			case 3:
 				ft.Clear()
 			case 4:
@@ -327,8 +327,9 @@ func TestMatcherObservesMutation(t *testing.T) {
 	check("second lookup after removal", a, false)
 
 	// A batch add and a clear drop the matcher too.
-	ft.AddBatch([]*FlowEntry{mk(3, "c"), mk(3, "d")})
-	check("first lookup after AddBatch", ft.ByCookie("c"), true)
+	c := mk(3, "c")
+	ft.AddBatch([]*FlowEntry{c, mk(3, "d")})
+	check("first lookup after AddBatch", c, true)
 	ft.Clear()
 	check("first lookup after Clear", nil, true)
 	check("second lookup after Clear", nil, false)

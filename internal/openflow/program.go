@@ -74,41 +74,17 @@ func (sp *SwitchProgram) GroupBytes() int {
 	return n
 }
 
-// Materialize installs the switch program onto a live switch. Entries and
-// groups are copied first: a Program is a reusable compile artifact, and
-// runtime state (packet counters, round-robin pointers, the fast-failover
-// liveness cache) must never be shared between the program and a
-// deployment, or between two deployments of the same program. The copies
-// of one kind come out of one allocation per switch. What never changes
-// after compile — action lists, match criteria, state-table keys — is
-// shared with the program, not copied.
+// Materialize installs the switch program onto a live switch. Nothing is
+// copied: a Program is read-only after compile, so the switch is handed
+// the program's own entries and groups — as is every other switch, of
+// this deployment or another, the program is installed on — and keeps the
+// runtime state (hit counters, round-robin pointers, the fast-failover
+// liveness cache) on its own side, in arrays sized by this transaction.
 func (sp *SwitchProgram) Materialize(sw *Switch) {
-	nb := 0
-	for _, g := range sp.Groups {
-		nb += len(g.Buckets)
-	}
-	groups, buckets := make([]GroupEntry, len(sp.Groups)), make([]Bucket, nb)
-	for i, g := range sp.Groups {
-		n := len(g.Buckets)
-		g.cloneInto(&groups[i], buckets[:n:n])
-		buckets = buckets[n:]
-		sw.AddGroup(&groups[i])
-	}
-	flows, rules := make([]FlowEntry, len(sp.Flows)), make([]FlowRule, len(sp.Flows))
-	for i, r := range sp.Flows {
-		flows[i] = *r.Entry
-		flows[i].Packets = 0
-		rules[i] = FlowRule{Table: r.Table, Entry: &flows[i]}
-	}
-	sw.AddFlows(rules)
+	sw.AddGroups(sp.Groups)
+	sw.AddFlows(sp.Flows)
 	for _, ts := range sp.States {
-		states, batch := make([]StateEntry, len(ts.Entries)), make([]*StateEntry, len(ts.Entries))
-		for i, e := range ts.Entries {
-			states[i] = *e
-			states[i].Packets = 0
-			batch[i] = &states[i]
-		}
-		sw.AddStateEntries(ts.Table, ts.Key, batch)
+		sw.AddStateEntries(ts.Table, ts.Key, ts.Entries)
 	}
 }
 
@@ -289,8 +265,9 @@ type GroupHit struct {
 // rule this program installed, via the lookup function (switch id -> live
 // switch). Rules are correlated by (table, cookie) and groups by ID —
 // exactly what an OFPMP_FLOW / OFPMP_GROUP multipart request returns in a
-// real deployment. Rules whose live entry is gone (e.g. uninstalled) are
-// skipped; zero-hit rules and buckets are included.
+// real deployment — so each live table is indexed once, not scanned per
+// rule. Rules whose live entry is gone (e.g. uninstalled) are skipped;
+// zero-hit rules and buckets are included.
 func (p *Program) HitCounters(lookup func(sw int) *Switch) ([]RuleHit, []GroupHit) {
 	var rules []RuleHit
 	var groups []GroupHit
@@ -300,37 +277,35 @@ func (p *Program) HitCounters(lookup func(sw int) *Switch) ([]RuleHit, []GroupHi
 			continue
 		}
 		sp := p.switches[id]
-		for _, fr := range sp.Flows {
-			live := sw.FindFlow(fr.Table, fr.Entry.Cookie)
-			if live == nil {
-				continue
+		report := func(table int, cookie string, idx map[string]liveRule) {
+			if live, ok := idx[cookie]; ok {
+				rules = append(rules, RuleHit{
+					Switch: id, Table: table, Priority: live.priority, Cookie: cookie, Packets: live.hits,
+				})
 			}
-			rules = append(rules, RuleHit{
-				Switch: id, Table: fr.Table, Priority: live.Priority,
-				Cookie: live.Cookie, Packets: live.Packets,
-			})
+		}
+		flowIdx := map[int]map[string]liveRule{} // per live flow table
+		for _, fr := range sp.Flows {
+			idx, ok := flowIdx[fr.Table]
+			if t := sw.tables[fr.Table]; !ok && t != nil {
+				idx = t.byCookie()
+				flowIdx[fr.Table] = idx
+			}
+			report(fr.Table, fr.Entry.Cookie, idx)
 		}
 		for _, ts := range sp.States {
-			for _, e := range ts.Entries {
-				live := sw.FindState(ts.Table, e.Cookie)
-				if live == nil {
-					continue
+			if t := sw.stateTables[ts.Table]; t != nil {
+				idx := t.byCookie()
+				for _, e := range ts.Entries {
+					report(ts.Table, e.Cookie, idx)
 				}
-				rules = append(rules, RuleHit{
-					Switch: id, Table: ts.Table, Priority: live.Priority,
-					Cookie: live.Cookie, Packets: live.Packets,
-				})
 			}
 		}
 		for _, g := range sp.Groups {
-			live := sw.GroupByID(g.ID)
-			if live == nil {
-				continue
-			}
-			for b := range live.Buckets {
-				groups = append(groups, GroupHit{
-					Switch: id, Group: g.ID, Bucket: b, Packets: live.Buckets[b].Packets,
-				})
+			if i, found := sw.groupPos(g.ID); found {
+				for b, n := range sw.gslots[i].hits {
+					groups = append(groups, GroupHit{Switch: id, Group: g.ID, Bucket: b, Packets: n})
+				}
 			}
 		}
 	}

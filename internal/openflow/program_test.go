@@ -2,6 +2,8 @@ package openflow
 
 import "testing"
 
+// TestProgramMaterializeClonesState: two switches materialized from one
+// program share its rules and nothing else.
 func TestProgramMaterializeClonesState(t *testing.T) {
 	p := NewProgram("test", 0)
 	p.Ensure(0, 2)
@@ -23,32 +25,29 @@ func TestProgramMaterializeClonesState(t *testing.T) {
 	pkt := &Packet{EthType: 0x8801}
 	sw1.Receive(pkt, PortController)
 
-	// sw1's entry counter and group round-robin pointer moved; sw2 and the
-	// program itself must be untouched.
-	if got := sw1.Table(0).Entries()[0].Packets; got != 1 {
+	// sw1's entry counter and group round-robin pointer moved; sw2 must be
+	// untouched (the program has no state to touch).
+	if got := sw1.Table(0).hits[0]; got != 1 {
 		t.Fatalf("sw1 entry packets = %d, want 1", got)
 	}
-	if got := sw2.Table(0).Entries()[0].Packets; got != 0 {
+	if got := sw2.Table(0).hits[0]; got != 0 {
 		t.Fatalf("sw2 entry packets = %d, want 0 (state shared with sw1)", got)
 	}
-	if got := p.At(0).Flows[0].Entry.Packets; got != 0 {
-		t.Fatalf("program entry packets = %d, want 0 (state shared with switch)", got)
-	}
-	if v1, v2 := sw1.GroupByID(7).CounterValue(), sw2.GroupByID(7).CounterValue(); v1 != 1 || v2 != 0 {
+	v1, _ := sw1.CounterValue(7)
+	v2, _ := sw2.CounterValue(7)
+	if v1 != 1 || v2 != 0 {
 		t.Fatalf("group counters = %d, %d; want 1, 0", v1, v2)
 	}
-	g0, g1, g2 := p.At(0).Groups[0], sw1.GroupByID(7), sw2.GroupByID(7)
-	if g0.Buckets[0].Packets != 0 || g1.Buckets[0].Packets != 1 || g2.Buckets[0].Packets != 0 {
-		t.Fatalf("bucket 0 packets = %d (program), %d, %d; want 0, 1, 0",
-			g0.Buckets[0].Packets, g1.Buckets[0].Packets, g2.Buckets[0].Packets)
+	if h1, h2 := sw1.BucketHits(7), sw2.BucketHits(7); h1[0] != 1 || h2[0] != 0 {
+		t.Fatalf("bucket 0 packets = %d, %d; want 1, 0", h1[0], h2[0])
 	}
-	// What is private is the counters, not the rules' content: both
-	// switches execute the program's own action lists.
-	if &g1.Buckets[0].Actions[0] != &g0.Buckets[0].Actions[0] || &g2.Buckets[1].Actions[0] != &g0.Buckets[1].Actions[0] {
-		t.Error("materialized buckets copied their action lists instead of sharing the program's")
+	// What is private is the counters, not the rules: both switches hold
+	// the program's own entries.
+	if g0 := p.At(0).Groups[0]; sw1.GroupByID(7) != g0 || sw2.GroupByID(7) != g0 {
+		t.Error("materialized group entries are copies, not the program's")
 	}
-	if &sw1.Table(0).Entries()[0].Actions[0] != &p.At(0).Flows[0].Entry.Actions[0] {
-		t.Error("materialized flow entry copied its action list instead of sharing the program's")
+	if e0 := p.At(0).Flows[0].Entry; sw1.Table(0).entries[0] != e0 || sw2.Table(0).entries[0] != e0 {
+		t.Error("materialized flow entries are copies, not the program's")
 	}
 }
 

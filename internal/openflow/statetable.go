@@ -2,7 +2,6 @@ package openflow
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -19,7 +18,8 @@ import (
 // carrying the DFS state in packet tag bits.
 
 // StateEntry is one EFSM transition: match = (state condition, packet
-// match), action = (action list, optional state write, goto).
+// match), action = (action list, optional state write, goto). Like a
+// FlowEntry it is read-only once built and may be shared between switches.
 type StateEntry struct {
 	Priority int
 	// AnyState makes the entry match every state; State/StateMask are
@@ -41,10 +41,6 @@ type StateEntry struct {
 	// Goto continues the pipeline in a later table (NoGoto stops).
 	Goto   int
 	Cookie string
-	// Packets counts matches (ofp_flow_stats for the transition entry).
-	Packets uint64
-
-	seq int
 }
 
 // EntryBytes models the transition's hardware footprint with the same
@@ -105,9 +101,8 @@ type StateTable struct {
 	ID  int
 	Key []Field
 
-	entries []*StateEntry
-	state   map[uint64]uint64
-	seq     int
+	ruleList[*StateEntry]
+	state map[uint64]uint64
 
 	// Transitions counts committed state writes; lookups/scanned mirror
 	// the FlowTable scan statistics for the telemetry layer.
@@ -120,37 +115,12 @@ func NewStateTable(id int, key []Field) *StateTable {
 	return &StateTable{ID: id, Key: key, state: make(map[uint64]uint64)}
 }
 
-// Add inserts a transition entry, keeping entries sorted by descending
-// priority (insertion order breaks ties, like FlowTable.Add).
-func (t *StateTable) Add(e *StateEntry) {
-	e.seq = t.seq
-	t.seq++
-	i := sort.Search(len(t.entries), func(i int) bool {
-		return t.entries[i].Priority < e.Priority
-	})
-	t.entries = append(t.entries, nil)
-	copy(t.entries[i+1:], t.entries[i:])
-	t.entries[i] = e
-}
+// Add inserts a transition entry in match order (like FlowTable.Add).
+func (t *StateTable) Add(e *StateEntry) { t.add(e) }
 
-// AddBatch inserts a batch of transitions as one mutation: sequence
-// numbers follow slice order, then the list is stably re-sorted by
-// priority once — the order k sorted Adds would produce, without their
-// O(k·n) element moves (the state-table counterpart of FlowTable.AddBatch).
-func (t *StateTable) AddBatch(es []*StateEntry) {
-	if len(es) == 1 {
-		t.Add(es[0])
-		return
-	}
-	for _, e := range es {
-		e.seq = t.seq
-		t.seq++
-	}
-	t.entries = append(t.entries, es...)
-	sort.SliceStable(t.entries, func(i, j int) bool {
-		return t.entries[i].Priority > t.entries[j].Priority
-	})
-}
+// AddBatch inserts a batch of transitions as one mutation (the
+// state-table counterpart of FlowTable.AddBatch).
+func (t *StateTable) AddBatch(es []*StateEntry) { t.addBatch(es) }
 
 // FlowKey computes the packet's flow key under this table's Key fields.
 func (t *StateTable) FlowKey(p *Packet) uint64 {
@@ -166,13 +136,14 @@ func (t *StateTable) State(key uint64) uint64 { return t.state[key] }
 
 // Lookup returns the highest-priority transition whose state condition
 // accepts the current state of the packet's flow and whose packet match
-// accepts the packet, or nil on miss.
+// accepts the packet, counting the hit, or nil on miss.
 func (t *StateTable) Lookup(key uint64, p *Packet) *StateEntry {
 	cur := t.state[key]
 	t.lookups++
-	for _, e := range t.entries {
+	for i, e := range t.entries {
 		t.scanned++
 		if e.matchesState(cur) && e.Match.Matches(p) {
+			t.hits[i]++
 			return e
 		}
 	}
@@ -197,16 +168,6 @@ func (t *StateTable) ResetState() {
 	}
 }
 
-// ByCookie returns the installed transition with the given cookie, or nil.
-func (t *StateTable) ByCookie(cookie string) *StateEntry {
-	for _, e := range t.entries {
-		if e.Cookie == cookie {
-			return e
-		}
-	}
-	return nil
-}
-
 // Entries returns the transitions in match order (priority descending).
 func (t *StateTable) Entries() []*StateEntry { return t.entries }
 
@@ -215,10 +176,8 @@ func (t *StateTable) Len() int { return len(t.entries) }
 
 // Clear removes every transition and the whole state store.
 func (t *StateTable) Clear() int {
-	n := len(t.entries)
-	t.entries = nil
 	t.ResetState()
-	return n
+	return t.clear()
 }
 
 // Bytes sums the modelled hardware footprint: every transition entry plus

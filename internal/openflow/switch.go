@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -189,10 +190,11 @@ type Switch struct {
 	// The group store is a pair of parallel arrays sorted by ID: group
 	// sets are small (a few dozen per switch) and written only at install
 	// time, so a binary search over a contiguous key array beats a map on
-	// the per-hop path and gives ordered iteration for free.
-	gids  []uint32
-	gvals []*GroupEntry
-	live  []bool // index 1..NumPorts
+	// the per-hop path and gives ordered iteration for free. A slot holds
+	// the installed entry and the switch's runtime state for it.
+	gids   []uint32
+	gslots []groupSlot
+	live   []bool // index 1..NumPorts
 
 	// xc is the scratch execution context backing the single-packet
 	// Receive/Execute wrappers. The batch path receives its context from
@@ -337,7 +339,7 @@ func (sw *Switch) StateTableIDs() []int {
 
 // AddStateEntries installs the transitions of one transaction into state
 // table id as one batch (see StateTable.AddBatch), setting the table's
-// flow key on first use. The entries become the switch's own.
+// flow key on first use. Neither es nor the entries are written to.
 func (sw *Switch) AddStateEntries(id int, key []Field, es []*StateEntry) {
 	if len(es) == 0 {
 		return // no entries, no table: an empty state table would still shadow a flow table
@@ -347,16 +349,6 @@ func (sw *Switch) AddStateEntries(id int, key []Field, es []*StateEntry) {
 		t.Key = key
 	}
 	t.AddBatch(es)
-}
-
-// FindState returns the installed transition with the given cookie in
-// state table id, or nil (the state-table counterpart of FindFlow).
-func (sw *Switch) FindState(table int, cookie string) *StateEntry {
-	t, ok := sw.stateTables[table]
-	if !ok {
-		return nil
-	}
-	return t.ByCookie(cookie)
 }
 
 // StateValue reads the current state of a flow key in state table id —
@@ -393,33 +385,27 @@ func (sw *Switch) AddFlow(id int, e *FlowEntry) { sw.Table(id).Add(e) }
 
 // AddFlows installs the rules of one transaction. They are grouped per
 // table and each group is added as one batch: encounter order within a
-// table is preserved, so the per-table sequence numbers — and with them
-// first-add-wins tie-breaking — come out exactly as per-rule adds would
-// assign them, at the batched cost (see FlowTable.AddBatch). The entries
-// become the switch's own.
+// table is preserved, so first-add-wins tie-breaking comes out exactly as
+// per-rule adds would leave it, at the batched cost (see
+// FlowTable.AddBatch). A transaction names a handful of tables, so the
+// grouping is a scan per table, not a map. Neither rules nor the entries
+// are written to: a compiled program passes its own.
 func (sw *Switch) AddFlows(rules []FlowRule) {
-	byTable := make(map[int][]*FlowEntry)
-	var tables []int
-	for _, r := range rules {
-		if _, ok := byTable[r.Table]; !ok {
-			tables = append(tables, r.Table)
+	batch := make([]*FlowEntry, 0, len(rules))
+	done := make([]int, 0, 8) // tables already batched
+	for i, r := range rules {
+		if slices.Contains(done, r.Table) {
+			continue
 		}
-		byTable[r.Table] = append(byTable[r.Table], r.Entry)
+		done = append(done, r.Table)
+		batch = batch[:0]
+		for _, q := range rules[i:] {
+			if q.Table == r.Table {
+				batch = append(batch, q.Entry)
+			}
+		}
+		sw.Table(r.Table).AddBatch(batch)
 	}
-	for _, id := range tables {
-		sw.Table(id).AddBatch(byTable[id])
-	}
-}
-
-// FindFlow returns the installed entry with the given cookie in table id,
-// or nil. Unlike Table, it never creates the table; the hit-counter layer
-// uses it to map a retained Program's rules to their live counters.
-func (sw *Switch) FindFlow(table int, cookie string) *FlowEntry {
-	t, ok := sw.tables[table]
-	if !ok {
-		return nil
-	}
-	return t.ByCookie(cookie)
 }
 
 // groupPos returns the index of id in the sorted gids array, or the
@@ -438,38 +424,80 @@ func (sw *Switch) groupPos(id uint32) (int, bool) {
 }
 
 // AddGroup installs a group entry, replacing any previous entry with the
-// same ID (group-mod semantics).
-func (sw *Switch) AddGroup(g *GroupEntry) {
-	i, found := sw.groupPos(g.ID)
-	if found {
-		sw.gvals[i] = g
-		return
+// same ID (group-mod semantics). The entry is not written to.
+func (sw *Switch) AddGroup(g *GroupEntry) { sw.addGroup(g, make([]uint64, len(g.Buckets))) }
+
+// AddGroups installs the group entries of one transaction; their bucket
+// counters share one allocation.
+func (sw *Switch) AddGroups(gs []*GroupEntry) {
+	nb := 0
+	for _, g := range gs {
+		nb += len(g.Buckets)
 	}
-	sw.gids = append(sw.gids, 0)
-	copy(sw.gids[i+1:], sw.gids[i:])
-	sw.gids[i] = g.ID
-	sw.gvals = append(sw.gvals, nil)
-	copy(sw.gvals[i+1:], sw.gvals[i:])
-	sw.gvals[i] = g
+	hits := make([]uint64, nb)
+	sw.gids, sw.gslots = slices.Grow(sw.gids, len(gs)), slices.Grow(sw.gslots, len(gs))
+	for _, g := range gs {
+		n := len(g.Buckets)
+		sw.addGroup(g, hits[:n:n])
+		hits = hits[n:]
+	}
+}
+
+// addGroup puts g in a fresh slot — zero round-robin pointer, unknown
+// liveness, the given zeroed bucket counters — under its ID.
+func (sw *Switch) addGroup(g *GroupEntry, hits []uint64) {
+	i, found := sw.groupPos(g.ID)
+	if !found {
+		sw.gids = slices.Insert(sw.gids, i, g.ID)
+		sw.gslots = slices.Insert(sw.gslots, i, groupSlot{})
+	}
+	sw.gslots[i] = groupSlot{g: g, hits: hits}
 }
 
 // GroupByID returns the installed group entry, or nil.
 func (sw *Switch) GroupByID(id uint32) *GroupEntry {
 	if i, found := sw.groupPos(id); found {
-		return sw.gvals[i]
+		return sw.gslots[i].g
 	}
 	return nil
+}
+
+// BucketHits returns how often each bucket of group id has executed
+// (ofp_bucket_counter, in bucket order), or nil when no such group is
+// installed.
+func (sw *Switch) BucketHits(id uint32) []uint64 {
+	if i, found := sw.groupPos(id); found {
+		return slices.Clone(sw.gslots[i].hits)
+	}
+	return nil
+}
+
+// CounterValue exposes the round-robin pointer of group id for tests and
+// diagnostics; ok is false when no such group is installed. The data plane
+// itself can only learn the value through bucket side effects.
+func (sw *Switch) CounterValue(id uint32) (v int, ok bool) {
+	if i, found := sw.groupPos(id); found {
+		return int(sw.gslots[i].rr), true
+	}
+	return 0, false
+}
+
+// SetCounter overwrites the round-robin pointer of group id. The
+// controller can do this out of band (a group-mod resets bucket state);
+// tests use it too. Missing and bucketless groups are left alone.
+func (sw *Switch) SetCounter(id uint32, v int) {
+	if i, found := sw.groupPos(id); found && len(sw.gslots[i].hits) > 0 {
+		sw.gslots[i].rr = int32(v % len(sw.gslots[i].hits))
+	}
 }
 
 // RemoveGroup deletes a group entry (group-mod DELETE); missing groups
 // are ignored, like OFPGC_DELETE.
 func (sw *Switch) RemoveGroup(id uint32) {
-	i, found := sw.groupPos(id)
-	if !found {
-		return
+	if i, found := sw.groupPos(id); found {
+		sw.gids = slices.Delete(sw.gids, i, i+1)
+		sw.gslots = slices.Delete(sw.gslots, i, i+1)
 	}
-	sw.gids = append(sw.gids[:i], sw.gids[i+1:]...)
-	sw.gvals = append(sw.gvals[:i], sw.gvals[i+1:]...)
 }
 
 // RemoveGroupRange deletes every group with lo <= ID < hi, returning the
@@ -480,10 +508,9 @@ func (sw *Switch) RemoveGroupRange(lo, hi uint32) int {
 	}
 	i, _ := sw.groupPos(lo)
 	j, _ := sw.groupPos(hi)
-	removed := j - i
-	sw.gids = append(sw.gids[:i], sw.gids[j:]...)
-	sw.gvals = append(sw.gvals[:i], sw.gvals[j:]...)
-	return removed
+	sw.gids = slices.Delete(sw.gids, i, j)
+	sw.gslots = slices.Delete(sw.gslots, i, j) // zeroes the tail: no entry lingers
+	return j - i
 }
 
 // ClearTable removes every entry of table id — flow entries, transition
@@ -501,8 +528,10 @@ func (sw *Switch) ClearTable(id int) int {
 
 // Groups returns all installed group entries in ascending ID order.
 func (sw *Switch) Groups() []*GroupEntry {
-	out := make([]*GroupEntry, len(sw.gvals))
-	copy(out, sw.gvals)
+	out := make([]*GroupEntry, len(sw.gslots))
+	for i := range sw.gslots {
+		out[i] = sw.gslots[i].g
+	}
 	return out
 }
 
@@ -530,15 +559,15 @@ func (sw *Switch) PortLive(port int) bool {
 func (sw *Switch) SetPortLive(port int, up bool) {
 	if port >= 1 && port <= sw.NumPorts && sw.live[port] != up {
 		sw.live[port] = up
-		for _, g := range sw.gvals {
-			g.ffLive = 0
+		for i := range sw.gslots {
+			sw.gslots[i].ffLive = 0
 		}
 	}
 }
 
 func (sw *Switch) applyGroup(x *ExecContext, id uint32, p *Packet) {
-	g := sw.GroupByID(id)
-	if g == nil {
+	i, found := sw.groupPos(id)
+	if !found {
 		if x.tracing {
 			x.trace("group %d: not installed, drop", id)
 		}
@@ -556,7 +585,7 @@ func (sw *Switch) applyGroup(x *ExecContext, id uint32, p *Packet) {
 		return
 	}
 	x.groupDepth++
-	g.apply(x, p)
+	sw.gslots[i].apply(x, p)
 	x.groupDepth--
 }
 
@@ -630,7 +659,6 @@ func (sw *Switch) exec(x *ExecContext, p *Packet, res *Result) {
 				break
 			}
 			res.Matched = true
-			se.Packets++
 			res.LastCookie = se.Cookie
 			if x.tracing {
 				x.trace("state table %d: hit %q (%s)", table, se.Cookie, se.StateCond())
@@ -671,7 +699,6 @@ func (sw *Switch) exec(x *ExecContext, p *Packet, res *Result) {
 			break
 		}
 		res.Matched = true
-		e.Packets++
 		res.LastCookie = e.Cookie
 		if x.tracing {
 			x.trace("table %d: hit %q", table, e.Cookie)
@@ -772,8 +799,8 @@ func (sw *Switch) ConfigBytes() int {
 	for _, t := range sw.stateTables {
 		n += t.Bytes()
 	}
-	for _, g := range sw.gvals {
-		n += g.Bytes()
+	for i := range sw.gslots {
+		n += sw.gslots[i].g.Bytes()
 	}
 	return n
 }

@@ -178,7 +178,7 @@ func programConfig(sp *openflow.SwitchProgram) config {
 
 // check runs every analysis over one configuration.
 func check(c config, opts Options) []Issue {
-	if opts.MaxGroupDepth == 0 {
+	if opts.MaxGroupDepth <= 0 {
 		opts.MaxGroupDepth = 8
 	}
 	v := &verifier{cfg: c, opts: opts}
@@ -360,6 +360,20 @@ func (v *verifier) groups() {
 			enqueue(e.Actions)
 		}
 	}
+	// Compiled programs share action lists between buckets — a node's
+	// O(Δ³) advance buckets hold O(Δ) distinct lists, the buckets watching
+	// one port nearly always the same one — and what a list references does
+	// not depend on the bucket holding it. leaf[w] is the last list found
+	// in a bucket watching port w that raised no finding and names no
+	// group: seeing it again there, there is nothing to scan or enqueue.
+	type listID struct {
+		first *openflow.Action
+		n     int
+	}
+	leaf := make([]listID, v.cfg.numPorts+1)
+	// chain[id] lists the installed groups that group id's buckets hand
+	// packets to, in bucket and action order.
+	chain := map[uint32][]uint32{}
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
@@ -374,11 +388,22 @@ func (v *verifier) groups() {
 			} else if b.WatchPort < 1 || b.WatchPort > v.cfg.numPorts {
 				v.add(Err, -1, "", "group %d bucket %d watches invalid port %d", id, bi, b.WatchPort)
 			}
+			if len(b.Actions) == 0 {
+				continue
+			}
+			list := listID{&b.Actions[0], len(b.Actions)}
+			memo := b.WatchPort >= 0 && b.WatchPort < len(leaf)
+			if memo && leaf[b.WatchPort] == list {
+				continue
+			}
+			found, chained := len(v.issues), len(chain[id])
 			for _, a := range b.Actions {
 				switch act := a.(type) {
 				case openflow.Group:
 					if v.cfg.group(act.ID) == nil {
 						v.add(Err, -1, "", "group %d bucket %d references missing group %d", id, bi, act.ID)
+					} else {
+						chain[id] = append(chain[id], act.ID)
 					}
 				case openflow.Output:
 					if !v.validPort(act.Port) {
@@ -387,12 +412,17 @@ func (v *verifier) groups() {
 				}
 			}
 			enqueue(b.Actions)
+			if memo && len(v.issues) == found && len(chain[id]) == chained {
+				leaf[b.WatchPort] = list
+			}
 		}
 		if g.Type == openflow.GroupFF && !hasLive && len(g.Buckets) > 0 {
 			v.add(Warn, -1, "", "fast-failover group %d has no unconditional bucket: packets are dropped when all %d watched ports fail", id, len(g.Buckets))
 		}
 	}
-	// Chain-depth / loop detection via DFS over the chain graph.
+	// Chain-depth / loop detection via DFS over the chain graph. A group
+	// whose buckets name no group can neither close a loop nor deepen a
+	// chain, so the walk starts from the others only.
 	state := map[uint32]int{} // 0 unvisited, 1 on stack, 2 done
 	var walk func(id uint32, depth int)
 	walk = func(id uint32, depth int) {
@@ -408,22 +438,15 @@ func (v *verifier) groups() {
 			return
 		}
 		state[id] = 1
-		g := seen[id]
-		for _, b := range g.Buckets {
-			for _, a := range b.Actions {
-				if ga, ok := a.(openflow.Group); ok {
-					if _, known := seen[ga.ID]; known {
-						walk(ga.ID, depth+1)
-					}
-				}
-			}
+		for _, next := range chain[id] {
+			walk(next, depth+1)
 		}
 		state[id] = 2
 	}
 	// Ascending ID order: which group of a loop gets named must not depend
 	// on map iteration.
-	ids := make([]uint32, 0, len(seen))
-	for id := range seen {
+	ids := make([]uint32, 0, len(chain))
+	for id := range chain {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)

@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -188,6 +189,39 @@ func TestVerifyGroupLoop(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("group loop not detected: %v", errs)
+	}
+}
+
+// TestVerifySharedListsReportedPerBucket: buckets may share one action
+// list, and a clean list is scanned once — but a list with a finding is
+// reported against every bucket that holds it, and a shared list naming a
+// group still closes a loop through each of its holders.
+func TestVerifySharedListsReportedPerBucket(t *testing.T) {
+	sw := brokenSwitch()
+	bad := []openflow.Action{openflow.Output{Port: 99}}
+	good := []openflow.Action{openflow.Output{Port: 1}}
+	back := []openflow.Action{openflow.Group{ID: 1}}
+	sw.AddGroup(&openflow.GroupEntry{ID: 1, Type: openflow.GroupAll, Buckets: []openflow.Bucket{
+		{WatchPort: 1, Actions: good}, {WatchPort: 1, Actions: bad}, {WatchPort: 1, Actions: good},
+		{WatchPort: 1, Actions: bad}, {Actions: []openflow.Action{openflow.Group{ID: 2}}},
+	}})
+	sw.AddGroup(&openflow.GroupEntry{ID: 2, Type: openflow.GroupAll, Buckets: []openflow.Bucket{
+		{WatchPort: 1, Actions: good}, {WatchPort: 2, Actions: back}, {WatchPort: 2, Actions: back},
+	}})
+	sw.AddFlow(0, &openflow.FlowEntry{Priority: 1, Match: openflow.MatchAll(),
+		Goto: openflow.NoGoto, Actions: []openflow.Action{openflow.Group{ID: 1}}, Cookie: "entry"})
+	var got []string
+	for _, e := range verify.Errors(verify.Switch(sw, verify.Options{})) {
+		got = append(got, e.Msg)
+	}
+	want := []string{
+		"group 1 bucket 1 outputs to invalid port 99",
+		"group 1 bucket 3 outputs to invalid port 99",
+		"group chaining loop through group 1",
+		"group chaining loop through group 1",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("errors %q, want %q", got, want)
 	}
 }
 

@@ -3,8 +3,11 @@ package smartsouth
 import (
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
+	"smartsouth/internal/core"
+	"smartsouth/internal/dump"
 	"smartsouth/internal/openflow"
 )
 
@@ -182,12 +185,29 @@ func freezeLists(progs []*Program) *frozenLists {
 	return f
 }
 
-// TestSharedActionListsAreImmutable: compiled programs share action lists
-// between buckets and rules, and every switch materialized from a program
-// executes the program's own lists. Nothing downstream of the compiler may
-// write to one: not an install (parallel across switches), not the sharded
-// hop loop, not a counter reset, an uninstall or a reinstall. Run under
-// -race, the concurrent readers of one list would also trip on any writer.
+// rawSweep drives one snapshot traversal and one blackhole detection from
+// root through nothing but the control plane and the programs' layouts —
+// what a deployment that was handed compiled programs, not service
+// handles, can do.
+func rawSweep(d *Deployment, snap *Snapshot, bh *BlackholeCounter, root int) error {
+	d.CP.ClearInbox()
+	at := d.Net.Sim.Now() + 1
+	d.CP.ResetState(append(snap.Prog.StateTables(), bh.Prog.StateTables()...)...)
+	d.CP.PacketOut(root, openflow.PortController, snap.L.NewPacket(core.EthSnapshot), at)
+	d.CP.PacketOut(root, openflow.PortController, bh.L.NewPacket(core.EthBlackhole), at+1)
+	return d.Run()
+}
+
+// TestSharedActionListsAreImmutable: a Program is read-only after compile.
+// Compiled programs share action lists between buckets and rules, bucket
+// arrays between groups, and every switch a program is installed on holds
+// the program's own rules — the switches of two deployments at once, here.
+// Nothing downstream of the compiler may write to any of it: not an
+// install (parallel across switches), not the sharded hop loop, not a
+// counter reset, an uninstall or a reinstall, on either deployment. Run
+// under -race, the concurrent readers of one rule would also trip on any
+// writer. What the deployments do not share is runtime state: each one's
+// hit counters read as if it had been alone.
 func TestSharedActionListsAreImmutable(t *testing.T) {
 	g := RandomConnected(30, 15, 7)
 	for _, backend := range []string{"of13", "stateful"} {
@@ -200,10 +220,11 @@ func TestSharedActionListsAreImmutable(t *testing.T) {
 			}
 			d := Deploy(g, WithBackend(backend), WithShards(2))
 			run := func(trigger func(at Time)) {
-				t.Helper()
 				d.CP.ClearInbox()
 				trigger(d.Net.Sim.Now() + 1)
-				must(d.Run())
+				if err := d.Run(); err != nil {
+					t.Error(err)
+				}
 			}
 			snap, err := d.InstallSnapshot()
 			must(err)
@@ -214,26 +235,87 @@ func TestSharedActionListsAreImmutable(t *testing.T) {
 			any, err := d.InstallAnycast(map[uint32][]int{1: {17}})
 			must(err)
 
-			frozen := freezeLists(d.Programs())
+			progs := d.Programs()
+			frozen := freezeLists(progs)
 			if backend == "of13" && len(frozen.lists)*2 > frozen.refs {
 				t.Errorf("%d references to %d distinct action lists: the compiler is not sharing", frozen.refs, len(frozen.lists))
 			}
+			var dumps []string
+			for _, p := range progs {
+				dumps = append(dumps, dump.Program(p))
+			}
 
-			run(func(at Time) { snap.Trigger(0, at) })
-			run(func(at Time) { split.Trigger(3, at) })
-			run(func(at Time) { bh.Detect(0, at, 0) })
-			bh.ResetCounters()
-			run(func(at Time) { bh.Detect(0, at, 0) })
-			run(func(at Time) { any.Send(5, 1, nil, at) })
-			d.Uninstall(any.Prog.Slot)
-			any, err = d.InstallAnycast(map[uint32][]int{1: {23}})
-			must(err)
-			run(func(at Time) { any.Send(5, 1, nil, at) })
-			run(func(at Time) { snap.Trigger(9, at) })
+			// The second life of the same programs: installed as they are on
+			// an unsharded deployment, swept, uninstalled and reinstalled
+			// (which is also how it resets its smart counters). Below, solo
+			// lives that life again with nobody else running, for reference.
+			secondLife := func(d *Deployment, progs []*Program) {
+				for _, p := range progs {
+					d.CP.InstallProgram(p)
+				}
+				for _, root := range []int{4, 11} {
+					if err := rawSweep(d, snap, bh, root); err != nil {
+						t.Error(err)
+					}
+					d.Uninstall(bh.Prog.Slot)
+					d.Uninstall(any.Prog.Slot)
+					for _, p := range progs {
+						if p.Slot == bh.Prog.Slot || p.Slot == any.Prog.Slot {
+							d.CP.InstallProgram(p)
+						}
+					}
+				}
+				if err := rawSweep(d, snap, bh, 20); err != nil {
+					t.Error(err)
+				}
+			}
+			twin := Deploy(g, WithBackend(backend))
+			var lives sync.WaitGroup
+			lives.Add(2)
+			go func() {
+				defer lives.Done()
+				secondLife(twin, progs)
+			}()
+			go func() {
+				defer lives.Done()
+				run(func(at Time) { snap.Trigger(0, at) })
+				run(func(at Time) { split.Trigger(3, at) })
+				run(func(at Time) { bh.Detect(0, at, 0) })
+				bh.ResetCounters()
+				run(func(at Time) { bh.Detect(0, at, 0) })
+				run(func(at Time) { any.Send(5, 1, nil, at) })
+				d.Uninstall(any.Prog.Slot)
+				any2, err := d.InstallAnycast(map[uint32][]int{1: {23}})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				run(func(at Time) { any2.Send(5, 1, nil, at) })
+				run(func(at Time) { snap.Trigger(9, at) })
+			}()
+			lives.Wait()
 
 			for _, l := range frozen.lists {
 				if !slices.Equal(l.live, l.was) {
 					t.Errorf("shared action list changed after compile: %v, was %v", l.live, l.was)
+				}
+			}
+			for i, p := range progs {
+				if dump.Program(p) != dumps[i] {
+					t.Errorf("program %q changed after compile", p.Service)
+				}
+			}
+
+			solo := Deploy(g, WithBackend(backend))
+			secondLife(solo, progs)
+			for _, p := range progs {
+				tr, tg := twin.HitCounters(p.Slot)
+				sr, sg := solo.HitCounters(p.Slot)
+				if !reflect.DeepEqual(tr, sr) || !reflect.DeepEqual(tg, sg) {
+					t.Errorf("%s: the twin's hit counters differ from those of the same life lived alone", p.Service)
+				}
+				if dr, _ := d.HitCounters(p.Slot); p.Slot == snap.Prog.Slot && reflect.DeepEqual(tr, dr) {
+					t.Errorf("%s: two deployments with different traffic report the same hit counters", p.Service)
 				}
 			}
 		})
