@@ -15,9 +15,11 @@ vet:
 # lane affinity, determinism, and pooled-packet discipline (see
 # docs/LINTS.md) — on top of go vet, then staticcheck when it is
 # installed. CI pins the staticcheck release (see staticcheck.conf).
+# doclinks.sh checks that the repository paths the docs name still exist.
 lint: vet
 	$(GO) build -o $(TMPDIR)/simlint ./tools/simlint
 	$(GO) vet -vettool=$(TMPDIR)/simlint ./...
+	./scripts/doclinks.sh
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -31,7 +31,7 @@ func BenchmarkTable2Snapshot(b *testing.B) {
 	for _, n := range benchSizes {
 		g := benchGraph(n)
 		b.Run(fmt.Sprintf("n=%d/E=%d", n, g.NumEdges()), func(b *testing.B) {
-			d := Deploy(g, Options{})
+			d := Deploy(g)
 			snap, err := d.InstallSnapshot()
 			if err != nil {
 				b.Fatal(err)
@@ -67,7 +67,7 @@ func BenchmarkTable2Anycast(b *testing.B) {
 	for _, n := range benchSizes {
 		g := benchGraph(n)
 		b.Run(fmt.Sprintf("n=%d/E=%d", n, g.NumEdges()), func(b *testing.B) {
-			d := Deploy(g, Options{})
+			d := Deploy(g)
 			member := n - 1
 			a, err := d.InstallAnycast(map[uint32][]int{1: {member}})
 			if err != nil {
@@ -102,7 +102,7 @@ func BenchmarkTable2Priocast(b *testing.B) {
 	for _, n := range benchSizes {
 		g := benchGraph(n)
 		b.Run(fmt.Sprintf("n=%d/E=%d", n, g.NumEdges()), func(b *testing.B) {
-			d := Deploy(g, Options{})
+			d := Deploy(g)
 			members := []PrioMember{{Node: n / 3, Prio: 3}, {Node: n - 1, Prio: 9}, {Node: n / 2, Prio: 5}}
 			p, err := d.InstallPriocast(map[uint32][]PrioMember{1: members})
 			if err != nil {
@@ -145,7 +145,7 @@ func BenchmarkTable2Blackhole1(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				d := Deploy(g, Options{})
+				d := Deploy(g)
 				bh, err := d.InstallBlackholeTTL()
 				if err != nil {
 					b.Fatal(err)
@@ -186,7 +186,7 @@ func BenchmarkTable2Blackhole2(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				d := Deploy(g, Options{})
+				d := Deploy(g)
 				bh, err := d.InstallBlackholeCounter()
 				if err != nil {
 					b.Fatal(err)
@@ -225,7 +225,7 @@ func BenchmarkTable2Critical(b *testing.B) {
 			}
 		}
 		b.Run(fmt.Sprintf("n=%d/E=%d", n, g.NumEdges()), func(b *testing.B) {
-			d := Deploy(g, Options{})
+			d := Deploy(g)
 			cr, err := d.InstallCritical()
 			if err != nil {
 				b.Fatal(err)
@@ -274,7 +274,7 @@ func BenchmarkTagSize(b *testing.B) {
 func BenchmarkPacketLoss(b *testing.B) {
 	g := topo.Grid(5, 5)
 	b.Run("monitor-sweep", func(b *testing.B) {
-		d := Deploy(g, Options{})
+		d := Deploy(g)
 		pl, err := d.InstallPktLoss(nil)
 		if err != nil {
 			b.Fatal(err)
@@ -307,7 +307,7 @@ func BenchmarkFailover(b *testing.B) {
 	g := topo.Grid(6, 6)
 	for _, kills := range []int{0, 3, 6, 9} {
 		b.Run(fmt.Sprintf("failed-links=%d", kills), func(b *testing.B) {
-			d := Deploy(g, Options{}, WithBackend("of13"))
+			d := Deploy(g, WithBackend("of13"))
 			tr, err := d.InstallTraversal()
 			if err != nil {
 				b.Fatal(err)
@@ -348,7 +348,7 @@ func BenchmarkRuleSpace(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var perSwitch float64
 			for i := 0; i < b.N; i++ {
-				d := Deploy(g, Options{})
+				d := Deploy(g)
 				if _, err := d.InstallSnapshot(); err != nil {
 					b.Fatal(err)
 				}
@@ -376,7 +376,7 @@ func BenchmarkChaincast(b *testing.B) {
 			for s := range chain {
 				chain[s] = []int{(s*17 + 23) % g.NumNodes()}
 			}
-			d := Deploy(g, Options{})
+			d := Deploy(g)
 			cc, err := d.InstallChaincast(chain)
 			if err != nil {
 				b.Fatal(err)
@@ -412,7 +412,7 @@ func BenchmarkAblationDegree(b *testing.B) {
 			g := topo.Star(delta + 1) // centre has degree delta
 			var flows, groups, bytes float64
 			for i := 0; i < b.N; i++ {
-				d := Deploy(g, Options{})
+				d := Deploy(g)
 				if _, err := d.InstallTraversal(); err != nil {
 					b.Fatal(err)
 				}
@@ -434,7 +434,7 @@ func BenchmarkAblationDegree(b *testing.B) {
 func BenchmarkAblationDance(b *testing.B) {
 	g := benchGraph(60)
 	b.Run("plain-sweep", func(b *testing.B) {
-		d := Deploy(g, Options{})
+		d := Deploy(g)
 		tr, err := d.InstallTraversal()
 		if err != nil {
 			b.Fatal(err)
@@ -455,7 +455,7 @@ func BenchmarkAblationDance(b *testing.B) {
 		var inband int
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			d := Deploy(g, Options{})
+			d := Deploy(g)
 			bh, err := d.InstallBlackholeCounter()
 			if err != nil {
 				b.Fatal(err)
@@ -482,7 +482,7 @@ func BenchmarkMonitorRound(b *testing.B) {
 	for _, n := range benchSizes {
 		g := benchGraph(n)
 		b.Run(fmt.Sprintf("n=%d/E=%d", n, g.NumEdges()), func(b *testing.B) {
-			d := Deploy(g, Options{})
+			d := Deploy(g)
 			m, err := d.InstallMonitor(0, false)
 			if err != nil {
 				b.Fatal(err)
@@ -510,7 +510,7 @@ func BenchmarkSnapshotSplit(b *testing.B) {
 	g := benchGraph(60)
 	for _, budget := range []int{8, 16, 32} {
 		b.Run(fmt.Sprintf("budget=%d", budget), func(b *testing.B) {
-			d := Deploy(g, Options{})
+			d := Deploy(g)
 			s, err := d.InstallSnapshotSplit(budget)
 			if err != nil {
 				b.Fatal(err)
@@ -567,7 +567,7 @@ func BenchmarkBaselineControlLoad(b *testing.B) {
 	})
 	b.Run("smartsouth-snapshot", func(b *testing.B) {
 		var msgs int
-		d := Deploy(g, Options{})
+		d := Deploy(g)
 		snap, err := d.InstallSnapshot()
 		if err != nil {
 			b.Fatal(err)
@@ -598,7 +598,7 @@ func BenchmarkBaselineControlLoad(b *testing.B) {
 		b.ReportMetric(float64(msgs), "ctl-msgs-per-flow") // grows with path length
 	})
 	b.Run("inband-anycast", func(b *testing.B) {
-		d := Deploy(g, Options{})
+		d := Deploy(g)
 		a, err := d.InstallAnycast(map[uint32][]int{1: {g.NumNodes() - 1}})
 		if err != nil {
 			b.Fatal(err)

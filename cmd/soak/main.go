@@ -143,7 +143,7 @@ func buildTopo(rng *rand.Rand) (*smartsouth.Graph, string) {
 func runIteration(s int64, forceFail bool, dumpDir string) (family, dumpPath string, err error) {
 	rng := rand.New(rand.NewSource(s))
 	g, family := buildTopo(rng)
-	opts := []smartsouth.Option{smartsouth.Options{Seed: s}, smartsouth.WithBackend(*backend), smartsouth.WithShards(*shards)}
+	opts := []smartsouth.Option{smartsouth.WithSeed(s), smartsouth.WithBackend(*backend), smartsouth.WithShards(*shards)}
 	if *timeline != "" {
 		opts = append(opts, smartsouth.WithTimeline(0))
 	}

@@ -12,7 +12,7 @@ import (
 // plane.
 func ExampleDeployment_snapshot() {
 	g := smartsouth.Ring(5)
-	d := smartsouth.Deploy(g, smartsouth.Options{})
+	d := smartsouth.Deploy(g)
 
 	snap, err := d.InstallSnapshot()
 	if err != nil {
@@ -34,7 +34,7 @@ func ExampleDeployment_snapshot() {
 // controller interaction at all.
 func ExampleDeployment_anycast() {
 	g := smartsouth.Line(6)
-	d := smartsouth.Deploy(g, smartsouth.Options{})
+	d := smartsouth.Deploy(g)
 
 	a, err := d.InstallAnycast(map[uint32][]int{7: {4, 5}})
 	if err != nil {
@@ -56,7 +56,7 @@ func ExampleDeployment_anycast() {
 // ExampleDeployment_critical asks a switch whether it may be powered off.
 func ExampleDeployment_critical() {
 	g := smartsouth.Line(5) // node 2 is a cut vertex
-	d := smartsouth.Deploy(g, smartsouth.Options{})
+	d := smartsouth.Deploy(g)
 
 	cr, err := d.InstallCritical()
 	if err != nil {
@@ -80,7 +80,7 @@ func ExampleDeployment_critical() {
 // controller messages, wherever it hides.
 func ExampleDeployment_blackhole() {
 	g := smartsouth.Grid(3, 3)
-	d := smartsouth.Deploy(g, smartsouth.Options{})
+	d := smartsouth.Deploy(g)
 
 	bh, err := d.InstallBlackholeCounter()
 	if err != nil {

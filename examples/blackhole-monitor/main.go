@@ -20,7 +20,7 @@ func main() {
 
 	// --- Detector 1: TTL binary search -----------------------------------
 	{
-		d := smartsouth.Deploy(g, smartsouth.Options{})
+		d := smartsouth.Deploy(g)
 		bh, err := d.InstallBlackholeTTL()
 		if err != nil {
 			log.Fatal(err)
@@ -46,7 +46,7 @@ func main() {
 
 	// --- Detector 2: smart counters ---------------------------------------
 	{
-		d := smartsouth.Deploy(g, smartsouth.Options{})
+		d := smartsouth.Deploy(g)
 		bh, err := d.InstallBlackholeCounter()
 		if err != nil {
 			log.Fatal(err)
@@ -74,7 +74,7 @@ func main() {
 
 	// --- Packet-loss monitoring -------------------------------------------
 	{
-		d := smartsouth.Deploy(g, smartsouth.Options{})
+		d := smartsouth.Deploy(g)
 		pl, err := d.InstallPktLoss(nil) // default primes 7, 11, 13
 		if err != nil {
 			log.Fatal(err)

@@ -18,7 +18,7 @@ func main() {
 	// switches 0 (primary, priority 9), 12 (secondary, 5) and 15
 	// (tertiary, 2).
 	g := smartsouth.Grid(4, 4)
-	d := smartsouth.Deploy(g, smartsouth.Options{})
+	d := smartsouth.Deploy(g)
 
 	const ctlGroup = 100
 	prio, err := d.InstallPriocast(map[uint32][]smartsouth.PrioMember{

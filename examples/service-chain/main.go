@@ -24,7 +24,7 @@ func main() {
 	proxies := []int{14, 18}
 	roles := map[int]string{5: "firewall", 9: "firewall", 1: "dpi", 14: "proxy", 18: "proxy"}
 
-	d := smartsouth.Deploy(g, smartsouth.Options{})
+	d := smartsouth.Deploy(g)
 	cc, err := d.InstallChaincast([][]int{firewalls, dpi, proxies})
 	if err != nil {
 		log.Fatal(err)

@@ -14,7 +14,7 @@ import (
 
 func main() {
 	g := smartsouth.Grid(3, 4)
-	d, err := smartsouth.DeployRemote(g, smartsouth.Options{})
+	d, err := smartsouth.DeployRemote(g)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,16 +4,16 @@
 // traversals generated (the Table 2 columns of the paper), how many
 // packet-ins came back, and the traversal wall-clock in simulation time.
 //
-// The registry is fed from three directions: a Metered control-plane
-// decorator attributes installs and trigger packets, a hop observer
-// attributes in-band link crossings by EtherType, and packet-in hooks
-// attribute collect messages. Services are identified by the slot range
-// they occupy and by the EtherTypes of their tagged packets — the same
-// two keys the data plane itself uses.
+// The registry is written from two directions — a Metered control-plane
+// decorator attributes installs and trigger packets, and packet-in hooks
+// attribute collect messages — and reads the third: in-band link crossings
+// are counted once, by the network's lanes, and joined into the
+// per-service view when a snapshot is taken. Services are identified by
+// the slot range they occupy and by the EtherTypes of their tagged packets
+// — the same two keys the data plane itself uses.
 package metrics
 
 import (
-	"encoding/json"
 	"sort"
 	"sync"
 
@@ -48,12 +48,14 @@ type ServiceMetrics struct {
 	OutBandBytes   int `json:"outBandBytes"`
 
 	// In-band cost: link transmissions of the service's EtherTypes,
-	// delivered or not — the "#msgs / size" columns of Table 2.
+	// delivered or not — the "#msgs / size" columns of Table 2. Read from
+	// the network's lane counters at snapshot time.
 	InBandMsgs  int `json:"inBandMsgs"`
 	InBandBytes int `json:"inBandBytes"`
 
-	// FirstAt/LastAt bracket the service's data-plane activity in
-	// simulation time; WallClock is their difference (0 if idle).
+	// FirstAt/LastAt bracket the service's activity in simulation time —
+	// triggers, collects and in-band transmissions, the latter stamped by
+	// the sending lane's clock; WallClock is their difference (0 if idle).
 	FirstAt   network.Time `json:"firstAt"`
 	LastAt    network.Time `json:"lastAt"`
 	WallClock network.Time `json:"wallClock"`
@@ -63,7 +65,15 @@ type ServiceMetrics struct {
 	RuleHits  []openflow.RuleHit  `json:"ruleHits,omitempty"`
 	GroupHits []openflow.GroupHit `json:"groupHits,omitempty"`
 
+	// Uninstalled marks a service Deployment.Uninstall removed: the entry
+	// stays as history with its counters as they were, and its EtherTypes
+	// are free for the next registrant.
+	Uninstalled bool `json:"uninstalled,omitempty"`
+
 	active bool // FirstAt is meaningful only after the first activity
+	// base[i] is the lanes' stat of EtherTypes[i] when the service
+	// registered or was last Reset; in-band activity is what came after.
+	base []network.InBandStat
 }
 
 func (m *ServiceMetrics) touch(at network.Time) {
@@ -85,13 +95,16 @@ func (m *ServiceMetrics) touch(at network.Time) {
 // packet-in reader goroutines.
 type Registry struct {
 	mu       sync.Mutex
+	net      *network.Network
 	services []*ServiceMetrics
 	byEth    map[uint16]*ServiceMetrics
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byEth: make(map[uint16]*ServiceMetrics)}
+// NewRegistry returns an empty registry over the network whose in-band
+// counters it reports. Snapshot, Register, Release and Reset read (and
+// re-arm) those counters, so they belong between runs.
+func NewRegistry(net *network.Network) *Registry {
+	return &Registry{net: net, byEth: make(map[uint16]*ServiceMetrics)}
 }
 
 // Register creates the metrics entry for a service occupying slots
@@ -109,6 +122,7 @@ func (r *Registry) Register(service string, slot, slots int, eths ...uint16) *Se
 		if _, taken := r.byEth[eth]; !taken {
 			r.byEth[eth] = m
 			m.EtherTypes = append(m.EtherTypes, eth)
+			m.base = append(m.base, r.net.MarkInBand(eth))
 		}
 	}
 	r.services = append(r.services, m)
@@ -178,40 +192,75 @@ func (r *Registry) NotePacketIn(at network.Time, eth uint16, bytes int) {
 	}
 }
 
-// NoteHop attributes one in-band link transmission by EtherType. Every
-// attempt counts, delivered or not, matching network.InBandMsgs.
-func (r *Registry) NoteHop(at network.Time, eth uint16, bytes int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m := r.byEth[eth]; m != nil {
-		m.InBandMsgs++
-		m.InBandBytes += bytes
-		m.touch(at)
+// joinInBand adds to m what the lanes counted for its EtherTypes since
+// their baselines. Every attempt counts, delivered or not, matching
+// network.InBandMsgs.
+func (r *Registry) joinInBand(m *ServiceMetrics) {
+	for i, eth := range m.EtherTypes {
+		s := r.net.InBandStat(eth)
+		if s.Msgs == m.base[i].Msgs {
+			continue
+		}
+		m.InBandMsgs += s.Msgs - m.base[i].Msgs
+		m.InBandBytes += s.Bytes - m.base[i].Bytes
+		m.touch(s.First)
+		m.touch(s.Last)
 	}
 }
 
-// ByEth returns the service entry claiming the EtherType, or nil.
+// Release marks the service covering slot uninstalled: its in-band
+// counters freeze at what the lanes read now and its EtherTypes return to
+// the pool, so whoever registers them next is credited from here on.
+func (r *Registry) Release(slot int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m := r.bySlotLocked(slot)
+	if m == nil || m.Uninstalled {
+		return
+	}
+	r.joinInBand(m)
+	m.Uninstalled = true
+	for _, eth := range m.EtherTypes {
+		delete(r.byEth, eth)
+	}
+}
+
+// ByEth returns a snapshot of the installed service claiming the
+// EtherType, or nil.
 func (r *Registry) ByEth(eth uint16) *ServiceMetrics {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.byEth[eth]
+	m := r.byEth[eth]
+	if m == nil {
+		return nil
+	}
+	c := r.view(m)
+	return &c
 }
 
-// Snapshot returns a copy of every service's metrics, ordered by slot,
-// with TriggerPackets and WallClock computed.
+// view copies m with the in-band counters joined in and TriggerPackets
+// and WallClock computed.
+func (r *Registry) view(m *ServiceMetrics) ServiceMetrics {
+	c := *m
+	if !c.Uninstalled {
+		r.joinInBand(&c)
+	}
+	c.TriggerPackets = c.PacketOuts + c.HostInjects
+	if c.active {
+		c.WallClock = c.LastAt - c.FirstAt
+	}
+	c.RuleHits = append([]openflow.RuleHit(nil), m.RuleHits...)
+	c.GroupHits = append([]openflow.GroupHit(nil), m.GroupHits...)
+	return c
+}
+
+// Snapshot returns a copy of every service's metrics, ordered by slot.
 func (r *Registry) Snapshot() []ServiceMetrics {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]ServiceMetrics, len(r.services))
 	for i, m := range r.services {
-		c := *m
-		c.TriggerPackets = c.PacketOuts + c.HostInjects
-		if c.active {
-			c.WallClock = c.LastAt - c.FirstAt
-		}
-		c.RuleHits = append([]openflow.RuleHit(nil), m.RuleHits...)
-		c.GroupHits = append([]openflow.GroupHit(nil), m.GroupHits...)
-		out[i] = c
+		out[i] = r.view(m)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Slot < out[j].Slot })
 	return out
@@ -239,13 +288,9 @@ func (r *Registry) AttachHits(slot int, rules []openflow.RuleHit, groups []openf
 	}
 }
 
-// JSON renders the snapshot as indented JSON.
-func (r *Registry) JSON() ([]byte, error) {
-	return json.MarshalIndent(r.Snapshot(), "", "  ")
-}
-
 // Reset zeroes the runtime counters of every service (install counters
-// survive, mirroring ResetRuntimeStats on the controller).
+// survive, mirroring ResetRuntimeStats on the controller) and moves the
+// in-band baselines of the installed ones to now.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -255,5 +300,10 @@ func (r *Registry) Reset() {
 		m.InBandMsgs, m.InBandBytes = 0, 0
 		m.FirstAt, m.LastAt, m.active = 0, 0, false
 		m.RuleHits, m.GroupHits = nil, nil
+		if !m.Uninstalled {
+			for i, eth := range m.EtherTypes {
+				m.base[i] = r.net.MarkInBand(eth)
+			}
+		}
 	}
 }

@@ -53,10 +53,16 @@ type Options struct {
 
 // ethCounter is one interned per-EtherType accounting slot. The hot path
 // bumps these by index; the public map views are rebuilt on demand.
+// first/last are the lane-clock times of the earliest transmission since
+// MarkInBand re-armed first (negative: none yet) and of the latest one;
+// pastMsgs/pastBytes keep what ResetAccounting cleared.
 type ethCounter struct {
-	eth   uint16
-	msgs  int
-	bytes int
+	eth         uint16
+	msgs        int
+	bytes       int
+	first, last Time
+	pastMsgs    int
+	pastBytes   int
 }
 
 // Network instantiates one openflow.Switch per graph node, one Link per
@@ -111,11 +117,11 @@ type Network struct {
 	obsMu     sync.Mutex
 	mergeBuf  []xev
 
-	// Per-EtherType flight tag decoders (telemetry.go), shared read-only
-	// by all lanes; each lane keeps its own ring and decoder cache. The
+	// Per-EtherType tag decoders (telemetry.go), shared read-only by all
+	// lanes; each lane keeps its own flight ring and decoder cache. The
 	// prev* fields remember the switches' cumulative scan stats at the
 	// last flush so Run can publish deltas.
-	flightDec []flightDecoder
+	tagDec []*TagDecoder
 
 	prevMatcher    uint64
 	prevFallback   uint64
@@ -255,8 +261,16 @@ func (n *Network) ObserveHops(fn HopObserver) {
 	n.hopObs = append(n.hopObs, fn)
 }
 
+// Observers returns how many hop and exec observers are registered.
+func (n *Network) Observers() (hops, execs int) { return len(n.hopObs), len(n.execObs) }
+
 // Switch returns the switch for node id.
 func (n *Network) Switch(id int) *openflow.Switch { return n.switches[id] }
+
+// NowAt returns the clock of the lane that owns switch sw. Inside a hop or
+// exec observer that is the time of the observed event; Sim.Now(), the
+// control lane's clock, stands still while a sharded window runs.
+func (n *Network) NowAt(sw int) Time { return n.laneFor(sw).now() }
 
 // NumSwitches returns the number of switches.
 func (n *Network) NumSwitches() int { return len(n.switches) }
@@ -411,30 +425,12 @@ func (n *Network) InjectActions(sw int, actions []openflow.Action, pkt *openflow
 	})
 }
 
-// SpanRecords returns the causal tracer's retained spans across all
-// lanes, merged into simulation-time order, or nil when timeline tracing
-// is off. The slice is a copy; internal/trace.BuildTraces reassembles it
-// into per-traversal trees and internal/dump renders timelines.
-//
-//simlint:barrier post-run aggregation across parked lanes
-func (n *Network) SpanRecords() []telemetry.SpanRecord {
-	if n.ctl.spans == nil {
-		return nil
-	}
-	rings := make([]*telemetry.Spans, len(n.lanes))
-	for i, l := range n.lanes {
-		rings[i] = l.spans
-	}
-	return telemetry.MergedSpans(rings)
-}
-
 // DrainSpans appends to dst the span records claimed since the previous
 // call (all retained records on the first), interleaved across lanes
-// into simulation-time order with ties keeping lane order — the same
-// ordering contract as SpanRecords, but O(new records) per call instead
-// of O(ring capacity), so a caller can harvest the timeline after every
-// run without paying for a full re-merge. Records a lane ring evicted
-// between drains are lost, exactly as they are from SpanRecords.
+// into simulation-time order with ties keeping lane order — O(new
+// records) per call instead of O(ring capacity), so a caller can harvest
+// the timeline after every run without paying for a full re-merge.
+// Records a lane ring evicted between drains are lost.
 // Returns dst unchanged when timeline tracing is off.
 //
 //simlint:barrier post-run aggregation across parked lanes
@@ -537,6 +533,55 @@ func (n *Network) TotalInBand() int {
 	return total
 }
 
+// InBandStat is what the lanes recorded for one EtherType: transmissions
+// and bytes since the network was built (ResetAccounting does not rewind
+// them), and the times, by the sending lane's clock, of the first and
+// last transmission since MarkInBand. First is negative when there were
+// none.
+type InBandStat struct {
+	Msgs, Bytes int
+	First, Last Time
+}
+
+// InBandStat sums one EtherType's counters over the lanes.
+//
+//simlint:barrier post-run aggregation across parked lanes
+func (n *Network) InBandStat(eth uint16) InBandStat {
+	s := InBandStat{First: -1}
+	for _, l := range n.lanes {
+		idx, ok := l.ethIdx[eth]
+		if !ok {
+			continue
+		}
+		c := &l.counters[idx]
+		s.Msgs += c.pastMsgs + c.msgs
+		s.Bytes += c.pastBytes + c.bytes
+		if c.first >= 0 {
+			if s.First < 0 || c.first < s.First {
+				s.First = c.first
+			}
+			if c.last > s.Last {
+				s.Last = c.last
+			}
+		}
+	}
+	return s
+}
+
+// MarkInBand starts an observation period for eth: it returns the totals
+// so far, for the reader to subtract, and re-arms First on every lane.
+//
+//simlint:barrier called between runs; no worker window is active
+func (n *Network) MarkInBand(eth uint16) InBandStat {
+	s := n.InBandStat(eth)
+	for _, l := range n.lanes {
+		if idx, ok := l.ethIdx[eth]; ok {
+			l.counters[idx].first = -1
+		}
+	}
+	return s
+}
+
 // ResetAccounting clears the in-band counters (link DirStats included) so
 // an experiment can measure a single phase. The EtherType intern tables
 // survive — only the counts reset.
@@ -545,8 +590,9 @@ func (n *Network) TotalInBand() int {
 func (n *Network) ResetAccounting() {
 	for _, l := range n.lanes {
 		for i := range l.counters {
-			l.counters[i].msgs = 0
-			l.counters[i].bytes = 0
+			c := &l.counters[i]
+			c.pastMsgs, c.pastBytes = c.pastMsgs+c.msgs, c.pastBytes+c.bytes
+			c.msgs, c.bytes = 0, 0
 		}
 	}
 	for _, l := range n.links {

@@ -26,55 +26,43 @@ type Config struct {
 	Backend string
 }
 
-// Option configures a deployment. Two kinds of values satisfy it: the
-// functional options below (WithSeed, WithTrace, …) and the legacy Options
-// struct itself, which is accepted for compatibility and applied wholesale.
-type Option interface {
-	ApplyOption(*Config)
-}
-
-// ApplyOption makes the Options struct usable as an Option: it replaces
-// the network knobs in one shot. This keeps every pre-functional-options
-// call site (`Deploy(g, Options{Seed: 1})`) compiling unchanged.
-func (o Options) ApplyOption(c *Config) { c.Opts = o }
-
-type optionFunc func(*Config)
-
-func (f optionFunc) ApplyOption(c *Config) { f(c) }
+// Option configures a deployment: one of the functional options below
+// (WithSeed, WithTrace, …).
+type Option func(*Config)
 
 // WithSeed seeds the loss process of lossy links.
 func WithSeed(seed int64) Option {
-	return optionFunc(func(c *Config) { c.Opts.Seed = seed })
+	return func(c *Config) { c.Opts.Seed = seed }
 }
 
 // WithLinkDelay sets the one-way latency of every link.
 func WithLinkDelay(d Time) Option {
-	return optionFunc(func(c *Config) { c.Opts.LinkDelay = d })
+	return func(c *Config) { c.Opts.LinkDelay = d }
 }
 
 // WithEventLimit bounds the number of simulator events per Run call.
 func WithEventLimit(n int) Option {
-	return optionFunc(func(c *Config) { c.Opts.MaxSteps = n })
+	return func(c *Config) { c.Opts.MaxSteps = n }
 }
 
 // WithTrace enables the per-packet hop trace with a ring buffer retaining
 // the last cap pipeline executions. cap <= 0 leaves tracing off.
 func WithTrace(cap int) Option {
-	return optionFunc(func(c *Config) { c.TraceCap = cap })
+	return func(c *Config) { c.TraceCap = cap }
 }
 
 // WithoutTelemetry disables the always-on instrumentation (per-event
 // counters, latency histograms, flight recorder) for this deployment —
 // the telemetry-off arm of the overhead benchmark.
 func WithoutTelemetry() Option {
-	return optionFunc(func(c *Config) { c.Opts.NoTelemetry = true })
+	return func(c *Config) { c.Opts.NoTelemetry = true }
 }
 
 // WithFlightCap sizes the flight-recorder ring: 0 keeps the default
 // capacity, negative disables the recorder while keeping counters and
 // histograms on.
 func WithFlightCap(n int) Option {
-	return optionFunc(func(c *Config) { c.Opts.FlightCap = n })
+	return func(c *Config) { c.Opts.FlightCap = n }
 }
 
 // WithTimeline enables the causal traversal tracer: every injected
@@ -84,19 +72,19 @@ func WithFlightCap(n int) Option {
 // WithTrace, any call opts in). Tracing is independent of
 // WithoutTelemetry so the overhead benchmark can isolate its cost.
 func WithTimeline(cap int) Option {
-	return optionFunc(func(c *Config) {
+	return func(c *Config) {
 		if cap <= 0 {
 			cap = telemetry.DefaultSpanCap
 		}
 		c.Opts.Timeline = cap
-	})
+	}
 }
 
 // WithBackend selects the compile backend services are lowered with:
 // "of13" (flow/group entries, the default) or "stateful" (XFSM state
 // tables). Empty defers to the SMARTSOUTH_BACKEND environment variable.
 func WithBackend(name string) Option {
-	return optionFunc(func(c *Config) { c.Backend = name })
+	return func(c *Config) { c.Backend = name }
 }
 
 // WithShards partitions the topology across n shards, each owning a
@@ -104,24 +92,23 @@ func WithBackend(name string) Option {
 // synchronized by conservative time windows (see Options.Shards). n <= 1
 // keeps the classic single-loop simulator.
 func WithShards(n int) Option {
-	return optionFunc(func(c *Config) { c.Opts.Shards = n })
+	return func(c *Config) { c.Opts.Shards = n }
 }
 
 // WithAnalysis gates every program installation on the network-wide
 // static analysis (internal/analysis): conflicts with installed
 // services, forwarding loops and blackholes reject the install.
 func WithAnalysis() Option {
-	return optionFunc(func(c *Config) { c.Analysis = true })
+	return func(c *Config) { c.Analysis = true }
 }
 
 // Resolve folds a list of options into a Config. Options are applied in
-// order, so later options win; a legacy Options struct resets all network
-// knobs at once.
+// order, so later options win.
 func Resolve(opts ...Option) Config {
 	var c Config
 	for _, o := range opts {
 		if o != nil {
-			o.ApplyOption(&c)
+			o(&c)
 		}
 	}
 	return c

@@ -50,7 +50,7 @@ type lane struct {
 	lastIdx  int            //simlint:lanelocal
 
 	// Per-lane flight ring and decoder cache; the decoder table itself
-	// (Network.flightDec) is shared read-only.
+	// (Network.tagDec) is shared read-only.
 	flight  *telemetry.Flight //simlint:lanelocal
 	lastDec int               //simlint:lanelocal
 
@@ -156,7 +156,7 @@ func (l *lane) processBatch(evs []event) {
 			if d := l.decoderFor(p.EthType); d != nil {
 				r.NumTags = d.n
 				r.NameIdx = d.nameIdx
-				d.capture(swID, p.Tag, &r.Tags)
+				d.Capture(swID, p.Tag, &r.Tags)
 			}
 			recs = append(recs, r)
 		}
@@ -326,7 +326,11 @@ func (l *lane) dispatch(sw int, res *openflow.Result) {
 	}
 }
 
-// countInBand bumps the interned per-EtherType transmission counters.
+// countInBand bumps the interned per-EtherType transmission counters and
+// stamps them with the lane's clock — the only per-hop accounting there
+// is; the per-service metrics read these counters.
+//
+//simlint:hotpath
 func (l *lane) countInBand(eth uint16, size int) {
 	idx := l.lastIdx
 	if idx >= len(l.counters) || l.counters[idx].eth != eth {
@@ -334,15 +338,22 @@ func (l *lane) countInBand(eth uint16, size int) {
 		idx, ok = l.ethIdx[eth]
 		if !ok {
 			idx = len(l.counters)
-			l.counters = append(l.counters, ethCounter{eth: eth})
+			l.counters = append(l.counters, ethCounter{eth: eth, first: -1})
 			l.ethIdx[eth] = idx
 		}
 		l.lastIdx = idx
 	}
 	c := &l.counters[idx]
+	if c.first < 0 {
+		c.first = l.sim.now
+	}
+	c.last = l.sim.now
 	c.msgs++
 	c.bytes += size
 }
+
+// now is the lane's clock: the time of the event it is executing.
+func (l *lane) now() Time { return l.sim.now }
 
 // send puts a packet on the link attached to (sw, port), taking ownership
 // of pkt. The transmit side of the link (mode, loss rng, direction stats)
@@ -422,15 +433,15 @@ func (l *lane) send(sw, port int, pkt *openflow.Packet) {
 // decoderFor returns the decoder of an EtherType, or nil. The last hit is
 // cached per lane: traversals send long runs of one type, so the common
 // case is a single comparison, like the in-band accounting intern table.
-func (l *lane) decoderFor(eth uint16) *flightDecoder {
-	dec := l.net.flightDec
+func (l *lane) decoderFor(eth uint16) *TagDecoder {
+	dec := l.net.tagDec
 	if i := l.lastDec; i < len(dec) && dec[i].eth == eth {
-		return &dec[i]
+		return dec[i]
 	}
-	for i := range dec {
-		if dec[i].eth == eth {
+	for i, d := range dec {
+		if d.eth == eth {
 			l.lastDec = i
-			return &dec[i]
+			return d
 		}
 	}
 	return nil

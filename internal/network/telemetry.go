@@ -2,18 +2,19 @@ package network
 
 import (
 	"io"
+	"slices"
 	"time"
 
 	"smartsouth/internal/openflow"
 	"smartsouth/internal/telemetry"
 )
 
-// FlightTagFields resolves the (up to three) tag fields decoded into
-// flight-recorder records for one EtherType at one switch. The DFS state
-// of a SmartSouth service is laid out per switch (par/cur live in
-// switch-indexed field tables), hence the sw parameter. The returned
-// array is by value, so resolution does not allocate.
-type FlightTagFields func(sw int) [3]openflow.Field
+// TagFields resolves the (up to three) tag fields decoded for one
+// EtherType at one switch. The DFS state of a SmartSouth service is laid
+// out per switch (par/cur live in switch-indexed field tables), hence the
+// sw parameter. The returned array is by value, so resolution does not
+// allocate.
+type TagFields func(sw int) [3]openflow.Field
 
 // tagExtract is one precompiled narrow-field read: the (at most two)
 // byte indices a ≤9-bit field spans, the right shift of the 16-bit
@@ -38,14 +39,20 @@ func (e *tagExtract) load(tag []byte) uint32 {
 	return 0
 }
 
-// flightDecoder is one registered EtherType -> tag-field mapping. The
-// name set is interned in the Flight recorder; records carry its index.
-// The per-switch resolvers are materialized at registration, so the
-// record path is a slice index instead of a closure call: extBySw when
-// every field is narrow enough for tagExtract (the always case for DFS
-// state), fieldsBySw (with Field.Load) when any field is wider.
-type flightDecoder struct {
+// TagDecoder is what one EtherType is registered as: the service that
+// owns it and the tag fields its packets carry — the one decoder table of
+// a network, which the flight recorder and the hop trace both capture
+// through. Immutable once registered: re-registering an EtherType puts a
+// new decoder in the table and leaves the old one to whoever holds it.
+// The name set is interned in the Flight recorder; records carry its
+// index. The per-switch resolvers are materialized at registration, so
+// the record path is a slice index instead of a closure call: extBySw
+// when every field is narrow enough for tagExtract (the always case for
+// DFS state), fieldsBySw (with Field.Load) when any field is wider.
+type TagDecoder struct {
 	eth        uint16
+	service    string
+	fields     TagFields
 	nameIdx    uint8
 	n          uint8
 	wide       bool
@@ -53,66 +60,86 @@ type flightDecoder struct {
 	fieldsBySw [][3]openflow.Field
 }
 
-// RegisterFlightTags registers named tag fields for packets of the given
-// EtherType: every flight-recorder execution record for such packets
-// carries the decoded values (e.g. the DFS start/par/cur state), which is
-// what makes a post-mortem dump replayable. fields is evaluated once per
-// switch now, not on the record path. Re-registering an EtherType
-// replaces its decoder. No-op when the flight recorder is disabled.
+// Service names the service the EtherType was registered for.
+func (d *TagDecoder) Service() string { return d.service }
+
+// Fields returns the registered tag fields at switch sw, in Capture's
+// order (none for a label-only registration).
+func (d *TagDecoder) Fields(sw int) []openflow.Field {
+	if d.n == 0 {
+		return nil
+	}
+	f := d.fields(sw)
+	return f[:d.n]
+}
+
+// TagDecoder returns the decoder registered for eth, or nil.
+func (n *Network) TagDecoder(eth uint16) *TagDecoder {
+	for _, d := range n.tagDec {
+		if d.eth == eth {
+			return d
+		}
+	}
+	return nil
+}
+
+// RegisterTags registers an EtherType as service's, with named tag fields
+// (e.g. the DFS start/par/cur state): every flight-recorder execution
+// record and hop-trace event of such packets carries the decoded values,
+// which is what makes a post-mortem dump replayable. fields is evaluated
+// once per switch now, not on the record path; nil registers the label
+// alone. Re-registering an EtherType replaces its decoder.
 //
 //simlint:barrier registration happens before Run; lanes are idle
-func (n *Network) RegisterFlightTags(eth uint16, names [3]string, fields FlightTagFields) {
-	if n.ctl.flight == nil || fields == nil {
+func (n *Network) RegisterTags(eth uint16, service string, names [3]string, fields TagFields) {
+	d := &TagDecoder{eth: eth, service: service, fields: fields}
+	if i := slices.IndexFunc(n.tagDec, func(o *TagDecoder) bool { return o.eth == eth }); i >= 0 {
+		n.tagDec[i] = d
+	} else {
+		n.tagDec = append(n.tagDec, d)
+	}
+	if fields == nil {
 		return
 	}
-	var cnt uint8
 	for _, nm := range names {
 		if nm != "" {
-			cnt++
+			d.n++
 		}
 	}
 	bySw := make([][3]openflow.Field, len(n.switches))
-	wide := false
 	for sw := range bySw {
 		bySw[sw] = fields(sw)
-		for i := uint8(0); i < cnt; i++ {
+		for i := uint8(0); i < d.n; i++ {
 			if f := bySw[sw][i]; f.Bits > 9 || f.Bits < 1 || f.Off < 0 || (f.Off+f.Bits-1)>>3 > 0xFFFF {
-				wide = true
+				d.wide = true
 			}
 		}
 	}
-	// Intern the name set in every lane's ring. Registration order is the
-	// same on each ring (this loop, every call), so the index agrees
-	// across lanes and the shared decoder can carry a single nameIdx.
-	var nameIdx uint8
-	for _, l := range n.lanes {
-		nameIdx = l.flight.RegisterTagNames(names)
+	if n.ctl.flight != nil {
+		// Intern the name set in every lane's ring. Registration order is the
+		// same on each ring (this loop, every call), so the index agrees
+		// across lanes and the shared decoder can carry a single nameIdx.
+		for _, l := range n.lanes {
+			d.nameIdx = l.flight.RegisterTagNames(names)
+		}
 	}
-	d := flightDecoder{eth: eth, nameIdx: nameIdx, n: cnt, wide: wide}
-	if wide {
+	if d.wide {
 		d.fieldsBySw = bySw
-	} else {
-		d.extBySw = make([][3]tagExtract, len(bySw))
-		for sw := range bySw {
-			for i := uint8(0); i < cnt; i++ {
-				f := bySw[sw][i]
-				first, last := f.Off>>3, (f.Off+f.Bits-1)>>3
-				d.extBySw[sw][i] = tagExtract{
-					first: uint16(first),
-					last:  uint16(last),
-					shift: uint8(16 - (f.Off + f.Bits - first*8)),
-					mask:  uint16(1<<uint(f.Bits) - 1),
-				}
+		return
+	}
+	d.extBySw = make([][3]tagExtract, len(bySw))
+	for sw := range bySw {
+		for i := uint8(0); i < d.n; i++ {
+			f := bySw[sw][i]
+			first, last := f.Off>>3, (f.Off+f.Bits-1)>>3
+			d.extBySw[sw][i] = tagExtract{
+				first: uint16(first),
+				last:  uint16(last),
+				shift: uint8(16 - (f.Off + f.Bits - first*8)),
+				mask:  uint16(1<<uint(f.Bits) - 1),
 			}
 		}
 	}
-	for i := range n.flightDec {
-		if n.flightDec[i].eth == eth {
-			n.flightDec[i] = d
-			return
-		}
-	}
-	n.flightDec = append(n.flightDec, d)
 }
 
 // Flight returns the control lane's flight recorder, nil when telemetry
@@ -157,15 +184,14 @@ func (n *Network) FlightNote(text string) {
 	f.Record(r)
 }
 
-// capture decodes the registered tag fields of one packet tag area into
-// out — the pre-execution snapshot the flight record will carry. It runs
-// before ExecBatch, while the arrival still holds the state it arrived
-// with.
-func (d *flightDecoder) capture(sw int, tag []byte, out *[3]uint32) {
+// Capture decodes the registered tag fields of one packet tag area into
+// out — the snapshot a flight record or a hop-trace slot will carry. It
+// must run on the packet as it arrived: execution rewrites the tag.
+func (d *TagDecoder) Capture(sw int, tag []byte, out *[3]uint32) {
 	// Unrolled: d.n is at most 3 and almost always exactly 3.
 	if !d.wide {
-		e := &d.extBySw[sw]
 		if d.n > 0 {
+			e := &d.extBySw[sw]
 			out[0] = e[0].load(tag)
 			if d.n > 1 {
 				out[1] = e[1].load(tag)

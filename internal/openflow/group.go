@@ -103,9 +103,6 @@ func (s *groupSlot) apply(x *ExecContext, p *Packet) {
 	case GroupAll:
 		for i := range g.Buckets {
 			c := p.ClonePooled()
-			if x.tracing {
-				x.trace("group %d bucket %d (all)", g.ID, i)
-			}
 			x.step(g, i)
 			s.hits[i]++
 			for _, a := range g.Buckets[i].Actions {
@@ -122,9 +119,6 @@ func (s *groupSlot) apply(x *ExecContext, p *Packet) {
 		}
 	case GroupIndirect:
 		if len(g.Buckets) > 0 {
-			if x.tracing {
-				x.trace("group %d bucket 0 (indirect)", g.ID)
-			}
 			x.step(g, 0)
 			s.hits[0]++
 			for _, a := range g.Buckets[0].Actions {
@@ -143,16 +137,10 @@ func (s *groupSlot) apply(x *ExecContext, p *Packet) {
 			}
 		}
 		if i < 0 {
-			if x.tracing {
-				x.trace("group %d: no live bucket, drop", g.ID)
-			}
 			x.step(g, -1)
 			return
 		}
 		b := &g.Buckets[i]
-		if x.tracing {
-			x.trace("group %d bucket %d (ff, watch %d)", g.ID, i, b.WatchPort)
-		}
 		x.step(g, i)
 		s.hits[i]++
 		for _, a := range b.Actions {
@@ -164,9 +152,6 @@ func (s *groupSlot) apply(x *ExecContext, p *Packet) {
 		}
 		i := int(s.rr)
 		s.rr = int32((i + 1) % len(g.Buckets))
-		if x.tracing {
-			x.trace("group %d bucket %d (select-rr)", g.ID, i)
-		}
 		x.step(g, i)
 		s.hits[i]++
 		for _, a := range g.Buckets[i].Actions {

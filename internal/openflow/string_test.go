@@ -71,29 +71,35 @@ func TestEntryGroupTypePacketStrings(t *testing.T) {
 	}
 }
 
-func TestTracingProducesReadableLog(t *testing.T) {
+// TestRecordedStepsNameRulesAndBuckets: with Record on, a result lists the
+// matched rules and the bucket choices in execution order, and a group
+// that is not installed shows as a drop (Bucket -1).
+func TestRecordedStepsNameRulesAndBuckets(t *testing.T) {
 	sw := NewSwitch(1, 2)
-	sw.Tracing = true
+	sw.Record = true
 	sw.AddGroup(&GroupEntry{ID: 1, Type: GroupFF, Buckets: []Bucket{
 		{WatchPort: 1, Actions: []Action{Output{Port: 1}}},
 	}})
 	sw.AddFlow(0, &FlowEntry{Priority: 1, Match: MatchAll(), Goto: 1, Cookie: "hop1",
 		Actions: []Action{Group{ID: 1}}})
 	res := sw.Receive(NewPacket(1, 1), 2)
-	joined := strings.Join(res.Trace, "\n")
-	for _, want := range []string{`hit "hop1"`, "group 1 bucket 0", "table 1: absent"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("trace missing %q:\n%s", want, joined)
-		}
+	if len(res.Steps) != 1 || res.Steps[0].Cookie != "hop1" || res.Steps[0].Table != 0 {
+		t.Errorf("steps %+v, want the one hit of hop1 in table 0", res.Steps)
 	}
-	// Missing group and depth-limit paths also trace.
+	if len(res.GroupSteps) != 1 || res.GroupSteps[0] != (GroupStep{Group: 1, Type: GroupFF, Bucket: 0}) {
+		t.Errorf("group steps %+v, want group 1 bucket 0", res.GroupSteps)
+	}
+
 	sw2 := NewSwitch(2, 1)
-	sw2.Tracing = true
+	sw2.Record = true
 	sw2.AddFlow(0, &FlowEntry{Priority: 1, Match: MatchAll(), Goto: NoGoto, Cookie: "g",
 		Actions: []Action{Group{ID: 99}}})
 	res2 := sw2.Receive(NewPacket(1, 1), 1)
-	if !strings.Contains(strings.Join(res2.Trace, "\n"), "not installed") {
-		t.Error("missing-group trace")
+	if len(res2.GroupSteps) != 1 || res2.GroupSteps[0].Group != 99 || res2.GroupSteps[0].Bucket != -1 {
+		t.Errorf("group steps %+v, want a drop at the uninstalled group 99", res2.GroupSteps)
+	}
+	if res2.LastGroup != 99 || res2.LastBucket != -1 || len(res2.Emissions) != 0 {
+		t.Errorf("uninstalled group: last=%d/%d emissions=%d", res2.LastGroup, res2.LastBucket, len(res2.Emissions))
 	}
 }
 

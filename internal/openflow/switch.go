@@ -1,7 +1,6 @@
 package openflow
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 )
@@ -41,9 +40,6 @@ type Result struct {
 	// Matched reports whether any table matched; false means the packet
 	// hit a table miss in table 0 (or a goto target) and was dropped.
 	Matched bool
-	// Trace is a human-readable execution log (rule cookies and group
-	// bucket choices), populated only when the switch has tracing on.
-	Trace []string
 	// Steps lists the matched flow entries and GroupSteps the group-bucket
 	// choices, in execution order; both are populated only when the switch
 	// has structured recording on (Switch.Record).
@@ -74,7 +70,6 @@ type Result struct {
 func (r *Result) reset() {
 	r.Emissions = r.Emissions[:0]
 	r.Matched = false
-	r.Trace = r.Trace[:0]
 	r.Steps = r.Steps[:0]
 	r.GroupSteps = r.GroupSteps[:0]
 	r.LastCookie = ""
@@ -84,16 +79,15 @@ func (r *Result) reset() {
 }
 
 // ExecContext threads pipeline state through action execution. One
-// context serves a whole ExecBatch call: the tracing/record flags are
-// hoisted from the switch once per batch, so the per-packet pipeline
-// tests a local flag instead of chasing the switch pointer. Contexts are
+// context serves a whole ExecBatch call: the record flag is hoisted from
+// the switch once per batch, so the per-packet pipeline tests a local
+// flag instead of chasing the switch pointer. Contexts are
 // reusable across batches and switches; the zero value is ready to use
 // (see NewExecContext).
 type ExecContext struct {
 	sw         *Switch
 	res        *Result
 	groupDepth int
-	tracing    bool
 	record     bool
 
 	// pend is 1+index of the emission whose snapshot is deferred: the
@@ -132,14 +126,6 @@ func (x *ExecContext) materialize() {
 	}
 }
 
-// trace appends a formatted execution-log line. Callers must gate on
-// x.tracing: the formatting arguments escape to the heap at the call
-// site, so an unconditional call would put allocations back on the
-// steady-state path even with tracing off.
-func (x *ExecContext) trace(format string, args ...any) {
-	x.res.Trace = append(x.res.Trace, fmt.Sprintf(format, args...))
-}
-
 // step records a group-bucket decision: the last one always (scalar
 // stores), the full sequence when structured recording is on.
 func (x *ExecContext) step(g *GroupEntry, bucket int) {
@@ -163,12 +149,10 @@ type Switch struct {
 	ID       int
 	NumPorts int
 
-	// Tracing enables per-packet execution traces in Result.Trace.
-	Tracing bool
 	// Record enables structured step recording in Result.Steps and
-	// Result.GroupSteps — the machine-readable counterpart of Tracing,
-	// used by the hop-trace layer. Cheap (no string formatting), but off
-	// by default so the hot path stays allocation-free.
+	// Result.GroupSteps, used by the hop-trace layer. Cheap (no string
+	// formatting), but off by default so the hot path stays
+	// allocation-free.
 	Record bool
 
 	tables map[int]*FlowTable
@@ -568,9 +552,6 @@ func (sw *Switch) SetPortLive(port int, up bool) {
 func (sw *Switch) applyGroup(x *ExecContext, id uint32, p *Packet) {
 	i, found := sw.groupPos(id)
 	if !found {
-		if x.tracing {
-			x.trace("group %d: not installed, drop", id)
-		}
 		x.res.LastGroup = id
 		x.res.LastBucket = -1
 		if x.record {
@@ -579,9 +560,6 @@ func (sw *Switch) applyGroup(x *ExecContext, id uint32, p *Packet) {
 		return
 	}
 	if x.groupDepth >= maxGroupDepth {
-		if x.tracing {
-			x.trace("group %d: max chaining depth, drop", id)
-		}
 		return
 	}
 	x.groupDepth++
@@ -612,7 +590,7 @@ func (sw *Switch) Receive(pkt *Packet, inPort int) Result {
 // writing the outcome of in[i] into out[i] (each reset first, reusing its
 // backing arrays). It is the one execution entry point: the event loop,
 // the sweep runner and the single-packet wrapper all land here, and the
-// tracing/record flags are hoisted into the context once per batch.
+// record flag is hoisted into the context once per batch.
 //
 // Ownership: the input packets are mutated in place — each must carry its
 // ingress port in Packet.InPort — and remain owned by the caller, which
@@ -627,7 +605,6 @@ func (sw *Switch) Receive(pkt *Packet, inPort int) Result {
 //simlint:hotpath
 func (sw *Switch) ExecBatch(x *ExecContext, in []*Packet, out []Result) {
 	x.sw = sw
-	x.tracing = sw.Tracing
 	x.record = sw.Record
 	for i, p := range in {
 		sw.exec(x, p, &out[i])
@@ -653,16 +630,10 @@ func (sw *Switch) exec(x *ExecContext, p *Packet, res *Result) {
 			key := st.FlowKey(p)
 			se := st.Lookup(key, p)
 			if se == nil {
-				if x.tracing {
-					x.trace("state table %d: miss", table)
-				}
 				break
 			}
 			res.Matched = true
 			res.LastCookie = se.Cookie
-			if x.tracing {
-				x.trace("state table %d: hit %q (%s)", table, se.Cookie, se.StateCond())
-			}
 			if x.record {
 				res.Steps = append(res.Steps, Step{
 					Table: table, Priority: se.Priority, Cookie: se.Cookie, Actions: se.Actions,
@@ -672,37 +643,22 @@ func (sw *Switch) exec(x *ExecContext, p *Packet, res *Result) {
 				applyAction(x, a, p)
 			}
 			st.Commit(key, se)
-			if se.Goto == NoGoto {
-				break
-			}
-			if se.Goto <= table {
-				if x.tracing {
-					x.trace("state table %d: illegal backward goto %d, stop", table, se.Goto)
-				}
-				break
+			if se.Goto == NoGoto || se.Goto <= table {
+				break // last stage, or an illegal backward goto
 			}
 			table = se.Goto
 			continue
 		}
 		t := sw.tableAt(table)
 		if t == nil {
-			if x.tracing {
-				x.trace("table %d: absent, miss", table)
-			}
 			break
 		}
 		e := t.Lookup(p)
 		if e == nil {
-			if x.tracing {
-				x.trace("table %d: miss", table)
-			}
 			break
 		}
 		res.Matched = true
 		res.LastCookie = e.Cookie
-		if x.tracing {
-			x.trace("table %d: hit %q", table, e.Cookie)
-		}
 		if x.record {
 			res.Steps = append(res.Steps, Step{
 				Table: table, Priority: e.Priority, Cookie: e.Cookie, Actions: e.Actions,
@@ -711,15 +667,9 @@ func (sw *Switch) exec(x *ExecContext, p *Packet, res *Result) {
 		for _, a := range e.Actions {
 			applyAction(x, a, p)
 		}
-		if e.Goto == NoGoto {
-			break
-		}
-		if e.Goto <= table {
+		if e.Goto == NoGoto || e.Goto <= table {
 			// OpenFlow mandates forward-only goto; treat violation as a
 			// configuration bug and stop rather than loop.
-			if x.tracing {
-				x.trace("table %d: illegal backward goto %d, stop", table, e.Goto)
-			}
 			break
 		}
 		table = e.Goto
@@ -747,7 +697,7 @@ func (sw *Switch) exec(x *ExecContext, p *Packet, res *Result) {
 func (sw *Switch) Execute(pkt *Packet, actions []Action) Result {
 	p := pkt.ClonePooled()
 	res := Result{Matched: true}
-	x := &ExecContext{sw: sw, res: &res, tracing: sw.Tracing, record: sw.Record}
+	x := &ExecContext{sw: sw, res: &res, record: sw.Record}
 	for _, a := range actions {
 		applyAction(x, a, p)
 	}

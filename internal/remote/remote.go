@@ -39,7 +39,6 @@ type Fabric struct {
 	programs  []*openflow.Program
 
 	mu        sync.Mutex
-	cond      *sync.Cond
 	inbox     []controller.PacketIn
 	queue     []pendingInject
 	pendingAt map[int][]network.Time
@@ -68,7 +67,6 @@ func New(nw *network.Network) (*Fabric, error) {
 		inTimes:   make(map[int][]network.Time),
 		portDown:  make(map[[2]int]bool),
 	}
-	f.cond = sync.NewCond(&f.mu)
 	f.agents = make([]*ofconn.Agent, nw.NumSwitches())
 	f.clients = make([]*ofconn.Client, nw.NumSwitches())
 
@@ -143,7 +141,6 @@ func New(nw *network.Network) (*Fabric, error) {
 				f.portDown[[2]int{i, ps.Port}] = true
 			}
 			f.gotPS++
-			f.cond.Broadcast()
 			f.mu.Unlock()
 		}
 		if err := cl.Start(); err != nil {
@@ -167,7 +164,6 @@ func New(nw *network.Network) (*Fabric, error) {
 				f.inbox = append(f.inbox, rec)
 				f.gotIns++
 				hook := f.OnPacketIn
-				f.cond.Broadcast()
 				f.mu.Unlock()
 				if hook != nil {
 					hook(rec)

@@ -13,10 +13,6 @@ type FlightKind uint8
 const (
 	// FlightExec is one pipeline execution (packet arrival at a switch).
 	FlightExec FlightKind = iota
-	// FlightRule is one matched flow entry of the preceding execution.
-	FlightRule
-	// FlightGroup is one group-bucket decision of the preceding execution.
-	FlightGroup
 	// FlightSend is one failed link transmission (down link, loss,
 	// blackhole). Delivered hops are not recorded: each one is already
 	// visible as the receiving switch's FlightExec record, so spending
@@ -30,7 +26,7 @@ const (
 	FlightNote
 )
 
-var kindNames = [...]string{"exec", "rule", "group", "send", "packet-in", "self", "note"}
+var kindNames = [...]string{"exec", "send", "packet-in", "self", "note"}
 
 func (k FlightKind) String() string {
 	if int(k) < len(kindNames) {
@@ -107,18 +103,16 @@ type FlightRecord struct {
 const DefaultFlightCap = 256
 
 // Flight is a fixed-size ring of recent data-plane events — the
-// always-on post-mortem buffer. Recording is a struct store into a
-// preallocated ring: no locks, no allocation, nothing proportional to
-// history length. Sequence numbers are not stored per record; they are
-// reconstructed from the ring position when dumping.
+// always-on post-mortem buffer (see ring for the storage discipline:
+// Slot, Cap, Len, Total and Snapshot are the ring's). Record at index i of
+// a Snapshot has sequence number Seq()+i; resolve cookies and tag names
+// through the recorder (CookieString, TagNames).
 //
 // Ownership mirrors the simulator it instruments: exactly one goroutine
 // records (the Sim's event loop); Snapshot/WriteJSONL are for after the
 // run, like reading a Network's counters.
 type Flight struct {
-	ring []FlightRecord
-	mask uint64 // len(ring)-1; capacity is forced to a power of two
-	seq  uint64
+	ring[FlightRecord]
 
 	names [][3]string // interned tag-name sets, indexed by NameIdx
 
@@ -130,18 +124,12 @@ type Flight struct {
 }
 
 // NewFlight returns a recorder retaining the last capacity records
-// (DefaultFlightCap if capacity <= 0). Capacity is rounded up to a power
-// of two so the record path indexes the ring with a mask instead of an
-// integer division.
+// (DefaultFlightCap if capacity <= 0), rounded up to a power of two.
 func NewFlight(capacity int) *Flight {
 	if capacity <= 0 {
 		capacity = DefaultFlightCap
 	}
-	cap2 := 1
-	for cap2 < capacity {
-		cap2 <<= 1
-	}
-	return &Flight{ring: make([]FlightRecord, cap2), mask: uint64(cap2 - 1)}
+	return &Flight{ring: newRing[FlightRecord](capacity)}
 }
 
 // RegisterTagNames interns one set of (up to three) tag-field names and
@@ -217,63 +205,17 @@ func (f *Flight) CookieString(r *FlightRecord) string {
 //
 //simlint:hotpath
 func (f *Flight) Record(r FlightRecord) {
-	f.ring[f.seq&f.mask] = r
+	f.buf[f.seq&f.mask] = r
 	f.seq++
 }
-
-// Slot claims the next ring entry, cleared, for the caller to fill in
-// place. It halves the memory traffic of the hot record path versus
-// Record (no stack-side struct construction followed by a copy). The
-// pointer is only valid until the next Slot/Record call.
-//
-//simlint:hotpath
-func (f *Flight) Slot() *FlightRecord {
-	r := &f.ring[f.seq&f.mask]
-	*r = FlightRecord{}
-	f.seq++
-	return r
-}
-
-// Cap returns the ring capacity — the number of records retained once
-// the ring has wrapped. Batch recorders that claim several slots before
-// filling them use it to bound how many claims can be outstanding.
-func (f *Flight) Cap() int { return len(f.ring) }
-
-// Len returns the number of retained records.
-func (f *Flight) Len() int {
-	if f.seq < uint64(len(f.ring)) {
-		return int(f.seq)
-	}
-	return len(f.ring)
-}
-
-// Total returns the number of records written since creation (or Reset),
-// including those the ring has evicted.
-func (f *Flight) Total() uint64 { return f.seq }
 
 // Seq returns the sequence number of the oldest retained record.
 func (f *Flight) Seq() uint64 { return f.seq - uint64(f.Len()) }
 
-// Snapshot returns the retained records, oldest first. The record at
-// index i has sequence number Seq()+i. Resolve cookies and tag names
-// through the recorder (CookieString, TagNames).
-func (f *Flight) Snapshot() []FlightRecord {
-	n := f.Len()
-	out := make([]FlightRecord, 0, n)
-	start := f.seq - uint64(n)
-	for i := uint64(0); i < uint64(n); i++ {
-		out = append(out, f.ring[(start+i)&f.mask])
-	}
-	return out
-}
-
 // Reset discards all records and interned cookies (tag names survive:
 // they are registration state, not history).
 func (f *Flight) Reset() {
-	f.seq = 0
-	for i := range f.ring {
-		f.ring[i] = FlightRecord{}
-	}
+	f.ring.Reset()
 	f.longCookies = nil
 	f.longIdx = nil
 }
@@ -321,11 +263,9 @@ func (f *Flight) jsonFor(r *FlightRecord, seq uint64) jsonRecord {
 // from the interned tables.
 func (f *Flight) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	n := uint64(f.Len())
-	start := f.seq - n
-	for i := uint64(0); i < n; i++ {
-		r := &f.ring[(start+i)&f.mask]
-		if err := enc.Encode(f.jsonFor(r, start+i)); err != nil {
+	n, oldest := f.Len(), f.Seq()
+	for i := 0; i < n; i++ {
+		if err := enc.Encode(f.jsonFor(f.last(n, i), oldest+uint64(i))); err != nil {
 			return err
 		}
 	}
@@ -341,19 +281,16 @@ func (f *Flight) WriteJSONL(w io.Writer) error {
 // cookies and tag names resolve through its own recorder.
 func WriteMergedJSONL(w io.Writer, rings []*Flight) error {
 	type src struct {
-		f   *Flight
-		r   *FlightRecord
-		pos uint64 // position within its ring's retained span
+		f *Flight
+		r *FlightRecord
 	}
 	var all []src
 	for _, f := range rings {
 		if f == nil {
 			continue
 		}
-		n := uint64(f.Len())
-		start := f.seq - n
-		for i := uint64(0); i < n; i++ {
-			all = append(all, src{f: f, r: &f.ring[(start+i)&f.mask], pos: i})
+		for i, n := 0, f.Len(); i < n; i++ {
+			all = append(all, src{f: f, r: f.last(n, i)})
 		}
 	}
 	// Each ring is recorded by one monotonic clock, so a stable sort by

@@ -199,8 +199,7 @@ func TestFlightTagNameInterning(t *testing.T) {
 
 func TestFlightKindString(t *testing.T) {
 	for k, want := range map[FlightKind]string{
-		FlightExec: "exec", FlightRule: "rule", FlightGroup: "group",
-		FlightSend: "send", FlightPacketIn: "packet-in", FlightSelf: "self", FlightNote: "note",
+		FlightExec: "exec", FlightSend: "send", FlightPacketIn: "packet-in", FlightSelf: "self", FlightNote: "note",
 	} {
 		if k.String() != want {
 			t.Errorf("%d: got %q want %q", k, k.String(), want)

@@ -1,7 +1,5 @@
 package telemetry
 
-import "sort"
-
 // SpanRecord is one execution span of the causal tracer: a single
 // ExecBatch execution of one traced packet at one switch. Spans form a
 // tree per trace — Parent is the span id carried by the packet when it
@@ -41,14 +39,11 @@ func SpanLane(id uint64) int { return int(id>>32) - 1 }
 const DefaultSpanCap = 4096
 
 // Spans is a fixed-size ring of SpanRecords, one per recording lane —
-// the storage side of the causal tracer, modeled on Flight: recording is
-// a struct store into a preallocated pointer-free ring, no locks, no
-// allocation. Exactly one goroutine records (the owning lane's event
-// loop); Snapshot and the merge helpers are for after the run.
+// the storage side of the causal tracer, on the same ring as Flight (Slot,
+// Cap, Len, Total, Snapshot and Reset are the ring's; the claim-before /
+// fill-after contract of Slot is what the batch recorder relies on).
 type Spans struct {
-	ring []SpanRecord
-	mask uint64 // len(ring)-1; capacity is forced to a power of two
-	seq  uint64
+	ring[SpanRecord]
 }
 
 // NewSpans returns a ring retaining the last capacity spans
@@ -57,50 +52,7 @@ func NewSpans(capacity int) *Spans {
 	if capacity <= 0 {
 		capacity = DefaultSpanCap
 	}
-	cap2 := 1
-	for cap2 < capacity {
-		cap2 <<= 1
-	}
-	return &Spans{ring: make([]SpanRecord, cap2), mask: uint64(cap2 - 1)}
-}
-
-// Slot claims the next ring entry, cleared, for the caller to fill in
-// place — the same claim-before/fill-after contract as Flight.Slot: the
-// pointer is only valid until the next Slot call, so batch recorders
-// must bound outstanding claims by Cap.
-//
-//simlint:hotpath
-func (s *Spans) Slot() *SpanRecord {
-	r := &s.ring[s.seq&s.mask]
-	*r = SpanRecord{}
-	s.seq++
-	return r
-}
-
-// Cap returns the ring capacity.
-func (s *Spans) Cap() int { return len(s.ring) }
-
-// Len returns the number of retained spans.
-func (s *Spans) Len() int {
-	if s.seq < uint64(len(s.ring)) {
-		return int(s.seq)
-	}
-	return len(s.ring)
-}
-
-// Total returns the number of spans recorded since creation (or Reset),
-// including those the ring has evicted.
-func (s *Spans) Total() uint64 { return s.seq }
-
-// Snapshot returns the retained spans, oldest first.
-func (s *Spans) Snapshot() []SpanRecord {
-	n := s.Len()
-	out := make([]SpanRecord, 0, n)
-	start := s.seq - uint64(n)
-	for i := uint64(0); i < uint64(n); i++ {
-		out = append(out, s.ring[(start+i)&s.mask])
-	}
-	return out
+	return &Spans{newRing[SpanRecord](capacity)}
 }
 
 // AppendSince appends to dst the spans recorded after the first prev
@@ -112,38 +64,12 @@ func (s *Spans) AppendSince(dst []SpanRecord, prev uint64) []SpanRecord {
 	if prev > s.seq {
 		prev = 0 // the ring was Reset after the cursor was taken
 	}
-	n := s.seq - prev
-	if retained := uint64(s.Len()); n > retained {
-		n = retained
+	n := s.Len()
+	if fresh := s.seq - prev; fresh < uint64(n) {
+		n = int(fresh)
 	}
-	start := s.seq - n
-	for i := uint64(0); i < n; i++ {
-		dst = append(dst, s.ring[(start+i)&s.mask])
+	for i := 0; i < n; i++ {
+		dst = append(dst, *s.last(n, i))
 	}
 	return dst
-}
-
-// Reset discards all retained spans.
-func (s *Spans) Reset() {
-	s.seq = 0
-	for i := range s.ring {
-		s.ring[i] = SpanRecord{}
-	}
-}
-
-// MergedSpans interleaves the retained spans of several rings into one
-// slice ordered by simulation time; ties keep ring order (the rings
-// slice order, then ring position), so the merged view of a
-// deterministic sharded run is itself deterministic. Nil rings are
-// skipped.
-func MergedSpans(rings []*Spans) []SpanRecord {
-	var all []SpanRecord
-	for _, s := range rings {
-		if s == nil {
-			continue
-		}
-		all = append(all, s.Snapshot()...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].At < all[j].At })
-	return all
 }

@@ -68,29 +68,3 @@ func TestSpansDefaultCap(t *testing.T) {
 		t.Fatalf("NewSpans(0).Cap() = %d, want DefaultSpanCap=%d", got, DefaultSpanCap)
 	}
 }
-
-func TestMergedSpans(t *testing.T) {
-	a, b := NewSpans(8), NewSpans(8)
-	// Interleaved times, with a tie at At=5 that must keep ring order
-	// (a's record before b's).
-	for _, at := range []int64{1, 5, 9} {
-		r := a.Slot()
-		r.At, r.Lane = at, 0
-	}
-	for _, at := range []int64{2, 5, 8} {
-		r := b.Slot()
-		r.At, r.Lane = at, 1
-	}
-	got := MergedSpans([]*Spans{a, nil, b})
-	wantAt := []int64{1, 2, 5, 5, 8, 9}
-	wantLane := []int16{0, 1, 0, 1, 1, 0}
-	if len(got) != len(wantAt) {
-		t.Fatalf("merged %d records, want %d", len(got), len(wantAt))
-	}
-	for i := range got {
-		if got[i].At != wantAt[i] || got[i].Lane != wantLane[i] {
-			t.Fatalf("merged[%d] = (At=%d, Lane=%d), want (At=%d, Lane=%d)",
-				i, got[i].At, got[i].Lane, wantAt[i], wantLane[i])
-		}
-	}
-}

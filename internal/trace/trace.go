@@ -8,7 +8,9 @@
 //
 // The recorder is fed by network.ObserveExec and is entirely passive: it
 // never mutates packets or switches, and it is opt-in (WithTrace), so the
-// untraced hot path stays allocation-free.
+// untraced hot path stays allocation-free. What it costs a traced run is
+// a copy of each execution's step list into a reused ring slot; the
+// strings are built when the trace is read.
 package trace
 
 import (
@@ -94,109 +96,109 @@ func (e Event) String() string {
 	return b.String()
 }
 
-// FieldsFunc returns the tag fields to decode for a packet of a service
-// at a given switch. For SmartSouth services this is typically
-// {start, par[sw], cur[sw]} from the service's Layout.
-type FieldsFunc func(sw int) []openflow.Field
-
-type decoder struct {
-	service string
-	fields  FieldsFunc
-}
-
 // DefaultCapacity is the ring size used when WithTrace is given a
 // non-positive capacity by the resolver.
 const DefaultCapacity = 4096
 
+// slot is one retained execution as ObserveExec handed it over: nothing
+// is formatted until Events is called. The slices are reused when the
+// ring wraps. Steps are kept by value — their cookies and action lists
+// point into installed rules, which are immutable — and the tag values
+// were captured from the packet as it arrived, through the decoder in
+// force at the time.
+type slot struct {
+	at      network.Time
+	sw      int
+	inPort  int
+	eth     uint16
+	matched bool
+	dec     *network.TagDecoder
+	tags    [3]uint32
+	steps   []openflow.Step
+	groups  []openflow.GroupStep
+	out     []int
+}
+
 // Recorder retains the last capacity pipeline executions in a ring
-// buffer. It is safe for concurrent use (remote deployments feed it from
-// the simulator goroutine while tests read it).
+// buffer. Recording copies references and scalars; the strings of an
+// Event are built when Events is read. It is safe for concurrent use
+// (remote deployments feed it from the simulator goroutine while tests
+// read it).
 type Recorder struct {
-	mu       sync.Mutex
-	ring     []Event
-	capacity int
-	seq      uint64
-	decoders map[uint16]decoder
+	mu   sync.Mutex
+	net  *network.Network
+	ring []slot
+	seq  uint64
 }
 
 // NewRecorder returns a recorder retaining the last capacity events
-// (DefaultCapacity if capacity <= 0).
-func NewRecorder(capacity int) *Recorder {
+// (DefaultCapacity if capacity <= 0) of net. Service labels and tag
+// decoding come from the network's registrations (Network.RegisterTags).
+func NewRecorder(net *network.Network, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{
-		ring:     make([]Event, 0, capacity),
-		capacity: capacity,
-		decoders: make(map[uint16]decoder),
-	}
+	return &Recorder{net: net, ring: make([]slot, 0, capacity)}
 }
 
-// RegisterService associates an EtherType with a service name and a tag
-// decoder, so events of that EtherType carry decoded SmartSouth state.
-// The first registration of an EtherType wins (a monitor's inner snapshot
-// does not displace a standalone snapshot's decoder).
-func (r *Recorder) RegisterService(eth uint16, service string, fields FieldsFunc) {
+// OnExec records one pipeline execution; it is a network.ExecObserver.
+// pkt is the packet as it arrived, so its tag is captured here (it
+// mutates as it travels); the time is the executing lane's clock.
+func (r *Recorder) OnExec(sw, inPort int, pkt *openflow.Packet, res *openflow.Result) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.decoders[eth]; !ok {
-		r.decoders[eth] = decoder{service: service, fields: fields}
+	i := int(r.seq % uint64(cap(r.ring)))
+	if i == len(r.ring) {
+		r.ring = r.ring[:i+1] // still filling; a slot past Reset keeps its slices
+	}
+	s := &r.ring[i]
+	r.seq++
+	s.at, s.sw, s.inPort, s.eth, s.matched = r.net.NowAt(sw), sw, inPort, pkt.EthType, res.Matched
+	if s.dec = r.net.TagDecoder(pkt.EthType); s.dec != nil {
+		s.dec.Capture(sw, pkt.Tag, &s.tags)
+	}
+	s.steps = append(s.steps[:0], res.Steps...)
+	s.groups = append(s.groups[:0], res.GroupSteps...)
+	s.out = s.out[:0]
+	for _, em := range res.Emissions {
+		s.out = append(s.out, em.Port)
 	}
 }
 
-// OnExec records one pipeline execution; wire it to network.ObserveExec.
-// The packet's tag is decoded eagerly (the packet mutates as it travels).
-func (r *Recorder) OnExec(at network.Time, sw, inPort int, pkt *openflow.Packet, res *openflow.Result) {
-	e := Event{
-		At: at, Switch: sw, InPort: inPort, Eth: pkt.EthType, Matched: res.Matched,
-	}
-	r.mu.Lock()
-	d, haveDec := r.decoders[pkt.EthType]
-	r.mu.Unlock()
-	if haveDec {
-		e.Service = d.service
-		if d.fields != nil {
-			for _, f := range d.fields(sw) {
-				if f.Valid() {
-					e.Tags = append(e.Tags, TagField{Name: f.Name, Value: pkt.Load(f)})
-				}
+// event renders one slot.
+func (s *slot) event(seq uint64) Event {
+	e := Event{Seq: seq, At: s.at, Switch: s.sw, InPort: s.inPort, Eth: s.eth, Matched: s.matched}
+	if s.dec != nil {
+		e.Service = s.dec.Service()
+		for i, f := range s.dec.Fields(s.sw) {
+			if f.Valid() {
+				e.Tags = append(e.Tags, TagField{Name: f.Name, Value: uint64(s.tags[i])})
 			}
 		}
 	}
-	for _, s := range res.Steps {
+	for _, st := range s.steps {
 		e.Rules = append(e.Rules, Rule{
-			Table: s.Table, Priority: s.Priority, Cookie: s.Cookie, Actions: actionsString(s.Actions),
+			Table: st.Table, Priority: st.Priority, Cookie: st.Cookie, Actions: actionsString(st.Actions),
 		})
 	}
-	for _, g := range res.GroupSteps {
+	for _, g := range s.groups {
 		e.Buckets = append(e.Buckets, BucketChoice{Group: g.Group, Type: g.Type.String(), Bucket: g.Bucket})
 	}
-	for _, em := range res.Emissions {
-		e.Out = append(e.Out, em.Port)
+	if len(s.out) > 0 {
+		e.Out = append([]int(nil), s.out...)
 	}
-
-	r.mu.Lock()
-	e.Seq = r.seq
-	if len(r.ring) < r.capacity {
-		r.ring = append(r.ring, e)
-	} else {
-		r.ring[int(r.seq)%r.capacity] = e
-	}
-	r.seq++
-	r.mu.Unlock()
+	return e
 }
 
-// Events returns the retained events, oldest first.
+// Events renders the retained executions, oldest first.
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.ring) < r.capacity {
-		return append([]Event(nil), r.ring...)
+	n := uint64(len(r.ring))
+	out := make([]Event, 0, n)
+	for seq := r.seq - n; seq < r.seq; seq++ {
+		out = append(out, r.ring[seq%uint64(cap(r.ring))].event(seq))
 	}
-	head := int(r.seq) % r.capacity
-	out := make([]Event, 0, r.capacity)
-	out = append(out, r.ring[head:]...)
-	out = append(out, r.ring[:head]...)
 	return out
 }
 
@@ -222,8 +224,7 @@ func (r *Recorder) Dropped() uint64 {
 	return r.seq - uint64(len(r.ring))
 }
 
-// Reset discards retained events and the sequence counter; registered
-// decoders survive.
+// Reset discards retained events and the sequence counter.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()

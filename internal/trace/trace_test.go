@@ -4,17 +4,23 @@ import (
 	"strings"
 	"testing"
 
+	"smartsouth/internal/network"
 	"smartsouth/internal/openflow"
+	"smartsouth/internal/topo"
 )
 
-func exec(r *Recorder, seqSwitch int) {
+func newRecorder(capacity int) (*Recorder, *network.Network) {
+	nw := network.New(topo.Ring(10), network.Options{})
+	return NewRecorder(nw, capacity), nw
+}
+
+func exec(r *Recorder, sw int) {
 	pkt := openflow.NewPacket(0x8802, 4)
-	res := &openflow.Result{Matched: true}
-	r.OnExec(0, seqSwitch, 1, pkt, res)
+	r.OnExec(sw, 1, pkt, &openflow.Result{Matched: true})
 }
 
 func TestRingRetainsTail(t *testing.T) {
-	r := NewRecorder(4)
+	r, _ := newRecorder(4)
 	for i := 0; i < 10; i++ {
 		exec(r, i)
 	}
@@ -36,7 +42,7 @@ func TestRingRetainsTail(t *testing.T) {
 }
 
 func TestPartialRingOrder(t *testing.T) {
-	r := NewRecorder(8)
+	r, _ := newRecorder(8)
 	for i := 0; i < 3; i++ {
 		exec(r, i)
 	}
@@ -49,25 +55,61 @@ func TestPartialRingOrder(t *testing.T) {
 	}
 }
 
-func TestDecoderFirstRegistrationWins(t *testing.T) {
-	r := NewRecorder(8)
+// TestEventsDecodeThroughTheNetworksRegistration: labels and tag decoding
+// come from Network.RegisterTags, an event keeps the decoder that was in
+// force when it ran, and the tag is captured at OnExec time — the packet
+// moves on and is rewritten.
+func TestEventsDecodeThroughTheNetworksRegistration(t *testing.T) {
+	r, nw := newRecorder(8)
 	f := openflow.Field{Name: "start", Off: 0, Bits: 2}
-	r.RegisterService(0x8802, "snapshot", func(int) []openflow.Field { return []openflow.Field{f} })
-	r.RegisterService(0x8802, "monitor", nil) // must not displace
+	nw.RegisterTags(0x8802, "snapshot", [3]string{"start"}, func(int) [3]openflow.Field { return [3]openflow.Field{f} })
 	pkt := openflow.NewPacket(0x8802, 4)
 	f.Store(pkt.Tag, 2)
-	r.OnExec(5, 3, 2, pkt, &openflow.Result{Matched: true})
+	r.OnExec(3, 2, pkt, &openflow.Result{Matched: true})
+	f.Store(pkt.Tag, 1)
+
+	nw.RegisterTags(0x8802, "monitor", [3]string{}, nil) // the EtherType changed hands
+	r.OnExec(4, 1, pkt, &openflow.Result{Matched: true})
+
 	ev := r.Events()
-	if len(ev) != 1 || ev[0].Service != "snapshot" {
-		t.Fatalf("service label: %+v", ev)
+	if len(ev) != 2 || ev[0].Service != "snapshot" || ev[1].Service != "monitor" {
+		t.Fatalf("service labels: %+v", ev)
 	}
 	if len(ev[0].Tags) != 1 || ev[0].Tags[0].Name != "start" || ev[0].Tags[0].Value != 2 {
 		t.Fatalf("decoded tags: %+v", ev[0].Tags)
 	}
+	if len(ev[1].Tags) != 0 {
+		t.Fatalf("a label-only registration decoded tags: %+v", ev[1].Tags)
+	}
+}
+
+// TestSlotsKeepTheirOwnSteps: the ring reuses a slot's slices when it
+// wraps, and the observer's Result is the lane's scratch — overwritten by
+// the next execution. Neither may leak into a retained event.
+func TestSlotsKeepTheirOwnSteps(t *testing.T) {
+	r, _ := newRecorder(2)
+	pkt := openflow.NewPacket(0x8801, 2)
+	res := &openflow.Result{Matched: true}
+	for i := 0; i < 5; i++ {
+		res.Steps = append(res.Steps[:0], openflow.Step{Table: i, Cookie: "svc/x", Actions: []openflow.Action{openflow.Output{Port: i}}})
+		res.GroupSteps = append(res.GroupSteps[:0], openflow.GroupStep{Group: uint32(i), Type: openflow.GroupFF, Bucket: i})
+		res.Emissions = append(res.Emissions[:0], openflow.Emission{Port: i, Pkt: pkt})
+		r.OnExec(i, 3, pkt, res)
+	}
+	res.Steps[0].Table, res.GroupSteps[0].Bucket = 99, 99
+	for i, e := range r.Events() {
+		want := 3 + i
+		if e.Seq != uint64(want) || len(e.Rules) != 1 || e.Rules[0].Table != want || e.Rules[0].Actions != (openflow.Output{Port: want}).String() {
+			t.Fatalf("event %d rules: %+v", i, e)
+		}
+		if len(e.Buckets) != 1 || e.Buckets[0].Bucket != want || len(e.Out) != 1 || e.Out[0] != want {
+			t.Fatalf("event %d buckets/out: %+v", i, e)
+		}
+	}
 }
 
 func TestEventRecordsStepsBucketsEmissions(t *testing.T) {
-	r := NewRecorder(8)
+	r, _ := newRecorder(8)
 	pkt := openflow.NewPacket(0x8801, 2)
 	res := &openflow.Result{
 		Matched: true,
@@ -76,7 +118,7 @@ func TestEventRecordsStepsBucketsEmissions(t *testing.T) {
 		GroupSteps: []openflow.GroupStep{{Group: 7, Type: openflow.GroupFF, Bucket: 1}},
 		Emissions:  []openflow.Emission{{Port: 2, Pkt: pkt}},
 	}
-	r.OnExec(1000, 4, 3, pkt, res)
+	r.OnExec(4, 3, pkt, res)
 	e := r.Events()[0]
 	if len(e.Rules) != 1 || e.Rules[0].Cookie != "svc/x" || e.Rules[0].Actions == "" {
 		t.Fatalf("rules: %+v", e.Rules)
@@ -95,16 +137,18 @@ func TestEventRecordsStepsBucketsEmissions(t *testing.T) {
 	}
 }
 
+// TestResetKeepsDecoders: Reset discards events; the registrations live
+// in the network and still label what comes after.
 func TestResetKeepsDecoders(t *testing.T) {
-	r := NewRecorder(4)
-	r.RegisterService(0x8802, "snapshot", nil)
+	r, nw := newRecorder(4)
+	nw.RegisterTags(0x8802, "snapshot", [3]string{}, nil)
 	exec(r, 0)
 	r.Reset()
 	if r.Len() != 0 || r.Total() != 0 {
 		t.Fatal("reset must clear events")
 	}
 	exec(r, 1)
-	if r.Events()[0].Service != "snapshot" {
-		t.Fatal("decoders must survive reset")
+	if ev := r.Events(); len(ev) != 1 || ev[0].Service != "snapshot" || ev[0].Switch != 1 {
+		t.Fatalf("after reset: %+v", ev)
 	}
 }

@@ -16,7 +16,7 @@ func TestScaleFewHundredNodes(t *testing.T) {
 	}
 	const n = 300
 	g := RandomConnected(n, n/2, 77)
-	d := Deploy(g, Options{})
+	d := Deploy(g)
 
 	snap, err := d.InstallSnapshot()
 	if err != nil {

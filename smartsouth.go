@@ -200,14 +200,7 @@ var (
 	EdgeCut   = topo.EdgeCut
 )
 
-// Options configures a deployment's simulated network. It remains
-// accepted everywhere an Option is: Deploy(g, Options{Seed: 7}) and
-// Deploy(g, WithSeed(7)) are equivalent; the functional options are the
-// preferred form because they compose and can carry settings (WithTrace)
-// beyond the network struct.
-type Options = network.Options
-
-// Option configures a deployment. Options (the struct) satisfies it too.
+// Option configures a deployment; see the functional options below.
 type Option = network.Option
 
 // Functional options.
@@ -334,20 +327,12 @@ func newDeployment(g *Graph, cfg network.Config) *Deployment {
 	d := &Deployment{
 		Graph: g,
 		Net:   net,
-		reg:   metrics.NewRegistry(),
+		reg:   metrics.NewRegistry(net),
 		slots: core.NewSlotAllocator(0),
 	}
-	// In-band attribution: every link transmission of a claimed EtherType
-	// is credited to its service, with the simulation timestamp feeding
-	// the traversal wall-clock.
-	net.ObserveHops(func(_ Hop, pkt *Packet, _ bool) {
-		d.reg.NoteHop(net.Sim.Now(), pkt.EthType, pkt.Size())
-	})
 	if cfg.TraceCap > 0 {
-		d.Trace = trace.NewRecorder(cfg.TraceCap)
-		net.ObserveExec(func(sw, inPort int, pkt *openflow.Packet, res *openflow.Result) {
-			d.Trace.OnExec(net.Sim.Now(), sw, inPort, pkt, res)
-		})
+		d.Trace = trace.NewRecorder(net, cfg.TraceCap)
+		net.ObserveExec(d.Trace.OnExec)
 	}
 	if cfg.Opts.Timeline > 0 {
 		d.timelineMax = cfg.Opts.Timeline * (net.Shards() + 1)
@@ -501,48 +486,29 @@ func (d *Deployment) Stats() Stats {
 // installers directly against CP.
 func (d *Deployment) Slot() int { return d.slots.Next() }
 
-// observe registers a service's EtherTypes with the hop-trace decoder so
-// its events carry the decoded DFS state (start, par, cur). l may be nil
+// observe registers a service's EtherTypes with the network's tag decoder,
+// once, for both readers: flight-recorder records and hop-trace events of
+// its packets carry the decoded DFS state (start, par, cur), so a
+// post-mortem JSONL dump replays the traversal at every hop. l may be nil
 // when the inner layout is not exposed (monitor); events are then labeled
 // but not decoded.
 func (d *Deployment) observe(m *metrics.ServiceMetrics, l *core.Layout) {
-	// Under the stateful backend the packet carries only the start field —
-	// par/cur live in switch state tables, so there is nothing more to
-	// decode from the tag.
-	stateful := l != nil && l.Stateful()
-	if l != nil {
-		// The flight recorder decodes the same DFS state, so a post-mortem
-		// JSONL dump replays the traversal's start/par/cur at every hop.
-		names := [3]string{"start", "par", "cur"}
-		flightFields := func(sw int) [3]openflow.Field {
+	names := [3]string{"start", "par", "cur"}
+	var fields network.TagFields
+	switch {
+	case l == nil:
+	case l.Stateful():
+		// The packet carries only the start field — par/cur live in switch
+		// state tables, so there is nothing more to decode from the tag.
+		names = [3]string{"start", "", ""}
+		fields = func(int) [3]openflow.Field { return [3]openflow.Field{l.Start} }
+	default:
+		fields = func(sw int) [3]openflow.Field {
 			return [3]openflow.Field{l.Start, l.Par[sw], l.Cur[sw]}
-		}
-		if stateful {
-			names = [3]string{"start", "", ""}
-			flightFields = func(sw int) [3]openflow.Field {
-				return [3]openflow.Field{l.Start}
-			}
-		}
-		for _, eth := range m.EtherTypes {
-			d.Net.RegisterFlightTags(eth, names, flightFields)
-		}
-	}
-	if d.Trace == nil {
-		return
-	}
-	var fields trace.FieldsFunc
-	if l != nil {
-		fields = func(sw int) []openflow.Field {
-			return []openflow.Field{l.Start, l.Par[sw], l.Cur[sw]}
-		}
-		if stateful {
-			fields = func(sw int) []openflow.Field {
-				return []openflow.Field{l.Start}
-			}
 		}
 	}
 	for _, eth := range m.EtherTypes {
-		d.Trace.RegisterService(eth, m.Service, fields)
+		d.Net.RegisterTags(eth, m.Service, names, fields)
 	}
 }
 
@@ -717,7 +683,9 @@ func (d *Deployment) InstallMonitor(root int, watchdog bool) (*Monitor, error) {
 // DELETEs in OpenFlow terms. The slots to clear are derived from the
 // retained Programs: uninstalling any slot of a multi-slot service
 // (chaincast, monitor) removes the whole service. Other services keep
-// running; cleared slots are NOT reused by future installs.
+// running; cleared slots are NOT reused by future installs. The service's
+// metrics entry stays as history, marked Uninstalled, and its EtherTypes
+// are credited to whoever installs them next.
 func (d *Deployment) Uninstall(slot int) {
 	covered := map[int]bool{slot: true}
 	for _, p := range d.CP.Programs() {
@@ -746,6 +714,7 @@ func (d *Deployment) Uninstall(slot int) {
 			sw.CompileDispatch()
 		}
 		d.CP.DropPrograms(s)
+		d.reg.Release(s)
 	}
 }
 

@@ -7,7 +7,7 @@ import "testing"
 // EtherTypes from colliding.
 func TestAllServicesCoexist(t *testing.T) {
 	g := Grid(3, 4)
-	d := Deploy(g, Options{})
+	d := Deploy(g)
 
 	snap, err := d.InstallSnapshot()
 	if err != nil {
@@ -70,7 +70,7 @@ func TestAllServicesCoexist(t *testing.T) {
 
 func TestFacadeChaincastLoadMapAndVerify(t *testing.T) {
 	g := Grid(3, 3)
-	d := Deploy(g, Options{})
+	d := Deploy(g)
 	cc, err := d.InstallChaincast([][]int{{4}, {8}})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestDeploymentAccounting(t *testing.T) {
 	g := Ring(6)
 	// Pinned: asserts group accounting; the stateful lowering installs
 	// state entries instead of groups (covered by backend_test.go).
-	d := Deploy(g, Options{}, WithBackend("of13"))
+	d := Deploy(g, WithBackend("of13"))
 	if d.FlowEntries() != 0 || d.GroupEntries() != 0 || d.ConfigBytes() != 0 {
 		t.Fatal("fresh deployment must be empty")
 	}
@@ -117,7 +117,7 @@ func TestDeploymentAccounting(t *testing.T) {
 
 func TestUninstallRemovesOneServiceLeavesOthers(t *testing.T) {
 	g := Grid(3, 3)
-	d := Deploy(g, Options{})
+	d := Deploy(g)
 	snap, err := d.InstallSnapshot() // slot 0
 	if err != nil {
 		t.Fatal(err)

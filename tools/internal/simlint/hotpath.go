@@ -10,8 +10,8 @@ import (
 // runHotpath verifies every //simlint:hotpath function: no heap
 // allocation, defer, go, map range, interface boxing or dynamic call on
 // any path, recursing through same-package callees and consulting vetx
-// facts for cross-package ones. Cold branches (if x.tracing { ... },
-// //simlint:cold) are exempt: they are the documented debug paths.
+// facts for cross-package ones. Cold branches (if x.record { ... },
+// //simlint:cold) are exempt: they are the documented observed-run paths.
 //
 // This is the path-complete complement of the AllocsPerRun tests: those
 // prove the branches a benchmark happens to take are clean, this proves

@@ -109,21 +109,21 @@ func Exec(buf []rec, m map[int]int) []rec {
 	wantDiags(t, got)
 }
 
-// TestHotpathColdGuards: bodies guarded by a hoisted tracing/record
-// flag are the documented debug path and exempt, as is an if annotated
+// TestHotpathColdGuards: bodies guarded by the hoisted record flag are
+// the documented observed-run path and exempt, as is an if annotated
 // //simlint:cold.
 func TestHotpathColdGuards(t *testing.T) {
 	got := hotLint(t, `package x
 
 type ctx struct {
-	tracing bool
-	slow    bool
-	log     []string
+	record bool
+	slow   bool
+	log    []string
 }
 
 //simlint:hotpath
 func Exec(x *ctx) {
-	if x.tracing {
+	if x.record {
 		x.log = append(x.log, string(rune(42)))
 	}
 	//simlint:cold

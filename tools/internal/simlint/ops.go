@@ -13,10 +13,10 @@ type scanMode int
 const (
 	// scanForFacts summarizes whole-function behavior for the vetx
 	// export: allocation-relevant ops everywhere in the body, cold
-	// branches included (a callee's tracing branch is still reachable).
+	// branches included (a callee's record branch is still reachable).
 	scanForFacts scanMode = iota
 	// scanForHot checks a function on the hot path: cold-guarded
-	// branches (//simlint:cold, or an if on a bare tracing/record flag)
+	// branches (//simlint:cold, or an if on a bare record flag)
 	// are excluded, and order-sensitive ops (map range) are reported
 	// too.
 	scanForHot
@@ -137,10 +137,10 @@ func scanComposite(u *Unit, cl *ast.CompositeLit) []op {
 	return ops
 }
 
-// coldCond recognizes the repo's hoisted-flag guards: a bare (possibly
-// &&-joined) identifier or selector whose final name is tracing/record.
-// `if x.tracing { ... }` bodies are debug-only and excluded from hot
-// checks without needing an annotation.
+// coldCond recognizes the repo's hoisted-flag guard: a bare (possibly
+// &&-joined) identifier or selector whose final name is record.
+// `if x.record { ... }` bodies only run for observed executions and are
+// excluded from hot checks without needing an annotation.
 func coldCond(e ast.Expr) bool {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
@@ -155,13 +155,7 @@ func coldCond(e ast.Expr) bool {
 	return false
 }
 
-func coldFlagName(name string) bool {
-	switch strings.ToLower(name) {
-	case "tracing", "record":
-		return true
-	}
-	return false
-}
+func coldFlagName(name string) bool { return strings.ToLower(name) == "record" }
 
 // compositeDesc reports whether a composite literal allocates on the
 // heap: map, slice and func-typed literals do; bare struct and array

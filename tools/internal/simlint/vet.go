@@ -22,9 +22,9 @@ import (
 //	/tmp/simlint [-json] ./internal/network   # standalone, oflint-codec JSON
 //
 // Exit status: 0 clean, 2 when any diagnostic is reported.
-func Main(toolName string, analyzers []string) {
+func Main() {
 	log.SetFlags(0)
-	log.SetPrefix(toolName + ": ")
+	log.SetPrefix("simlint: ")
 	args := os.Args[1:]
 	for _, a := range args {
 		switch a {
@@ -49,18 +49,18 @@ func Main(toolName string, analyzers []string) {
 	}
 	switch {
 	case len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg"):
-		runVetUnit(rest[0], analyzers, jsonOut)
+		runVetUnit(rest[0], jsonOut)
 	case len(rest) >= 1:
-		runDirs(rest, analyzers, jsonOut)
+		runDirs(rest, jsonOut)
 	default:
-		log.Fatalf("usage: %s unit.cfg (via go vet -vettool) | %s [-json] dir...", toolName, toolName)
+		log.Fatal("usage: simlint unit.cfg (via go vet -vettool) | simlint [-json] dir...")
 	}
 }
 
 // runVetUnit analyzes one package unit described by a JSON config file.
 // The facts file is always written — the go command caches it and feeds
 // it to dependent units, which is how hotpath sees across packages.
-func runVetUnit(cfgPath string, analyzers []string, jsonOut bool) {
+func runVetUnit(cfgPath string, jsonOut bool) {
 	u, cfg, err := LoadUnit(cfgPath)
 	if err != nil {
 		log.Fatal(err)
@@ -74,7 +74,7 @@ func runVetUnit(cfgPath string, analyzers []string, jsonOut bool) {
 		// Dependency-only run: facts written, nothing to report.
 		return
 	}
-	diags := Run(u, analyzers)
+	diags := Run(u, AllAnalyzers)
 	emit(diags, jsonOut)
 	if len(diags) > 0 {
 		os.Exit(2)
@@ -84,14 +84,14 @@ func runVetUnit(cfgPath string, analyzers []string, jsonOut bool) {
 // runDirs analyzes source directories in-process (no vet protocol, no
 // cross-package facts): the entry point for spot checks and the -json
 // findings mode.
-func runDirs(dirs []string, analyzers []string, jsonOut bool) {
+func runDirs(dirs []string, jsonOut bool) {
 	var diags []Diagnostic
 	for _, dir := range dirs {
 		u, err := LoadDir(dir, filepath.ToSlash(filepath.Clean(dir)), false)
 		if err != nil {
 			log.Fatal(err)
 		}
-		diags = append(diags, Run(u, analyzers)...)
+		diags = append(diags, Run(u, AllAnalyzers)...)
 	}
 	emit(diags, jsonOut)
 	if len(diags) > 0 {

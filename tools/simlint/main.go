@@ -32,5 +32,5 @@ package main
 import "smartsouth/tools/internal/simlint"
 
 func main() {
-	simlint.Main("simlint", simlint.AllAnalyzers)
+	simlint.Main()
 }
