@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"smartsouth/internal/openflow"
@@ -69,17 +70,21 @@ type lane struct {
 	out    [][]xev //simlint:lanelocal
 	ctlOut []xev   //simlint:lanelocal
 
-	// Worker plumbing: the window-job channel of the lane's goroutine,
-	// the events it processed in the last window. ticks counts the steps
-	// the lane has ever run (any lane, sharded or not): the stride base of
-	// step's telemetry sampling.
-	jobs       chan laneJob //simlint:lanelocal
-	wprocessed int          //simlint:lanelocal
-	ticks      uint64       //simlint:lanelocal
+	// Window handoff (see post): bounds, epochs posted and done, the park
+	// handshake, and the last window's event count. ticks counts the steps
+	// the lane has ever run: the stride base of step's telemetry sampling.
+	end        Time          //simlint:lanelocal
+	budget     int           //simlint:lanelocal
+	epoch      atomic.Uint64 //simlint:lanelocal
+	done       atomic.Uint64 //simlint:lanelocal
+	parked     atomic.Bool   //simlint:lanelocal
+	wake       chan struct{} //simlint:lanelocal
+	wprocessed int           //simlint:lanelocal
+	ticks      uint64        //simlint:lanelocal
 
-	// busyNs is the wall time the lane spent inside its last window,
-	// measured by the worker goroutine and read by the coordinator at the
-	// barrier — the raw input of the stall and load-imbalance series.
+	// busyNs is the wall time the lane spent inside its last window, read
+	// by the coordinator at the barrier — the raw input of the stall and
+	// load-imbalance series.
 	busyNs int64 //simlint:lanelocal
 }
 
@@ -91,12 +96,6 @@ type xev struct {
 	port int
 	kind eventKind
 	pkt  *openflow.Packet
-}
-
-// laneJob is one window assignment for a worker lane.
-type laneJob struct {
-	end    Time
-	budget int
 }
 
 // laneFor returns the lane owning switch sw.
@@ -448,11 +447,14 @@ func (l *lane) decoderFor(eth uint16) *TagDecoder {
 }
 
 // runWindow drains the lane's heap up to (but excluding) simulation time
-// end, processing at most budget events, and returns the count processed:
-// the window driver of lane.step. Worker heaps only ever hold evProcess
-// events — dispatch routes everything else through the control lane, the
-// only one allowed to touch shared state.
-func (l *lane) runWindow(end Time, budget int) int {
+// end, processing at most budget events, and leaves the count in
+// wprocessed and the wall time in busyNs: the window driver of lane.step.
+// Worker heaps only ever hold evProcess events — dispatch routes
+// everything else through the control lane, the only one allowed to touch
+// shared state.
+func (l *lane) runWindow(end Time, budget int) {
+	//simlint:ignore determinism: wall-clock window timing feeds telemetry only, never the sim
+	t0 := time.Now()
 	s := &l.sim
 	processed := 0
 	for len(s.events) > 0 && processed < budget && s.events[0].at < end {
@@ -461,7 +463,71 @@ func (l *lane) runWindow(end Time, budget int) int {
 		}
 		processed += l.step(budget - processed)
 	}
-	return processed
+	l.wprocessed = processed
+	//simlint:ignore determinism: wall-clock window timing feeds telemetry only, never the sim
+	l.busyNs = time.Since(t0).Nanoseconds()
+}
+
+// A waiting lane polls, yields every spinYield polls (so GOMAXPROCS=1
+// still progresses) and parks after spinPark polls (so a long serial
+// stretch on the coordinator burns no CPU). A window is tens of µs of hop
+// work; a channel wake costs ~9 µs on a 2-vCPU VM, a spin under 1.
+const spinYield, spinPark = 1 << 7, 1 << 15
+
+// serve is the goroutine of a worker lane: it runs every window posted
+// after epoch seen until a negative budget stops it, storing each
+// window's epoch into done when it finishes.
+func (l *lane) serve(seen uint64) {
+	for {
+		seen = l.await(seen)
+		if l.budget < 0 {
+			l.done.Store(seen)
+			return
+		}
+		l.runWindow(l.end, l.budget)
+		l.done.Store(seen)
+	}
+}
+
+// await returns the first epoch posted after seen. Parking is lost-wakeup
+// safe: the lane raises parked, then re-reads the epoch; post bumps the
+// epoch, then claims parked. Whoever clears parked owns the wake.
+func (l *lane) await(seen uint64) uint64 {
+	for i := 1; ; i++ {
+		if e := l.epoch.Load(); e != seen {
+			return e
+		}
+		if i%spinYield == 0 {
+			runtime.Gosched()
+		}
+		if i == spinPark {
+			l.parked.Store(true)
+			if l.epoch.Load() == seen || !l.parked.CompareAndSwap(true, false) {
+				<-l.wake
+			}
+			i = 0
+		}
+	}
+}
+
+// post hands the lane's goroutine one window (a negative budget stops it),
+// waking the goroutine if it parked.
+func (l *lane) post(end Time, budget int) {
+	l.end, l.budget = end, budget
+	l.epoch.Add(1)
+	if l.parked.CompareAndSwap(true, false) {
+		l.wake <- struct{}{}
+	}
+}
+
+// join spins until the lane's goroutine has acknowledged its last post.
+// The coordinator never parks: it only ever waits out a running window.
+func (l *lane) join() {
+	for i := 1; l.done.Load() != l.epoch.Load(); i++ {
+		if i%spinYield == 0 {
+			runtime.Gosched()
+		}
+	}
 }
 
 // runSharded is the multi-shard event loop: a conservative time-window
@@ -477,6 +543,10 @@ func (l *lane) runWindow(end Time, budget int) int {
 // heap assigns the same sequence numbers for any interleaving of the
 // worker goroutines.
 //
+// The coordinator runs shard 0's window itself while the other lanes'
+// goroutines run theirs, then spins until each is done: a window costs a
+// few atomic operations, and a goroutine wake only for a parked lane.
+//
 //simlint:barrier the coordinator: touches lane state only while every worker is parked between windows
 func (n *Network) runSharded() (int, error) {
 	limit := n.Sim.MaxSteps
@@ -484,30 +554,15 @@ func (n *Network) runSharded() (int, error) {
 		limit = defaultMaxSteps
 	}
 	workers := n.lanes[: len(n.lanes)-1 : len(n.lanes)-1]
-	var wg sync.WaitGroup
-	for _, l := range workers {
-		l.jobs = make(chan laneJob, 1)
-		// The channel is passed by value: the goroutine must not read the
-		// lane field the cleanup below nils out.
-		go func(l *lane, jobs <-chan laneJob) {
-			for j := range jobs {
-				if l.sim.stats != nil {
-					//simlint:ignore determinism: wall-clock window timing feeds telemetry only, never the sim
-					t0 := time.Now()
-					l.wprocessed = l.runWindow(j.end, j.budget)
-					//simlint:ignore determinism: wall-clock window timing feeds telemetry only, never the sim
-					l.busyNs = time.Since(t0).Nanoseconds()
-				} else {
-					l.wprocessed = l.runWindow(j.end, j.budget)
-				}
-				wg.Done()
-			}
-		}(l, l.jobs)
+	for _, l := range workers[1:] {
+		l.wake = make(chan struct{}, 1)
+		go l.serve(l.epoch.Load())
 	}
 	defer func() {
-		for _, l := range workers {
-			close(l.jobs)
-			l.jobs = nil
+		for _, l := range workers[1:] {
+			l.join() // a panic may have left a window running
+			l.post(0, -1)
+			l.join()
 		}
 	}()
 
@@ -553,32 +608,30 @@ func (n *Network) runSharded() (int, error) {
 			w = cs.events[0].at
 		}
 		budget := limit - processed
-		active := 0
-		for _, l := range workers {
-			if len(l.sim.events) > 0 && l.sim.events[0].at < w {
-				active++
-			}
-		}
 		cst := n.ctl.sim.stats
 		var wt0 time.Time
 		if cst != nil {
 			//simlint:ignore determinism: wall-clock barrier timing feeds telemetry only, never the sim
 			wt0 = time.Now()
 		}
-		wg.Add(active)
-		for _, l := range workers {
+		for _, l := range workers[1:] {
 			if len(l.sim.events) > 0 && l.sim.events[0].at < w {
-				l.jobs <- laneJob{end: w, budget: budget}
+				l.post(w, budget)
 			}
 		}
-		wg.Wait()
+		if l := workers[0]; len(l.sim.events) > 0 && l.sim.events[0].at < w {
+			l.runWindow(w, budget)
+		}
+		for _, l := range workers[1:] {
+			l.join()
+		}
 		if cst != nil {
 			// Window accounting runs on the coordinator with every worker
 			// parked, staged into the control lane's SimLocal like every
 			// other counter. A lane was active iff it processed something
-			// (it got a job iff its head event was inside the window, and a
-			// job always drains at least one event); its stall is the gap
-			// between its own busy time and the wall span of the whole
+			// (it got a window iff its head event was inside it, and a
+			// window always drains at least one event); its stall is the
+			// gap between its own busy time and the wall span of the whole
 			// barrier — the time it idled waiting for the slowest lane.
 			//simlint:ignore determinism: wall-clock barrier timing feeds telemetry only, never the sim
 			barrierNs := time.Since(wt0).Nanoseconds()

@@ -3,7 +3,9 @@ package network
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"smartsouth/internal/openflow"
 	"smartsouth/internal/topo"
@@ -220,5 +222,74 @@ func TestShardedObserverSerialization(t *testing.T) {
 	}
 	if hops != n.TotalInBand() {
 		t.Errorf("observer saw %d hops, accounting says %d", hops, n.TotalInBand())
+	}
+}
+
+// TestShardedOneProc: with GOMAXPROCS=1 the coordinator and every worker
+// lane share one processor, so the spinning barrier only progresses by
+// yielding; results must not change.
+func TestShardedOneProc(t *testing.T) {
+	want := lineRun(t, 24, 1, 12)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, shards := range []int{2, 4} {
+		if got := lineRun(t, 24, shards, 12); got != want {
+			t.Errorf("GOMAXPROCS=1 shards=%d diverged:\n got %s\nwant %s", shards, got, want)
+		}
+	}
+}
+
+// TestShardedWakesParkedLanes: a slow controller callback keeps the
+// coordinator busy long enough for the idle worker lanes to spin out and
+// park; the windows after it must wake them, with nothing lost.
+func TestShardedWakesParkedLanes(t *testing.T) {
+	run := func(shards int, stall time.Duration) string {
+		n := New(topo.Line(16), Options{Shards: shards})
+		lineForwarding(n)
+		var deliveries []string
+		n.OnSelf = func(sw int, _ *openflow.Packet) {
+			time.Sleep(stall)
+			deliveries = append(deliveries, fmt.Sprintf("%d@%d", sw, n.Sim.Now()))
+		}
+		for i := 0; i < 6; i++ {
+			n.Inject(1+i, 1, openflow.NewPacket(testEth, 2), Time(i)*4000)
+		}
+		if _, err := n.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%v msgs=%d", deliveries, n.InBandCount(testEth))
+	}
+	want := run(1, 0)
+	if got := run(4, 2*time.Millisecond); got != want {
+		t.Errorf("shards=4 with a stalling callback: %s, want %s", got, want)
+	}
+}
+
+// TestShardedRunLeavesNoGoroutines: a sharded Run stops every worker
+// goroutine it started before it returns, on the event-limit error path
+// too.
+func TestShardedRunLeavesNoGoroutines(t *testing.T) {
+	settled := func(want int) int {
+		// A goroutine outlives its last store by a few instructions.
+		got := runtime.NumGoroutine()
+		for deadline := time.Now().Add(time.Second); got != want && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		return got
+	}
+	before := runtime.NumGoroutine()
+	lineRun(t, 24, 4, 12)
+	if got := settled(before); got != before {
+		t.Errorf("%d goroutines after a sharded Run, %d before", got, before)
+	}
+	n := New(topo.Line(24), Options{Shards: 4, MaxSteps: 10})
+	lineForwarding(n)
+	for i := 0; i < 8; i++ {
+		n.Inject(1+i, 1, openflow.NewPacket(testEth, 2), 0)
+	}
+	if _, err := n.Run(); !errors.As(err, new(ErrEventLimit)) {
+		t.Fatalf("err = %v, want ErrEventLimit", err)
+	}
+	if got := settled(before); got != before {
+		t.Errorf("%d goroutines after an ErrEventLimit Run, %d before", got, before)
 	}
 }

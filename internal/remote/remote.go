@@ -292,14 +292,26 @@ func (f *Fabric) ClearInbox() {
 	f.mu.Unlock()
 }
 
-// RunNetwork synchronises with every session (barrier), moves the queued
+// Sync sends a barrier on every session and waits for the replies: when
+// it returns, every switch has applied every message sent before it. The
+// agents apply installs on their own goroutines, so a caller that changes
+// the data plane directly — a link failure through Net, say — must Sync
+// after installing and before the change. RunNetwork syncs first.
+func (f *Fabric) Sync() error {
+	for _, cl := range f.clients {
+		if err := cl.Barrier(); err != nil {
+			return fmt.Errorf("remote: barrier: %w", err)
+		}
+	}
+	return nil
+}
+
+// RunNetwork synchronises with every session (Sync), moves the queued
 // packet-outs into the simulator, runs it to quiescence, and waits for
 // all relayed packet-ins to arrive back over TCP.
 func (f *Fabric) RunNetwork() (int, error) {
-	for _, cl := range f.clients {
-		if err := cl.Barrier(); err != nil {
-			return 0, fmt.Errorf("remote: barrier: %w", err)
-		}
+	if err := f.Sync(); err != nil {
+		return 0, err
 	}
 	f.mu.Lock()
 	queue := f.queue

@@ -204,6 +204,11 @@ func TestPortStatusOverWire(t *testing.T) {
 	if !f.PortLive(2, p) {
 		t.Fatal("port should start live")
 	}
+	// The install is still being applied by the agents: flipping a port
+	// before it lands races their writes to the switch.
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	if err := nw.SetLinkDown(2, 3, true); err != nil {
 		t.Fatal(err)
 	}

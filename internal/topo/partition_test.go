@@ -100,6 +100,56 @@ func TestPartitionBalance(t *testing.T) {
 	}
 }
 
+// shardLoads sums each shard's node degrees — the load Partition balances.
+func shardLoads(g *Graph, part []int, k int) []int {
+	loads := make([]int, k)
+	for v, s := range part {
+		loads[s] += g.Degree(v)
+	}
+	return loads
+}
+
+// TestPartitionLoadBalance: shards are balanced by degree sum, not node
+// count. A FatTree(16) halves exactly (its edge switches have half the
+// ports of the rest), and elsewhere the heaviest shard overshoots the
+// mean by less than one node's degree.
+func TestPartitionLoadBalance(t *testing.T) {
+	ft, err := FatTree(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loads := shardLoads(ft, checkPartition(t, ft, 2), 2); loads[0] != 2048 || loads[1] != 2048 {
+		t.Errorf("fattree(16)/2 degree sums %v, want [2048 2048]", loads)
+	}
+	isp, err := ISP(20, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*Graph{
+		"isp":    isp,
+		"random": RandomConnected(240, 120, 1),
+		"ring":   Ring(20),
+	}
+	for name, g := range graphs {
+		total, maxDeg := 0, 0
+		for v := 0; v < g.NumNodes(); v++ {
+			total += g.Degree(v)
+			maxDeg = max(maxDeg, g.Degree(v))
+		}
+		for _, k := range []int{2, 4, 8} {
+			loads := shardLoads(g, checkPartition(t, g, k), k)
+			heaviest := 0
+			for _, l := range loads {
+				heaviest = max(heaviest, l)
+			}
+			if float64(heaviest) > float64(total)/float64(k)+float64(maxDeg) {
+				t.Errorf("%s/%d degree sums %v: heaviest %d exceeds mean %.1f + max degree %d",
+					name, k, loads, heaviest, float64(total)/float64(k), maxDeg)
+			}
+		}
+	}
+}
+
 func TestClos(t *testing.T) {
 	g, err := Clos(4, 16)
 	if err != nil {

@@ -12,7 +12,8 @@
 #   - a bare file name (`matcher.go`, `BENCH_pr10.json`): at the root, or
 #     any tracked file of that name;
 #   - `*` globs must match something; paths .gitignore covers (build and
-#     benchmark outputs) are taken as named on purpose.
+#     benchmark outputs) are taken as named on purpose, including ignored
+#     directories that do not exist yet on a fresh checkout.
 #
 # Import paths (`sync/atomic`), URLs, flags, commands with spaces and
 # benchmark names are not repository paths and are skipped.
@@ -21,7 +22,9 @@ cd "$(dirname "$0")/.."
 
 mapfile -t tracked < <(git ls-files)
 exists() { # path or glob, relative to the root
-	compgen -G "$1" >/dev/null || git check-ignore -q "$1"
+	# A directory-only ignore pattern (`out/`) matches a path that does not
+	# exist only when it is spelled with the trailing slash.
+	compgen -G "$1" >/dev/null || git check-ignore -q "$1" || git check-ignore -q "$1/"
 }
 bad=0
 for doc in README.md DESIGN.md PERFORMANCE.md EXPERIMENTS.md docs/*.md; do

@@ -17,13 +17,12 @@ import (
 // genuinely parallelizes across shard workers — one traversal alone is a
 // serial packet walk no amount of sharding can speed up.
 //
-// The bench drives internal/network + controller + core directly rather
-// than the facade: Deploy wires hop observers for the metrics registry,
-// and observer fan-out is serialized across worker lanes (obsMu), which
-// would measure lock contention instead of the engine. Wall-clock
-// speedup at 8 shards requires GOMAXPROCS >= 8; on fewer cores the same
-// rows measure the sharding overhead instead, which cmd/benchguard
-// gates via the shards ratio in BENCH_pr8.json.
+// The bench drives internal/network + controller + core directly, so it
+// measures the engine alone. Wall-clock speedup at 8 shards requires
+// GOMAXPROCS >= 8; on fewer cores those rows measure the sharding
+// overhead instead. cmd/benchguard gates the 2-shard row against the
+// 1-shard row through the ratio in BENCH_pr10.json: two shards may be no
+// slower than one.
 //
 // Each iteration also samples the Table-2 invariant: a burst of T
 // traversals must stay within T times the 4|E| per-sweep message bound.
