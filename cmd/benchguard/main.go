@@ -4,7 +4,7 @@
 // baseline records — regresses past the threshold. CI pipes the benchmark
 // run straight through it:
 //
-//	go test -bench . -benchmem ./... | benchguard -baseline BENCH_pr3.json -out BENCH_pr5.json
+//	go test -bench . -benchmem ./... | benchguard -baseline BENCH_pr10.json -out BENCH_ci.json
 //
 // Exit codes: 0 all benchmarks within threshold, 1 regression found,
 // 2 usage or parse error. -scale multiplies the measured ns/op before

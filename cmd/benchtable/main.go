@@ -175,7 +175,7 @@ func writeTimeline(path string) {
 	must(f.Close())
 	spans, cross := 0, 0
 	complete := 0
-	traces := d.Traces()
+	traces := smartsouth.BuildTraces(d.SpanRecords())
 	for _, t := range traces {
 		spans += t.Spans
 		cross += t.CrossLane

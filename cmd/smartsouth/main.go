@@ -377,7 +377,7 @@ func main() {
 	}
 
 	if *traceCap > 0 {
-		events := d.TraceEvents()
+		events := d.Trace.Events()
 		fmt.Printf("\nhop trace (%d executions retained, %d dropped):\n", len(events), d.Trace.Dropped())
 		fmt.Print(dump.Trace(events))
 	}
@@ -415,8 +415,9 @@ func main() {
 	}
 
 	if *metricsTo != "" {
-		fmt.Print("\nper-service metrics:\n", dump.Metrics(d.MetricsSnapshot()))
-		js, err := d.MetricsJSON()
+		ms := d.MetricsSnapshot()
+		fmt.Print("\nper-service metrics:\n", dump.Metrics(ms))
+		js, err := json.MarshalIndent(ms, "", "  ")
 		fatal(err)
 		if *metricsTo == "-" {
 			fmt.Printf("metrics JSON:\n%s\n", js)
@@ -436,7 +437,10 @@ func main() {
 			fmt.Println("flight recorder JSONL:")
 			fatal(d.DumpFlight(os.Stdout))
 		} else {
-			fatal(d.WriteFlightDump(*flightTo))
+			f, err := os.Create(*flightTo)
+			fatal(err)
+			fatal(d.DumpFlight(f))
+			fatal(f.Close())
 			fmt.Printf("flight recorder JSONL written to %s\n", *flightTo)
 		}
 	}

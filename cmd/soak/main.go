@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"os"
@@ -106,14 +107,14 @@ func main() {
 	os.Exit(exitCode)
 }
 
-// writeTimeline writes the deployment's retained causal spans to path as
-// Chrome trace-event JSON.
-func writeTimeline(d *smartsouth.Deployment, path string) error {
+// writeFile creates path and fills it with write — one of the
+// deployment's artifact writers (WriteTimeline, DumpFlight).
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := d.WriteTimeline(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -156,14 +157,14 @@ func runIteration(s int64, forceFail bool, dumpDir string) (family, dumpPath str
 		err = fmt.Errorf("%d flow-table lookups had to compile their matcher first: an install path skipped CompileDispatch", moved)
 	}
 	if *timeline != "" {
-		if werr := writeTimeline(d, *timeline); werr != nil {
+		if werr := writeFile(*timeline, d.WriteTimeline); werr != nil {
 			fmt.Fprintf(os.Stderr, "soak: timeline write failed: %v\n", werr)
 		}
 	}
-	if err != nil && dumpDir != "" && d.Flight() != nil {
+	if err != nil && dumpDir != "" {
 		d.Net.FlightNote("soak oracle divergence: " + err.Error())
 		p := filepath.Join(dumpDir, fmt.Sprintf("soak-flight-seed%d.jsonl", s))
-		if werr := d.WriteFlightDump(p); werr != nil {
+		if werr := writeFile(p, d.DumpFlight); werr != nil {
 			fmt.Fprintf(os.Stderr, "soak: flight dump failed: %v\n", werr)
 		} else {
 			dumpPath = p

@@ -87,7 +87,7 @@ func ring20SweepFingerprint(extra ...Option) string {
 	}
 	fmt.Fprintf(&b, "total-inband=%d\n", d.Net.TotalInBand())
 
-	for _, ev := range d.TraceEvents() {
+	for _, ev := range d.Trace.Events() {
 		fmt.Fprintf(&b, "trace %s\n", ev.String())
 	}
 

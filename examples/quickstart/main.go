@@ -88,7 +88,7 @@ func main() {
 	// executions (switch, matched rules, decoded DFS tag state) and the
 	// aggregated per-service metrics.
 	fmt.Println("\n== first hops of the second sweep, from the trace ==")
-	events := d.TraceEvents()
+	events := d.Trace.Events()
 	for i, ev := range events {
 		if i >= 5 {
 			fmt.Printf("  ... %d more\n", len(events)-i)

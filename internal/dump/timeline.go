@@ -8,10 +8,9 @@ import (
 	"smartsouth/internal/telemetry"
 )
 
-// The causal tracer's spans export in two shapes: Chrome trace-event
-// JSON (WriteChromeTrace) for chrome://tracing and Perfetto, and plain
-// JSONL (WriteSpanJSONL) for jq-style offline analysis. Both take the
-// merged, time-ordered record slice Network.SpanRecords returns.
+// The causal tracer's spans export as Chrome trace-event JSON
+// (WriteChromeTrace) for chrome://tracing and Perfetto, from the merged,
+// time-ordered record slice Network.DrainSpans returns.
 
 // chromeEvent is one trace-event object. The viewer maps pid→process
 // row and tid→thread row; we map lanes to processes and switches to
@@ -96,35 +95,4 @@ func WriteChromeTrace(w io.Writer, recs []telemetry.SpanRecord) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(events)
-}
-
-// spanJSON is the JSONL shape of one span record.
-type spanJSON struct {
-	At      int64  `json:"at"`
-	Trace   uint32 `json:"trace"`
-	Span    uint64 `json:"span"`
-	Parent  uint64 `json:"parent"`
-	Sw      int32  `json:"sw"`
-	Lane    int16  `json:"lane"`
-	Port    int16  `json:"port"`
-	Eth     string `json:"eth"`
-	Matched bool   `json:"matched"`
-	Emits   uint8  `json:"emits"`
-}
-
-// WriteSpanJSONL dumps merged span records as one JSON object per line,
-// in the slice's (simulation-time) order.
-func WriteSpanJSONL(w io.Writer, recs []telemetry.SpanRecord) error {
-	enc := json.NewEncoder(w)
-	for i := range recs {
-		r := &recs[i]
-		if err := enc.Encode(spanJSON{
-			At: r.At, Trace: r.Trace, Span: r.Span, Parent: r.Parent,
-			Sw: r.Sw, Lane: r.Lane, Port: r.Port,
-			Eth: fmt.Sprintf("0x%04x", r.Eth), Matched: r.Matched, Emits: r.Emits,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
 }

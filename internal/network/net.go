@@ -40,14 +40,16 @@ type Options struct {
 	// but may order simultaneous independent events differently than the
 	// single loop. Clamped to the node count.
 	Shards int
-	// Timeline, when positive, enables the causal traversal tracer with a
-	// per-lane span ring of this capacity: every packet injected via
-	// Inject gets a trace id, and every pipeline execution it or any of
-	// its descendants flows through is recorded as a SpanRecord whose
-	// Parent edge reconstructs the traversal tree (internal/trace builds
-	// the trees, internal/dump renders them). Independent of NoTelemetry
-	// so the overhead benchmark can isolate the tracer's cost. Zero (the
-	// default) records nothing and keeps the hot path branch-predictable.
+	// Timeline, when positive, enables the causal traversal tracer and
+	// deepens each lane's flight ring to at least this many records:
+	// every packet injected via Inject gets a trace id, and the exec
+	// record of every pipeline execution it or any of its descendants
+	// flows through carries its span, whose Parent edge reconstructs the
+	// traversal tree (DrainSpans reads them, internal/trace builds the
+	// trees, internal/dump renders them). The flight dump still emits
+	// only the last FlightCap records. Independent of NoTelemetry so the
+	// overhead benchmark can isolate the tracer's cost. Zero (the
+	// default) records no spans.
 	Timeline int
 }
 
@@ -128,14 +130,13 @@ type Network struct {
 	prevScanned    uint64
 	prevCommits    uint64
 	prevFlightRecs uint64
-	prevSpanRecs   uint64
 
 	// traceSeq hands out traversal ids when timeline tracing is on. Only
 	// Inject (a barrier-context call) bumps it, so no atomics.
 	traceSeq uint32
 
-	// spanCursor holds per-lane ring totals at the last DrainSpans call,
-	// lazily sized on first drain.
+	// spanCursor holds per-lane ring totals at the last DrainSpans call;
+	// non-nil exactly when timeline tracing is on.
 	spanCursor []uint64
 }
 
@@ -180,19 +181,21 @@ func New(g *topo.Graph, opts Options) *Network {
 	n.ctl = n.lanes[nlanes-1]
 	n.Sim = &n.ctl.sim
 	n.Sim.MaxSteps = opts.MaxSteps
-	if !opts.NoTelemetry {
-		for _, l := range n.lanes {
-			l.sim.stats = &telemetry.SimLocal{}
-			if opts.FlightCap >= 0 {
-				l.flight = telemetry.NewFlight(opts.FlightCap)
-			}
-		}
+	flightCap := opts.FlightCap
+	if opts.NoTelemetry {
+		flightCap = -1
 	}
 	if opts.Timeline > 0 {
 		// Deliberately independent of NoTelemetry: the tracer's own
 		// overhead must be measurable with everything else off.
-		for _, l := range n.lanes {
-			l.spans = telemetry.NewSpans(opts.Timeline)
+		n.spanCursor = make([]uint64, nlanes)
+	}
+	for _, l := range n.lanes {
+		if !opts.NoTelemetry {
+			l.sim.stats = &telemetry.SimLocal{}
+		}
+		if flightCap >= 0 || opts.Timeline > 0 {
+			l.flight = telemetry.NewFlight(flightCap, opts.Timeline)
 		}
 	}
 	telemetry.M.Shards.Set(int64(shards))
@@ -389,7 +392,7 @@ func (n *Network) Inject(sw int, inPort int, pkt *openflow.Packet, t Time) {
 		st.PoolGets++
 	}
 	q := pkt.ClonePooled()
-	if n.ctl.spans != nil && q.TraceID == 0 {
+	if n.spanCursor != nil && q.TraceID == 0 {
 		// Every injection roots a new traversal trace (unless the caller
 		// pre-assigned one, e.g. a resubmitted packet). SpanID 0 marks the
 		// first execution's span as the trace root.
@@ -425,26 +428,24 @@ func (n *Network) InjectActions(sw int, actions []openflow.Action, pkt *openflow
 	})
 }
 
-// DrainSpans appends to dst the span records claimed since the previous
-// call (all retained records on the first), interleaved across lanes
-// into simulation-time order with ties keeping lane order — O(new
-// records) per call instead of O(ring capacity), so a caller can harvest
-// the timeline after every run without paying for a full re-merge.
-// Records a lane ring evicted between drains are lost.
-// Returns dst unchanged when timeline tracing is off.
+// DrainSpans appends to dst the spans — the exec records of traced
+// packets — the lanes' flight rings took since the previous call (all
+// retained ones on the first), interleaved across lanes into
+// simulation-time order with ties keeping lane order — O(new records)
+// per call instead of O(ring capacity), so a caller can harvest the
+// timeline after every run without paying for a full re-merge. Records a
+// lane ring evicted between drains are lost. Returns dst unchanged when
+// timeline tracing is off.
 //
 //simlint:barrier post-run aggregation across parked lanes
 func (n *Network) DrainSpans(dst []telemetry.SpanRecord) []telemetry.SpanRecord {
-	if n.ctl.spans == nil {
-		return dst
-	}
 	if n.spanCursor == nil {
-		n.spanCursor = make([]uint64, len(n.lanes))
+		return dst
 	}
 	base := len(dst)
 	for i, l := range n.lanes {
-		dst = l.spans.AppendSince(dst, n.spanCursor[i])
-		n.spanCursor[i] = l.spans.Total()
+		dst = l.flight.AppendSpans(dst, n.spanCursor[i])
+		n.spanCursor[i] = l.flight.Total()
 	}
 	// Each lane's segment is already time-ordered (lane-local sim time is
 	// monotone), so the concatenation only needs sorting when several

@@ -1,7 +1,5 @@
 package network
 
-import "smartsouth/internal/telemetry"
-
 // Config is the resolved deployment configuration: the simulated-network
 // knobs (Options) plus the observability knobs the deployment layer reads.
 // It is produced by Resolve from a list of Option values.
@@ -65,16 +63,21 @@ func WithFlightCap(n int) Option {
 	return func(c *Config) { c.Opts.FlightCap = n }
 }
 
+// defaultTimeline is the per-lane ring depth WithTimeline selects for a
+// non-positive capacity.
+const defaultTimeline = 4096
+
 // WithTimeline enables the causal traversal tracer: every injected
-// packet gets a trace id, every pipeline execution it (or any of its
-// descendants) flows through becomes a span in a per-lane ring
-// retaining the last cap spans (DefaultSpanCap when cap <= 0 — unlike
-// WithTrace, any call opts in). Tracing is independent of
-// WithoutTelemetry so the overhead benchmark can isolate its cost.
+// packet gets a trace id, and every pipeline execution it (or any of its
+// descendants) flows through becomes a span — its exec record in the
+// lane's flight ring, which then retains at least the last cap records
+// (4096 when cap <= 0 — unlike WithTrace, any call opts in). Tracing is
+// independent of WithoutTelemetry so the overhead benchmark can isolate
+// its cost.
 func WithTimeline(cap int) Option {
 	return func(c *Config) {
 		if cap <= 0 {
-			cap = telemetry.DefaultSpanCap
+			cap = defaultTimeline
 		}
 		c.Opts.Timeline = cap
 	}

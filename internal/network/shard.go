@@ -51,18 +51,13 @@ type lane struct {
 	lastIdx  int            //simlint:lanelocal
 
 	// Per-lane flight ring and decoder cache; the decoder table itself
-	// (Network.tagDec) is shared read-only.
+	// (Network.tagDec) is shared read-only. The ring is also the causal
+	// tracer's span store (Options.Timeline): spanSeq numbers the lane's
+	// traced executions (span ids are lane+1 in the high bits — see
+	// telemetry.SpanRecord — so lanes never collide without atomics).
 	flight  *telemetry.Flight //simlint:lanelocal
 	lastDec int               //simlint:lanelocal
-
-	// Causal tracer (Options.Timeline): the lane's span ring, its span-id
-	// sequence (span ids are lane+1 in the high bits — see
-	// telemetry.SpanRecord — so lanes never collide without atomics), and
-	// the per-batch scratch of claimed slots awaiting their post-exec
-	// fill. Nil/zero when tracing is off.
-	spans     *telemetry.Spans        //simlint:lanelocal
-	spanSeq   uint32                  //simlint:lanelocal
-	batchSpan []*telemetry.SpanRecord //simlint:lanelocal
+	spanSeq uint32            //simlint:lanelocal
 
 	// Cross-shard routing (worker lanes only). out[d] buffers deliveries
 	// to shard d during a window; ctlOut buffers controller/self events.
@@ -133,7 +128,7 @@ func (l *lane) processBatch(evs []event) {
 
 	st := l.sim.stats
 	var recs []*telemetry.FlightRecord
-	if st != nil && l.flight != nil && len(in) <= l.flight.Cap() {
+	if l.flight != nil && len(in) <= l.flight.Cap() {
 		// Claim one ring slot per arrival and decode the tag state straight
 		// into it, before execution rewrites the packets in place: the
 		// record documents the packet as it arrived. The result fields are
@@ -142,8 +137,15 @@ func (l *lane) processBatch(evs []event) {
 		// claimed slot can be recycled while it is still pending. A batch
 		// larger than the whole ring (degenerate; the ring would retain
 		// only its tail anyway) goes unrecorded.
+		//
+		// A traced arrival's record is also its causal span: it takes the
+		// lane's next span id and re-stamps the packet's SpanID with it
+		// *before* execution — emissions are cloned from the arrival while
+		// ExecBatch runs, so they inherit this execution as their parent,
+		// which is the whole parent→child edge mechanism.
 		recs = l.batchRec[:0]
 		at := int64(l.sim.now)
+		seq0 := l.spanSeq
 		for _, p := range in {
 			r := l.flight.Slot()
 			r.At = at
@@ -151,47 +153,25 @@ func (l *lane) processBatch(evs []event) {
 			r.Sw = int16(swID)
 			r.Port = int16(p.InPort)
 			r.Eth = p.EthType
-			r.Lane = uint8(l.id)
+			r.Lane = uint16(l.id)
 			if d := l.decoderFor(p.EthType); d != nil {
 				r.NumTags = d.n
 				r.NameIdx = d.nameIdx
 				d.Capture(swID, p.Tag, &r.Tags)
 			}
+			if p.TraceID != 0 {
+				l.spanSeq++
+				r.Trace = p.TraceID
+				r.SpanSeq = l.spanSeq
+				r.ParentLane, r.ParentSeq = uint16(p.SpanID>>32), uint32(p.SpanID)
+				p.SpanID = uint64(l.id+1)<<32 | uint64(l.spanSeq)
+			}
 			recs = append(recs, r)
 		}
 		l.batchRec = recs
-	}
-	var spans []*telemetry.SpanRecord
-	if l.spans != nil && len(in) <= l.spans.Cap() {
-		// Causal tracer: claim one span per traced arrival (untraced
-		// packets keep a nil placeholder so indices line up with res) and
-		// re-stamp the packet's SpanID *before* execution — emissions are
-		// cloned from the arrival while ExecBatch runs, so they inherit
-		// this execution's span as their parent, which is the whole
-		// parent→child edge mechanism. Same claim-before/fill-after
-		// contract as the flight records above.
-		spans = l.batchSpan[:0]
-		at := int64(l.sim.now)
-		for _, p := range in {
-			if p.TraceID == 0 {
-				spans = append(spans, nil)
-				continue
-			}
-			l.spanSeq++
-			id := uint64(l.id+1)<<32 | uint64(l.spanSeq)
-			sp := l.spans.Slot()
-			sp.Span = id
-			sp.Parent = p.SpanID
-			sp.At = at
-			sp.Trace = p.TraceID
-			sp.Sw = int32(swID)
-			sp.Lane = int16(l.id)
-			sp.Port = int16(p.InPort)
-			sp.Eth = p.EthType
-			p.SpanID = id
-			spans = append(spans, sp)
+		if st != nil {
+			st.SpanRecords += uint64(l.spanSeq - seq0)
 		}
-		l.batchSpan = spans
 	}
 	if len(n.execObs) > 0 {
 		// Observers are promised the pre-execution packet; clone only in
@@ -209,39 +189,17 @@ func (l *lane) processBatch(evs []event) {
 
 	n.switches[swID].ExecBatch(l.xc, in, res)
 
-	if recs != nil {
-		// Complete every claimed exec record before dispatching anything:
-		// dispatch records sends and deliveries, and its slot claims must
-		// come after the batch's pending fills (see the claim loop above).
-		for i := range recs {
-			r := &res[i]
-			rec := recs[i]
-			rec.Matched = r.Matched
-			l.flight.SetCookie(rec, r.LastCookie)
-			rec.Group = r.LastGroup
-			rec.Bucket = r.LastBucket
-			recs[i] = nil
-		}
-	}
-	if spans != nil {
-		// Fill the result half of each claimed span before dispatch, for
-		// the same recycling reason as the flight records. (The aggregate
-		// span count is published at Run end from the rings' totals, like
-		// the flight-record count — no per-batch accounting here.)
-		for i, sp := range spans {
-			if sp == nil {
-				continue
-			}
-			r := &res[i]
-			sp.Matched = r.Matched
-			if e := len(r.Emissions); e > 255 {
-				sp.Emits = 255
-			} else {
-				sp.Emits = uint8(e)
-			}
-			spans[i] = nil
-		}
-		l.batchSpan = spans[:0]
+	// Complete every claimed exec record before dispatching anything:
+	// dispatch records failed sends, and its slot claims must come after
+	// the batch's pending fills (see the claim loop above).
+	for i, rec := range recs {
+		r := &res[i]
+		rec.Matched = r.Matched
+		l.flight.SetCookie(rec, r.LastCookie)
+		rec.Group = r.LastGroup
+		rec.Bucket = r.LastBucket
+		rec.Emits = uint8(min(len(r.Emissions), 255))
+		recs[i] = nil
 	}
 	for i := range evs {
 		r := &res[i]
@@ -385,7 +343,7 @@ func (l *lane) send(sw, port int, pkt *openflow.Packet) {
 				r.To = int16(to)
 				r.ToPort = int16(toPort)
 				r.Eth = pkt.EthType
-				r.Lane = uint8(l.id)
+				r.Lane = uint16(l.id)
 			}
 		}
 	}

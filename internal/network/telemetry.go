@@ -1,6 +1,7 @@
 package network
 
 import (
+	"errors"
 	"io"
 	"slices"
 	"time"
@@ -142,12 +143,15 @@ func (n *Network) RegisterTags(eth uint16, service string, names [3]string, fiel
 	}
 }
 
-// Flight returns the control lane's flight recorder, nil when telemetry
-// or the recorder is disabled. On a sharded network each worker lane
-// keeps its own ring as well; WriteFlightJSONL merges them.
+// ErrNoFlight is what WriteFlightJSONL returns when telemetry or the
+// flight dump is disabled (WithoutTelemetry, WithFlightCap(-1)).
+var ErrNoFlight = errors.New("flight recorder disabled")
+
+// flightOn reports whether the lanes' rings are dumped (and counted) as
+// flight history, not just read by the causal timeline.
 //
-//simlint:barrier post-run read of the control lane ring
-func (n *Network) Flight() *telemetry.Flight { return n.ctl.flight }
+//simlint:barrier reads construction-time ring configuration between runs
+func (n *Network) flightOn() bool { return n.ctl.flight != nil && n.ctl.flight.DumpCap() > 0 }
 
 // WriteFlightJSONL dumps the flight history as JSONL: the single ring of
 // a classic network verbatim, or the per-lane rings of a sharded network
@@ -156,8 +160,8 @@ func (n *Network) Flight() *telemetry.Flight { return n.ctl.flight }
 //
 //simlint:barrier post-run dump; all lanes are parked
 func (n *Network) WriteFlightJSONL(w io.Writer) error {
-	if n.ctl.flight == nil {
-		return nil
+	if !n.flightOn() {
+		return ErrNoFlight
 	}
 	if !n.multi {
 		return n.ctl.flight.WriteJSONL(w)
@@ -175,11 +179,11 @@ func (n *Network) WriteFlightJSONL(w io.Writer) error {
 //
 //simlint:barrier notes are recorded between runs on the control lane
 func (n *Network) FlightNote(text string) {
-	f := n.ctl.flight
-	if f == nil {
+	if !n.flightOn() {
 		return
 	}
-	r := telemetry.FlightRecord{At: int64(n.Sim.now), Kind: telemetry.FlightNote, Sw: -1, Lane: uint8(n.ctl.id)}
+	f := n.ctl.flight
+	r := telemetry.FlightRecord{At: int64(n.Sim.now), Kind: telemetry.FlightNote, Sw: -1, Lane: uint16(n.ctl.id)}
 	f.SetCookie(&r, text)
 	f.Record(r)
 }
@@ -247,24 +251,16 @@ func (n *Network) Run() (int, error) {
 			st.MergeFrom(l.sim.stats)
 		}
 	}
-	if n.ctl.flight != nil {
+	if n.flightOn() {
 		// Record counts are derived from the rings' running totals here,
-		// once per Run, so the record paths don't pay a counter bump.
+		// once per Run, so the record paths don't pay a counter bump. (The
+		// lanes count their spans into SpanRecords, merged above.)
 		var t uint64
 		for _, l := range n.lanes {
 			t += l.flight.Total()
 		}
 		st.FlightRecords += t - n.prevFlightRecs
 		n.prevFlightRecs = t
-	}
-	if n.ctl.spans != nil {
-		// Same running-total pattern for the causal tracer's spans.
-		var t uint64
-		for _, l := range n.lanes {
-			t += l.spans.Total()
-		}
-		st.SpanRecords += t - n.prevSpanRecs
-		n.prevSpanRecs = t
 	}
 	//simlint:ignore determinism: wall-clock sample feeds telemetry only, never the sim
 	st.FlushTo(telemetry.M, int64(n.Sim.now-simStart), time.Since(wallStart).Nanoseconds(), err != nil)

@@ -15,7 +15,7 @@ func TestRecordPathZeroAlloc(t *testing.T) {
 	var c Counter
 	var h Histogram
 	var l LocalHist
-	f := NewFlight(64)
+	f := NewFlight(64, 0)
 	cases := []struct {
 		name string
 		fn   func()
@@ -27,6 +27,10 @@ func TestRecordPathZeroAlloc(t *testing.T) {
 		{"LocalHist.FlushTo", func() { l.FlushTo(&h) }},
 		{"Flight.Record", func() {
 			f.Record(FlightRecord{Kind: FlightSend, Sw: 1, Port: 2, To: 3, Eth: 0x0901})
+		}},
+		{"Flight.Slot", func() {
+			r := f.Slot()
+			r.Kind, r.Trace, r.SpanSeq = FlightExec, 1, 2
 		}},
 	}
 	for _, tc := range cases {
@@ -53,7 +57,7 @@ func BenchmarkLocalHistObserve(b *testing.B) {
 }
 
 func BenchmarkFlightRecord(b *testing.B) {
-	f := NewFlight(DefaultFlightCap)
+	f := NewFlight(DefaultFlightCap, 0)
 	r := FlightRecord{Kind: FlightSend, Sw: 1, Port: 2, To: 3, Eth: 0x0901}
 	for i := 0; i < b.N; i++ {
 		f.Record(r)

@@ -49,12 +49,13 @@ const (
 	cookieOverflow = 0xFF
 )
 
-// FlightRecord is one fixed-size ring entry, laid out to fill exactly one
-// cache line (64 bytes) with no pointers: the record path is memory
-// traffic, so the ring's footprint is the recorder's cost, and a
-// pointer-free ring is never scanned by the garbage collector and its
-// stores carry no write barriers. Which fields are meaningful depends on
-// Kind; unused fields stay zero.
+// FlightRecord is one fixed-size ring entry — the one per-execution record
+// of a lane: the flight dump and the causal timeline are two readers of
+// it. It is 80 bytes with no pointers: the record path is memory traffic,
+// so the ring's footprint is the recorder's cost, and a pointer-free ring
+// is never scanned by the garbage collector and its stores carry no write
+// barriers. Which fields are meaningful depends on Kind; unused fields
+// stay zero.
 //
 // The rule cookie (or note text) is stored inline when it fits 22 bytes
 // — every cookie the compiler emits does — and interned in the
@@ -65,11 +66,20 @@ const (
 // switches) and decoded tag values are truncated to 32 bits, which holds
 // every field the compiler allocates (node indices and parity bits, not
 // 64-bit quantities).
+//
+// An exec record of a traced packet (Trace != 0) is also that
+// execution's causal span; Span returns the SpanRecord view. The span id
+// is not stored whole: it is Lane+1 in the high 32 bits over SpanSeq, and
+// the parent's id is split the same way into ParentLane and ParentSeq.
 type FlightRecord struct {
 	At   int64     // simulation time, ns
 	Tags [3]uint32 // decoded tag values
 
 	Group uint32
+
+	Trace     uint32 // traversal id of a traced execution; zero otherwise
+	SpanSeq   uint32 // the lane's sequence number of this span
+	ParentSeq uint32 // low word of the parent span id
 
 	Sw     int16 // executing switch / sender (-1 for notes)
 	Port   int16 // ingress port / egress port for sends
@@ -79,40 +89,64 @@ type FlightRecord struct {
 	Eth    uint16
 	Bucket int16
 
-	Kind    FlightKind
-	Matched bool
 	// Lane is the event-loop lane (shard) that recorded this entry: the
 	// owning worker lane of a sharded run (the control lane records notes
 	// and appears as the highest lane id), 0 on the classic single loop.
-	// It is what lets a merged sharded dump be correlated with the
-	// per-lane causal traces.
-	Lane    uint8
+	Lane uint16
+	// ParentLane is the high word of the parent span id: the parent's lane
+	// + 1, zero (with ParentSeq) for a trace root.
+	ParentLane uint16
+
+	Kind    FlightKind
+	Matched bool
 	NumTags uint8
 	NameIdx uint8 // index into the recorder's tag-name table
+	Emits   uint8 // emissions of the execution, clamped at 255
 
 	CookieLen uint8 // 0..22 inline length; cookieOverflow = interned
 	Cookie    [cookieInline]byte
 }
 
-// DefaultFlightCap is the ring size used when NewFlight is given a
-// non-positive capacity. 256 one-line records keep the ring at 16KB —
-// half of a typical L1d cache — so always-on recording does not evict
-// the simulator's working set; only failed sends and executions are
-// recorded, so this still spans an entire mid-size traversal. Deployments
-// that want deeper history pass a larger capacity (WithFlightCap).
+// Span returns the causal-span view of an exec record of a traced packet.
+func (r *FlightRecord) Span() SpanRecord {
+	return SpanRecord{
+		Span:    uint64(r.Lane+1)<<32 | uint64(r.SpanSeq),
+		Parent:  uint64(r.ParentLane)<<32 | uint64(r.ParentSeq),
+		At:      r.At,
+		Trace:   r.Trace,
+		Sw:      int32(r.Sw),
+		Lane:    int16(r.Lane),
+		Port:    r.Port,
+		Eth:     r.Eth,
+		Emits:   r.Emits,
+		Matched: r.Matched,
+	}
+}
+
+// DefaultFlightCap is the dump depth used when NewFlight is given a zero
+// capacity. 256 records keep the ring at 20KB — well inside a typical L1d
+// cache — so always-on recording does not evict the simulator's working
+// set; only failed sends and executions are recorded, so this still spans
+// an entire mid-size traversal. Deployments that want deeper history
+// pass a larger capacity (WithFlightCap).
 const DefaultFlightCap = 256
 
 // Flight is a fixed-size ring of recent data-plane events — the
-// always-on post-mortem buffer (see ring for the storage discipline:
-// Slot, Cap, Len, Total and Snapshot are the ring's). Record at index i of
-// a Snapshot has sequence number Seq()+i; resolve cookies and tag names
-// through the recorder (CookieString, TagNames).
+// always-on post-mortem buffer and the store of the causal tracer's
+// spans. Recording is a struct store into a preallocated array: no locks,
+// no allocation, nothing proportional to history length. Sequence
+// numbers are not stored per record; they follow from the ring position.
+// Resolve cookies and tag names through the recorder (CookieString,
+// TagNames).
 //
 // Ownership mirrors the simulator it instruments: exactly one goroutine
-// records (the Sim's event loop); Snapshot/WriteJSONL are for after the
+// records (the owning lane's event loop); the readers are for after the
 // run, like reading a Network's counters.
 type Flight struct {
-	ring[FlightRecord]
+	buf  []FlightRecord
+	mask uint64 // len(buf)-1; capacity is forced to a power of two
+	seq  uint64
+	dump int // records a dump emits once the ring has wrapped; 0: dumps off
 
 	names [][3]string // interned tag-name sets, indexed by NameIdx
 
@@ -123,13 +157,94 @@ type Flight struct {
 	longIdx     map[string]uint32
 }
 
-// NewFlight returns a recorder retaining the last capacity records
-// (DefaultFlightCap if capacity <= 0), rounded up to a power of two.
-func NewFlight(capacity int) *Flight {
-	if capacity <= 0 {
+// NewFlight returns a recorder whose dumps emit the last capacity records
+// (DefaultFlightCap if capacity is 0, dumps off if negative) and whose
+// ring retains max(capacity, spans) records, rounded up to a power of two
+// so the record path indexes with a mask instead of an integer division:
+// the causal timeline reads the deeper history, the dump only its tail.
+func NewFlight(capacity, spans int) *Flight {
+	if capacity == 0 {
 		capacity = DefaultFlightCap
 	}
-	return &Flight{ring: newRing[FlightRecord](capacity)}
+	f := &Flight{}
+	if capacity > 0 {
+		f.dump = pow2(capacity)
+	}
+	n := pow2(max(capacity, spans))
+	f.buf, f.mask = make([]FlightRecord, n), uint64(n-1)
+	return f
+}
+
+// pow2 rounds n up to a power of two (at least 1).
+func pow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
+}
+
+// Slot claims the next ring entry, cleared, for the caller to fill in
+// place — half the memory traffic of building the record on the stack and
+// copying it. The pointer is only valid until the next claim, so batch
+// recorders that claim several slots before filling them must bound the
+// outstanding claims by Cap.
+//
+//simlint:hotpath
+func (f *Flight) Slot() *FlightRecord {
+	e := &f.buf[f.seq&f.mask]
+	*e = FlightRecord{}
+	f.seq++
+	return e
+}
+
+// Cap returns the ring capacity — the number of records retained once
+// the ring has wrapped.
+func (f *Flight) Cap() int { return len(f.buf) }
+
+// Len returns the number of retained records.
+func (f *Flight) Len() int { return int(min(f.seq, uint64(len(f.buf)))) }
+
+// Total returns the number of records written since creation (or Reset),
+// including those the ring has evicted.
+func (f *Flight) Total() uint64 { return f.seq }
+
+// DumpCap returns how many of the most recent records a dump emits once
+// the ring has wrapped: zero when only the causal timeline reads the ring.
+func (f *Flight) DumpCap() int { return f.dump }
+
+// last returns the i-th of the n most recent records, oldest first
+// (n <= Len).
+func (f *Flight) last(n, i int) *FlightRecord {
+	return &f.buf[(f.seq-uint64(n)+uint64(i))&f.mask]
+}
+
+// Snapshot returns the retained records, oldest first.
+func (f *Flight) Snapshot() []FlightRecord {
+	n := f.Len()
+	out := make([]FlightRecord, n)
+	for i := range out {
+		out[i] = *f.last(n, i)
+	}
+	return out
+}
+
+// AppendSpans appends to dst the causal spans among the records claimed
+// after the first since, oldest first: the exec records of traced
+// packets. Records the ring has already evicted are lost. Together with
+// Total this lets a consumer drain the timeline incrementally between
+// runs in O(new records) instead of re-reading the whole ring.
+func (f *Flight) AppendSpans(dst []SpanRecord, since uint64) []SpanRecord {
+	if since > f.seq {
+		since = 0 // the ring was Reset after the cursor was taken
+	}
+	n := int(min(uint64(f.Len()), f.seq-since))
+	for i := 0; i < n; i++ {
+		if r := f.last(n, i); r.Kind == FlightExec && r.Trace != 0 {
+			dst = append(dst, r.Span())
+		}
+	}
+	return dst
 }
 
 // RegisterTagNames interns one set of (up to three) tag-field names and
@@ -209,16 +324,17 @@ func (f *Flight) Record(r FlightRecord) {
 	f.seq++
 }
 
-// Seq returns the sequence number of the oldest retained record.
-func (f *Flight) Seq() uint64 { return f.seq - uint64(f.Len()) }
-
 // Reset discards all records and interned cookies (tag names survive:
 // they are registration state, not history).
 func (f *Flight) Reset() {
-	f.ring.Reset()
+	f.seq = 0
+	clear(f.buf)
 	f.longCookies = nil
 	f.longIdx = nil
 }
+
+// dumpLen returns how many records a dump emits now.
+func (f *Flight) dumpLen() int { return min(f.Len(), f.dump) }
 
 // jsonRecord is the JSONL view of a record: kind as a string, tags
 // trimmed to the populated prefix, zero-valued fields elided.
@@ -232,7 +348,7 @@ type jsonRecord struct {
 	ToPort  int16       `json:"toPort,omitempty"`
 	Eth     uint16      `json:"eth,omitempty"`
 	Matched bool        `json:"matched,omitempty"`
-	Lane    uint8       `json:"lane"`
+	Lane    uint16      `json:"lane"`
 	Cookie  string      `json:"cookie,omitempty"`
 	Group   uint32      `json:"group,omitempty"`
 	Bucket  int16       `json:"bucket,omitempty"`
@@ -257,13 +373,15 @@ func (f *Flight) jsonFor(r *FlightRecord, seq uint64) jsonRecord {
 	return jr
 }
 
-// WriteJSONL writes the retained records as one JSON object per line,
-// oldest first — the post-mortem dump format. Sequence numbers are
+// WriteJSONL writes the last DumpCap records as one JSON object per line,
+// oldest first — the post-mortem dump format, the same whether or not the
+// ring retains deeper history for the timeline. Sequence numbers are
 // reconstructed from the ring position; cookies and tag names resolved
 // from the interned tables.
 func (f *Flight) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	n, oldest := f.Len(), f.Seq()
+	n := f.dumpLen()
+	oldest := f.seq - uint64(n)
 	for i := 0; i < n; i++ {
 		if err := enc.Encode(f.jsonFor(f.last(n, i), oldest+uint64(i))); err != nil {
 			return err
@@ -272,9 +390,10 @@ func (f *Flight) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// WriteMergedJSONL interleaves the retained records of several recorders
-// into one JSONL stream ordered by simulation time — the post-mortem view
-// of a sharded run, where each lane keeps its own ring. Records with equal
+// WriteMergedJSONL interleaves the dumped records (the last DumpCap of
+// each) of several recorders into one JSONL stream ordered by simulation
+// time — the post-mortem view of a sharded run, where each lane keeps its
+// own ring. Records with equal
 // timestamps keep ring order (the rings slice order, then ring position),
 // so the merged dump is deterministic for a deterministic run. Sequence
 // numbers are reassigned 0..n-1 over the merged stream; each record's
@@ -289,7 +408,7 @@ func WriteMergedJSONL(w io.Writer, rings []*Flight) error {
 		if f == nil {
 			continue
 		}
-		for i, n := 0, f.Len(); i < n; i++ {
+		for i, n := 0, f.dumpLen(); i < n; i++ {
 			all = append(all, src{f: f, r: f.last(n, i)})
 		}
 	}

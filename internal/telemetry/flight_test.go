@@ -10,47 +10,46 @@ import (
 	"unsafe"
 )
 
-// The record path is memory traffic, so the ring entry must stay within
-// one cache line; growing it past 64 bytes is a performance regression
+// The record path is memory traffic, so the ring entry's size is the
+// recorder's cost: growing it past 80 bytes is a performance regression
 // the overhead benchmark would only catch later and noisily. It must
 // also stay pointer-free: a pointer field would put GC write barriers on
 // every record store and the whole ring on the garbage collector's scan
 // list.
-func TestFlightRecordFitsCacheLine(t *testing.T) {
-	if s := unsafe.Sizeof(FlightRecord{}); s > 64 {
-		t.Fatalf("FlightRecord is %d bytes, must stay <= 64", s)
+func TestFlightRecordLayout(t *testing.T) {
+	if s := unsafe.Sizeof(FlightRecord{}); s != 80 {
+		t.Fatalf("FlightRecord is %d bytes, want 80", s)
 	}
-	if typ := reflect.TypeOf(FlightRecord{}); typ.Comparable() == false || pointersIn(typ) {
-		t.Fatal("FlightRecord must stay pointer-free")
+	if path := pointerField(reflect.TypeOf(FlightRecord{}), "FlightRecord"); path != "" {
+		t.Fatalf("%s holds a pointer; the record must stay pointer-free", path)
 	}
 }
 
-func pointersIn(t reflect.Type) bool {
+// pointerField returns the path of the first field of t that is or holds
+// a pointer (pointer, slice, string, map, chan, interface, func), or "".
+func pointerField(t reflect.Type, path string) string {
 	switch t.Kind() {
 	case reflect.Ptr, reflect.String, reflect.Slice, reflect.Map, reflect.Chan, reflect.Interface, reflect.Func, reflect.UnsafePointer:
-		return true
+		return path
 	case reflect.Struct:
 		for i := 0; i < t.NumField(); i++ {
-			if pointersIn(t.Field(i).Type) {
-				return true
+			if p := pointerField(t.Field(i).Type, path+"."+t.Field(i).Name); p != "" {
+				return p
 			}
 		}
 	case reflect.Array:
-		return pointersIn(t.Elem())
+		return pointerField(t.Elem(), path+"[]")
 	}
-	return false
+	return ""
 }
 
 func TestFlightRingWraparound(t *testing.T) {
-	f := NewFlight(4)
+	f := NewFlight(4, 0)
 	for i := 0; i < 10; i++ {
 		f.Record(FlightRecord{At: int64(i), Kind: FlightExec, Sw: int16(i)})
 	}
 	if f.Total() != 10 || f.Len() != 4 {
 		t.Fatalf("total=%d len=%d", f.Total(), f.Len())
-	}
-	if f.Seq() != 6 {
-		t.Fatalf("oldest seq %d, want 6", f.Seq())
 	}
 	snap := f.Snapshot()
 	if len(snap) != 4 {
@@ -68,7 +67,7 @@ func TestFlightRingWraparound(t *testing.T) {
 }
 
 func TestFlightJSONL(t *testing.T) {
-	f := NewFlight(8)
+	f := NewFlight(8, 0)
 	idx := f.RegisterTagNames([3]string{"start", "cur", ""})
 	r := FlightRecord{
 		At: 1000, Kind: FlightExec, Sw: 3, Port: 2, Eth: 0x0901, Matched: true,
@@ -122,7 +121,7 @@ func TestFlightJSONL(t *testing.T) {
 // Sequence numbers survive ring wraparound: after evictions the dump
 // starts at the oldest retained record's true sequence.
 func TestFlightJSONLSeqAfterWraparound(t *testing.T) {
-	f := NewFlight(4)
+	f := NewFlight(4, 0)
 	for i := 0; i < 11; i++ {
 		f.Record(FlightRecord{At: int64(i), Kind: FlightExec, Sw: int16(i)})
 	}
@@ -150,7 +149,7 @@ func TestFlightJSONLSeqAfterWraparound(t *testing.T) {
 // Cookies beyond the record's inline bytes (note text) round-trip via
 // the overflow table, and repeats are deduplicated.
 func TestFlightLongCookieInterning(t *testing.T) {
-	f := NewFlight(4)
+	f := NewFlight(4, 0)
 	long := "soak oracle divergence: snapshot root 5 saw 17 nodes"
 	for i := 0; i < 3; i++ {
 		var r FlightRecord
@@ -180,7 +179,7 @@ func TestFlightLongCookieInterning(t *testing.T) {
 }
 
 func TestFlightTagNameInterning(t *testing.T) {
-	f := NewFlight(4)
+	f := NewFlight(4, 0)
 	a := f.RegisterTagNames([3]string{"start", "par", "cur"})
 	b := f.RegisterTagNames([3]string{"x", "", ""})
 	if again := f.RegisterTagNames([3]string{"start", "par", "cur"}); again != a {
@@ -204,5 +203,109 @@ func TestFlightKindString(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("%d: got %q want %q", k, k.String(), want)
 		}
+	}
+}
+
+// The ring's storage discipline: power-of-two capacity, cleared slots on
+// recycle, oldest-first snapshots, Reset.
+func TestFlightSlotRing(t *testing.T) {
+	f := NewFlight(10, 0)
+	if f.Cap() != 16 || f.DumpCap() != 16 {
+		t.Fatalf("Cap()=%d DumpCap()=%d, want 16/16 (pow2 rounding of 10)", f.Cap(), f.DumpCap())
+	}
+	for i := 0; i < 20; i++ {
+		r := f.Slot()
+		r.SpanSeq = uint32(i + 1)
+		r.At = int64(i)
+	}
+	if f.Total() != 20 || f.Len() != 16 {
+		t.Fatalf("Total()=%d Len()=%d, want 20/16", f.Total(), f.Len())
+	}
+	for i, r := range f.Snapshot() {
+		if want := int64(i + 4); r.At != want {
+			t.Fatalf("Snapshot()[%d].At = %d, want %d (oldest first)", i, r.At, want)
+		}
+	}
+	if r := f.Slot(); *r != (FlightRecord{}) {
+		t.Fatalf("recycled Slot() not cleared: %+v", *r)
+	}
+	f.Reset()
+	if f.Total() != 0 || f.Len() != 0 {
+		t.Fatalf("after Reset: Total=%d Len=%d, want 0/0", f.Total(), f.Len())
+	}
+}
+
+// The ring is as deep as the larger of the flight and timeline
+// capacities; the dump depth is the flight capacity alone.
+func TestFlightCapacities(t *testing.T) {
+	for _, c := range []struct{ capacity, spans, ring, dump int }{
+		{0, 0, DefaultFlightCap, DefaultFlightCap},
+		{0, 1 << 14, 1 << 14, DefaultFlightCap},
+		{1000, 300, 1024, 1024},
+		{-1, 4096, 4096, 0},
+	} {
+		f := NewFlight(c.capacity, c.spans)
+		if f.Cap() != c.ring || f.DumpCap() != c.dump {
+			t.Errorf("NewFlight(%d, %d): Cap()=%d DumpCap()=%d, want %d/%d",
+				c.capacity, c.spans, f.Cap(), f.DumpCap(), c.ring, c.dump)
+		}
+	}
+}
+
+// A ring deepened for the timeline dumps the same tail as a flight-sized
+// one, sequence numbers included.
+func TestFlightDumpIgnoresTimelineDepth(t *testing.T) {
+	dump := func(f *Flight) string {
+		for i := 0; i < 40; i++ {
+			f.Record(FlightRecord{At: int64(i), Kind: FlightExec, Sw: int16(i)})
+		}
+		var buf bytes.Buffer
+		if err := f.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if a, b := dump(NewFlight(8, 0)), dump(NewFlight(8, 64)); a != b {
+		t.Fatalf("deep ring dumps\n%s\nflight-sized ring dumps\n%s", b, a)
+	}
+}
+
+func TestSpanLane(t *testing.T) {
+	if got := SpanLane(uint64(3)<<32 | 17); got != 2 {
+		t.Fatalf("SpanLane(lane-2 id) = %d, want 2", got)
+	}
+	if got := SpanLane(0); got != -1 {
+		t.Fatalf("SpanLane(0) = %d, want -1 (synthetic root parent)", got)
+	}
+}
+
+// AppendSpans reads the traced exec records claimed after the cursor,
+// as span views with the ids reassembled from their split words.
+func TestFlightAppendSpans(t *testing.T) {
+	f := NewFlight(-1, 8)
+	f.Record(FlightRecord{At: 1, Kind: FlightExec, Sw: 1}) // untraced
+	f.Record(FlightRecord{At: 2, Kind: FlightExec, Sw: 2, Lane: 2, Trace: 7, SpanSeq: 5, Emits: 3, Matched: true})
+	f.Record(FlightRecord{At: 3, Kind: FlightSend, Sw: 2, Lane: 2, Trace: 7})
+	f.Record(FlightRecord{At: 4, Kind: FlightExec, Sw: 3, Lane: 0, Trace: 7, SpanSeq: 1, ParentLane: 3, ParentSeq: 5})
+	got := f.AppendSpans(nil, 0)
+	want := []SpanRecord{
+		{Span: 3<<32 | 5, At: 2, Trace: 7, Sw: 2, Lane: 2, Emits: 3, Matched: true},
+		{Span: 1<<32 | 1, Parent: 3<<32 | 5, At: 4, Trace: 7, Sw: 3},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("AppendSpans(0) = %+v, want %+v", got, want)
+	}
+	if got := f.AppendSpans(nil, 2); !reflect.DeepEqual(got, want[1:]) {
+		t.Fatalf("AppendSpans(2) = %+v, want the last span only", got)
+	}
+	for i := 0; i < 8; i++ {
+		f.Record(FlightRecord{Kind: FlightExec})
+	}
+	if got := f.AppendSpans(nil, 0); len(got) != 0 {
+		t.Fatalf("evicted spans still read: %+v", got)
+	}
+	f.Reset()
+	if got := f.AppendSpans(nil, 12); len(got) != 0 {
+		t.Fatalf("a cursor past a Reset read %+v", got)
 	}
 }

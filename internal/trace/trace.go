@@ -190,8 +190,12 @@ func (s *slot) event(seq uint64) Event {
 	return e
 }
 
-// Events renders the retained executions, oldest first.
+// Events renders the retained executions, oldest first (nil on a nil
+// recorder, so a deployment without WithTrace reads as empty).
 func (r *Recorder) Events() []Event {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := uint64(len(r.ring))

@@ -257,7 +257,7 @@ func TestShardedObservabilityClocks(t *testing.T) {
 			t.Fatal(err)
 		}
 		var ats []int64
-		for _, e := range d.TraceEvents() {
+		for _, e := range d.Trace.Events() {
 			ats = append(ats, int64(e.At))
 		}
 		sort.Slice(ats, func(i, j int) bool { return ats[i] < ats[j] })
@@ -293,7 +293,7 @@ func TestTraceRingRendersParentGolden(t *testing.T) {
 		if err := d.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return d.TraceEvents()
+		return d.Trace.Events()
 	}
 	wantText, err := os.ReadFile(filepath.Join("testdata", "ring20_trace.golden"))
 	if err != nil {

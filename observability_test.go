@@ -30,7 +30,7 @@ func TestTraceAndMetricsOnSnapshot(t *testing.T) {
 		t.Fatalf("snapshot broken under observability: %v %v", res, err)
 	}
 
-	events := d.TraceEvents()
+	events := d.Trace.Events()
 	if len(events) == 0 {
 		t.Fatal("no trace events recorded")
 	}
@@ -112,11 +112,11 @@ func TestTraceAndMetricsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sb strings.Builder
-		for _, e := range d.TraceEvents() {
+		for _, e := range d.Trace.Events() {
 			sb.WriteString(e.String())
 			sb.WriteByte('\n')
 		}
-		js, err := d.MetricsJSON()
+		js, err := json.MarshalIndent(d.MetricsSnapshot(), "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +316,7 @@ func TestWithEventLimit(t *testing.T) {
 // not force structured recording on either.
 func TestTraceOffByDefault(t *testing.T) {
 	d := Deploy(Ring(3))
-	if d.Trace != nil || d.TraceEvents() != nil {
+	if d.Trace != nil || d.Trace.Events() != nil {
 		t.Fatal("tracing must be opt-in")
 	}
 	if d.Net.Switch(0).Record {

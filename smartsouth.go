@@ -22,7 +22,7 @@
 //	d.Run()
 //	res, _ := snap.Collect() // res.Nodes, res.Edges
 //	for _, m := range d.MetricsSnapshot() { ... }
-//	for _, ev := range d.TraceEvents() { ... }
+//	for _, ev := range d.Trace.Events() { ... }
 //
 // Deploy and DeployRemote return the same Deployment type: the only
 // difference is the control plane underneath — direct calls into the
@@ -34,7 +34,7 @@ package smartsouth
 
 import (
 	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -151,16 +151,12 @@ type (
 	// WithTimeline): a pipeline execution of a traced packet, linked to
 	// its parent execution so traversals reconstruct as trees.
 	SpanRecord = telemetry.SpanRecord
-	// TraceTree is one reconstructed traversal (see Traces): the spans of
-	// a trace id linked parent→child, with cross-shard edge counts.
+	// TraceTree is one reconstructed traversal (see BuildTraces): the
+	// spans of a trace id linked parent→child, with cross-shard edge
+	// counts.
 	TraceTree = trace.TraceTree
 	// SpanNode is one node of a TraceTree.
 	SpanNode = trace.SpanNode
-	// Flight is the always-on flight recorder: a fixed ring of recent
-	// data-plane events for post-mortem JSONL dumps (see Deployment.Flight).
-	Flight = telemetry.Flight
-	// FlightRecord is one flight-recorder ring entry.
-	FlightRecord = telemetry.FlightRecord
 	// Telemetry is a point-in-time snapshot of the process-wide telemetry
 	// registry (counters, gauges, histogram views with quantiles).
 	Telemetry = telemetry.Snapshot
@@ -237,16 +233,18 @@ var (
 	// n > 1 is deterministic for any fixed n but may order simultaneous
 	// independent events differently than the single loop.
 	WithShards = network.WithShards
-	// WithTimeline enables the causal traversal tracer, retaining the
-	// last n execution spans per lane (n <= 0 selects the default
-	// capacity). Read the result with SpanRecords/Traces/WriteTimeline,
-	// or from the /traces endpoint of ServeTelemetry.
+	// WithTimeline enables the causal traversal tracer, deepening each
+	// lane's flight ring to at least the last n execution records (n <= 0
+	// selects the default). Read the result with SpanRecords (BuildTraces makes
+	// trees of them) or WriteTimeline, or from the /traces endpoint of
+	// ServeTelemetry.
 	WithTimeline = network.WithTimeline
 )
 
-// BuildTraces reassembles merged span records into per-traversal trees —
-// the offline half of the causal tracer, for spans obtained outside a
-// Deployment (e.g. replayed from a JSONL dump).
+// BuildTraces reassembles merged span records (Deployment.SpanRecords)
+// into per-traversal trees, ascending by trace id. A tree is Complete
+// when its root and every intermediate span are still retained; on long
+// runs the store keeps only the most recent traversals whole.
 var BuildTraces = trace.BuildTraces
 
 // TelemetrySnapshot captures the process-wide telemetry registry:
@@ -291,8 +289,8 @@ type Deployment struct {
 	slots *core.SlotAllocator
 	be    core.Backend
 
-	// Timeline store served by SpanRecords/Traces and /traces. The live
-	// per-lane span rings are only safe to read at a barrier, so Run
+	// Timeline store served by SpanRecords and /traces. The live per-lane
+	// rings are only safe to read at a barrier, so Run
 	// drains the new records into this slice under the mutex (O(new
 	// spans), not O(ring capacity)) and readers — including the HTTP
 	// handler, any goroutine, any time — copy from it. Retention is
@@ -755,23 +753,9 @@ func (d *Deployment) MetricsSnapshot() []ServiceMetrics {
 	return d.reg.Snapshot()
 }
 
-// MetricsJSON renders MetricsSnapshot as indented JSON.
-func (d *Deployment) MetricsJSON() ([]byte, error) {
-	return json.MarshalIndent(d.MetricsSnapshot(), "", "  ")
-}
-
 // Metrics exposes the live registry, for callers that want to reset it or
 // look up a service by EtherType.
 func (d *Deployment) Metrics() *MetricsRegistry { return d.reg }
-
-// TraceEvents returns the retained hop-trace events, oldest first (nil
-// without WithTrace).
-func (d *Deployment) TraceEvents() []TraceEvent {
-	if d.Trace == nil {
-		return nil
-	}
-	return d.Trace.Events()
-}
 
 // SpanRecords returns a copy of the causal tracer's retained execution
 // spans in simulation-time order, accumulated across every Run of this
@@ -787,18 +771,6 @@ func (d *Deployment) SpanRecords() []SpanRecord {
 	return append([]SpanRecord(nil), d.timeline...)
 }
 
-// Traces reconstructs the retained spans into per-traversal trees,
-// ascending by trace id (nil without WithTimeline). A tree is Complete
-// when its root and every intermediate span are still retained; on long
-// runs the store keeps only the most recent traversals whole.
-func (d *Deployment) Traces() []*TraceTree {
-	recs := d.SpanRecords()
-	if recs == nil {
-		return nil
-	}
-	return trace.BuildTraces(recs)
-}
-
 // WriteTimeline renders the retained spans as Chrome trace-event JSON —
 // loadable in Perfetto / chrome://tracing, with one swimlane block per
 // shard and flow arrows on cross-shard edges.
@@ -806,47 +778,33 @@ func (d *Deployment) WriteTimeline(w io.Writer) error {
 	return dump.WriteChromeTrace(w, d.SpanRecords())
 }
 
-// WriteSpanJSONL dumps the retained spans as one JSON object per line.
-func (d *Deployment) WriteSpanJSONL(w io.Writer) error {
-	return dump.WriteSpanJSONL(w, d.SpanRecords())
-}
-
-// Flight returns the deployment's flight recorder — the always-on fixed
-// ring of recent data-plane events (nil when telemetry or the recorder is
-// disabled via WithoutTelemetry / WithFlightCap(-1)).
-func (d *Deployment) Flight() *Flight { return d.Net.Flight() }
-
-// DumpFlight writes the flight recorder's retained records to w as JSONL,
-// oldest first. It is the post-mortem: the final records replay the last
-// traversal hop by hop, with the decoded DFS tag state (start, par, cur)
-// of every pipeline execution.
+// DumpFlight writes the flight recorder's last records (WithFlightCap of
+// them) to w as JSONL, oldest first; it fails with network.ErrNoFlight
+// under WithoutTelemetry or WithFlightCap(-1). It is the post-mortem: the
+// final records replay the last traversal hop by hop, with the decoded
+// DFS tag state (start, par, cur) of every pipeline execution. On a
+// sharded network the per-lane rings are merged by simulation time.
 func (d *Deployment) DumpFlight(w io.Writer) error {
-	if d.Net.Flight() == nil {
-		return fmt.Errorf("flight recorder disabled")
-	}
-	telemetry.M.FlightDumps.Inc()
-	// On a sharded network this merges the per-lane rings by simulation
-	// time; on the classic single loop it is the ring verbatim.
-	return d.Net.WriteFlightJSONL(w)
-}
-
-// WriteFlightDump writes the flight recorder JSONL to path.
-func (d *Deployment) WriteFlightDump(path string) error {
-	var buf bytes.Buffer
-	if err := d.DumpFlight(&buf); err != nil {
+	if err := d.Net.WriteFlightJSONL(w); err != nil {
 		return err
 	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
+	telemetry.M.FlightDumps.Inc()
+	return nil
 }
 
 // dumpFlightOnFailure writes the post-mortem to FlightDumpPath, if one is
-// configured. Dump errors must not mask the triggering failure, so they
-// are reported on stderr only.
+// configured and the recorder is on. Dump errors must not mask the
+// triggering failure, so they are reported on stderr only.
 func (d *Deployment) dumpFlightOnFailure(why string) {
-	if d.FlightDumpPath == "" || d.Net.Flight() == nil {
+	if d.FlightDumpPath == "" {
 		return
 	}
-	if err := d.WriteFlightDump(d.FlightDumpPath); err != nil {
+	var buf bytes.Buffer
+	err := d.DumpFlight(&buf)
+	if err == nil {
+		err = os.WriteFile(d.FlightDumpPath, buf.Bytes(), 0o644)
+	}
+	if err != nil && !errors.Is(err, network.ErrNoFlight) {
 		fmt.Fprintf(os.Stderr, "smartsouth: flight dump (%s) to %s failed: %v\n", why, d.FlightDumpPath, err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,7 +47,7 @@ func TestTimelineCrossShardReconstruction(t *testing.T) {
 		t.Fatalf("snapshot did not complete: res=%v err=%v", res, err)
 	}
 
-	traces := d.Traces()
+	traces := BuildTraces(d.SpanRecords())
 	if len(traces) != 1 {
 		t.Fatalf("reconstructed %d traces, want 1 (one injection)", len(traces))
 	}
@@ -69,10 +70,10 @@ func TestTimelineCrossShardReconstruction(t *testing.T) {
 }
 
 // TestTimelineDeterministic runs the same sharded traced workload twice
-// and requires byte-identical span dumps: span ids, ordering and edges
-// must not depend on goroutine interleaving.
+// and requires identical span records: span ids, ordering and edges must
+// not depend on goroutine interleaving.
 func TestTimelineDeterministic(t *testing.T) {
-	run := func() []byte {
+	run := func() []SpanRecord {
 		g := Ring(20)
 		d := Deploy(g, WithShards(4), WithTimeline(1<<14))
 		snap, err := d.InstallSnapshot()
@@ -83,18 +84,14 @@ func TestTimelineDeterministic(t *testing.T) {
 		if err := d.Run(); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := d.WriteSpanJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return d.SpanRecords()
 	}
 	a, b := run(), run()
 	if len(a) == 0 {
-		t.Fatal("empty span dump")
+		t.Fatal("no spans recorded")
 	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("two identical traced runs produced different span dumps")
+	if !slices.Equal(a, b) {
+		t.Fatal("two identical traced runs produced different span records")
 	}
 }
 
@@ -114,8 +111,8 @@ func TestTimelineDisabled(t *testing.T) {
 	if recs := d.SpanRecords(); recs != nil {
 		t.Fatalf("SpanRecords() = %d records without WithTimeline, want nil", len(recs))
 	}
-	if tr := d.Traces(); tr != nil {
-		t.Fatalf("Traces() = %d trees without WithTimeline, want nil", len(tr))
+	if tr := BuildTraces(d.SpanRecords()); len(tr) != 0 {
+		t.Fatalf("BuildTraces(SpanRecords()) = %d trees without WithTimeline, want none", len(tr))
 	}
 }
 
