@@ -8,6 +8,7 @@ package smartsouth
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -712,4 +713,33 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			b.ReportMetric(float64(tlNs)/float64(offNs), "timeline/off-ratio")
 		}
 	})
+}
+
+// BenchmarkColdDeploy measures the install path end to end — Deploy, then
+// the snapshot's compile, pre-install check and install (Materialize and
+// CompileDispatch) — on a 2 000-switch ISP, once per processor count.
+// Compile, check and install fan out per switch over every core, so
+// cmd/benchguard gates the procs=1 over procs=2 ratio (BENCH_pr10.json).
+func BenchmarkColdDeploy(b *testing.B) {
+	g, err := topo.ISP(100, 20, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, procs := range []int{1, 2} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// The previous deployment's garbage is collected off the
+				// clock, so every iteration starts from the same heap.
+				b.StopTimer()
+				runtime.GC()
+				b.StartTimer()
+				d := Deploy(g, WithBackend("of13"))
+				if _, err := d.InstallSnapshot(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -110,6 +110,45 @@ func TestSlotAndGroupAndCookieCollisions(t *testing.T) {
 	}
 }
 
+// TestGroupCollisionModelsLastWriter pins which of two colliding groups
+// the walk reasons about: the switch keeps the later program's group 7
+// (Switch.AddGroups replaces by ID), so the blackhole behind its bucket —
+// an output to a port with no link — must be found, while the earlier
+// program's bucket, which reaches a neighbour that delivers, must not
+// hide it.
+func TestGroupCollisionModelsLastWriter(t *testing.T) {
+	g := topo.Line(2)
+	a := openflow.NewProgram("first", 1)
+	a.Ensure(0, 2) // port 2 exists on the switch but has no link
+	a.Ensure(1, g.Degree(1))
+	a.AddGroup(0, &openflow.GroupEntry{ID: 7, Type: openflow.GroupIndirect,
+		Buckets: []openflow.Bucket{{Actions: []openflow.Action{openflow.Output{Port: 1}}}}})
+	a.AddFlow(0, 0, &openflow.FlowEntry{Priority: 100, Match: openflow.MatchEth(ethA),
+		Goto: openflow.NoGoto, Actions: []openflow.Action{openflow.Group{ID: 7}}, Cookie: "first/fwd"})
+	a.AddFlow(1, 0, &openflow.FlowEntry{Priority: 100, Match: openflow.MatchEth(ethA),
+		Goto: openflow.NoGoto, Actions: []openflow.Action{openflow.Output{Port: openflow.PortController}},
+		Cookie: "first/deliver"})
+
+	b := openflow.NewProgram("second", 2)
+	b.Ensure(0, 2)
+	b.AddGroup(0, &openflow.GroupEntry{ID: 7, Type: openflow.GroupIndirect,
+		Buckets: []openflow.Bucket{{Actions: []openflow.Action{openflow.Output{Port: 2}}}}})
+
+	fs := analysis.CheckDeployment([]*openflow.Program{a, b}, g, analysis.Options{})
+	if got := findingsOf(fs, analysis.KindGroupCollision); len(got) != 1 || got[0].Service != "second" {
+		t.Errorf("group collisions = %v, want one blaming 'second'", got)
+	}
+	var bh []analysis.Finding
+	for _, f := range findingsOf(fs, analysis.KindBlackhole) {
+		if f.Switch == 0 && strings.Contains(f.Detail, "port 2, which has no link") {
+			bh = append(bh, f)
+		}
+	}
+	if len(bh) != 1 {
+		t.Fatalf("want the second program's group-7 blackhole on sw0 port 2, got %v", fs)
+	}
+}
+
 // TestForwardingLoopOnRing builds a tag encoding that loops on Ring(4):
 // every switch forwards the EtherType out port 1 unconditionally, so the
 // packet ping-pongs between neighbours forever with an unchanged state.

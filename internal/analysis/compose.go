@@ -146,8 +146,9 @@ func (a *analyzer) compose() {
 						Service: p.Service, Slot: p.Slot, Switch: id, Table: -1,
 						Detail: fmt.Sprintf("group %d already installed by service %q", g.ID, prev.prog.Service),
 					})
-					continue
 				}
+				// Switch.AddGroups replaces a group by ID: the last
+				// program's entry is the one the switch holds.
 				cs.groups[g.ID] = &compGroup{prog: p, g: g}
 			}
 		}

@@ -96,9 +96,9 @@ func (c *Controller) ClearInbox() {
 // through, and CompileDispatch skips tables that are still current, so a
 // group-only or state-only program compiles nothing — and the program is
 // retained for declarative accounting (rule-space figures are read off
-// installed programs, not live switches). On a sharded network the
-// materialization and dispatch compilation run concurrently across shards
-// (each touches only its target switch); accounting stays serial.
+// installed programs, not live switches). Materialization and dispatch
+// compilation touch only their target switch, so switches install in
+// parallel (openflow.EachSwitch); accounting stays serial.
 func (c *Controller) InstallProgram(p *openflow.Program) {
 	ids := p.SwitchIDs()
 	for _, id := range ids {
@@ -107,10 +107,12 @@ func (c *Controller) InstallProgram(p *openflow.Program) {
 		c.Stats.GroupMods += len(sp.Groups)
 		c.Stats.InstallMsgs++ // one batched transaction per switch
 	}
-	c.Net.InstallBatch(ids, func(id int) {
-		sw := c.Net.Switch(id)
-		p.At(id).Materialize(sw)
-		sw.CompileDispatch()
+	openflow.EachSwitch(len(ids), func() func(int) {
+		return func(i int) {
+			sw := c.Net.Switch(ids[i])
+			p.At(ids[i]).Materialize(sw)
+			sw.CompileDispatch()
+		}
 	})
 	if !p.Transient {
 		c.programs = append(c.programs, p)

@@ -38,14 +38,17 @@ func (t *Template) CompileStateful(p *openflow.Program) error {
 	if t.L.TagBytes() > p.TagBytes {
 		p.TagBytes = t.L.TagBytes()
 	}
-	c := newLowering(t)
-	for node := 0; node < t.G.NumNodes(); node++ {
-		sp := p.Ensure(node, t.G.Degree(node))
-		c.compileNodeStateful(node)
-		sp.Flows = append(sp.Flows, c.flowRules...)
-		ts := sp.StateSpec(t.T0)
-		ts.Entries = append(ts.Entries, c.stateRules...)
-	}
+	sps := t.ensure(p)
+	openflow.EachSwitch(len(sps), func() func(int) {
+		c := newLowering(t)
+		return func(node int) {
+			sp := sps[node]
+			c.compileNodeStateful(node)
+			sp.Flows = append(sp.Flows, c.flowRules...)
+			ts := sp.StateSpec(t.T0)
+			ts.Entries = append(ts.Entries, c.stateRules...)
+		}
+	})
 	return nil
 }
 

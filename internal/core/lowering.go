@@ -31,9 +31,10 @@ func (s *slab[T]) take(n int) []T {
 	return piece
 }
 
-// lowering is the working state of one Compile / CompileStateful call: the
-// slabs every node's rules are carved from, the scratch lists rules are
-// assembled in, and the per-node table of distinct action lists.
+// lowering is the working state of one Compile / CompileStateful worker
+// (one per openflow.EachSwitch goroutine): the slabs its nodes' rules are
+// carved from, the scratch lists rules are assembled in, and the per-node
+// table of distinct action lists.
 //
 // Both lowerings emit structure-shared programs: within a node, rules and
 // buckets whose action lists are equal by value point at one copy. A

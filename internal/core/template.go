@@ -49,7 +49,9 @@ type Variant struct {
 // match-refined rule variants) to install; nothing here executes per
 // packet. The compiler copies what it keeps of a hook's result, so a hook
 // may return the same slice on every call (SendNext runs once per advance
-// bucket, O(Δ³) times per node).
+// bucket, O(Δ³) times per node). Different nodes compile concurrently
+// (openflow.EachSwitch), so hooks must be pure: they may read shared
+// state but write none.
 type Hooks struct {
 	// RootStart runs when the trigger packet starts the traversal at this
 	// node (pkt.start = 0).
@@ -157,7 +159,8 @@ func (t *Template) AdvGroup(node, s, par int) uint32 {
 }
 
 // Compile compiles the template for every node of the graph into the
-// program (the paper's offline stage, minus installation).
+// program (the paper's offline stage, minus installation). Nodes compile
+// in parallel, one lowering per worker, each into its own switch program.
 func (t *Template) Compile(p *openflow.Program) error {
 	if err := t.validate(); err != nil {
 		return err
@@ -165,14 +168,27 @@ func (t *Template) Compile(p *openflow.Program) error {
 	if t.L.TagBytes() > p.TagBytes {
 		p.TagBytes = t.L.TagBytes()
 	}
-	c := newLowering(t)
-	for node := 0; node < t.G.NumNodes(); node++ {
-		sp := p.Ensure(node, t.G.Degree(node))
-		c.compileNode(node)
-		sp.Flows = append(sp.Flows, c.flowRules...)
-		sp.Groups = append(sp.Groups, c.groupRules...)
-	}
+	sps := t.ensure(p)
+	openflow.EachSwitch(len(sps), func() func(int) {
+		c := newLowering(t)
+		return func(node int) {
+			sp := sps[node]
+			c.compileNode(node)
+			sp.Flows = append(sp.Flows, c.flowRules...)
+			sp.Groups = append(sp.Groups, c.groupRules...)
+		}
+	})
 	return nil
+}
+
+// ensure creates every node's switch program on the caller's goroutine:
+// the compile workers then only append to their own node's program.
+func (t *Template) ensure(p *openflow.Program) []*openflow.SwitchProgram {
+	sps := make([]*openflow.SwitchProgram, t.G.NumNodes())
+	for node := range sps {
+		sps[node] = p.Ensure(node, t.G.Degree(node))
+	}
+	return sps
 }
 
 func (t *Template) validate() error {

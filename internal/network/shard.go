@@ -4,7 +4,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -689,38 +688,4 @@ func (n *Network) scheduleMerged(s *Sim, buf []xev) {
 		*x = xev{}
 	}
 	n.mergeBuf = buf[:0]
-}
-
-// InstallBatch applies install to each of the given switches, grouped by
-// owning shard and run concurrently across shards when the network is
-// sharded (install must then be safe to call concurrently for switches of
-// different shards — table materialization and dispatch compilation
-// touch only the target switch). On a single-loop network — or when the
-// runtime has a single CPU to offer, where goroutine fan-out is pure
-// scheduling overhead — it simply runs in order, preserving the classic
-// install sequence byte for byte.
-func (n *Network) InstallBatch(ids []int, install func(id int)) {
-	if !n.multi || len(ids) < 2 || runtime.GOMAXPROCS(0) == 1 {
-		for _, id := range ids {
-			install(id)
-		}
-		return
-	}
-	byShard := make(map[int][]int)
-	for _, id := range ids {
-		s := n.shardOf[id]
-		byShard[s] = append(byShard[s], id)
-	}
-	var wg sync.WaitGroup
-	//simlint:ignore determinism: per-shard groups run concurrently anyway; launch order is immaterial and installs within a shard keep slice order
-	for _, group := range byShard {
-		wg.Add(1)
-		go func(group []int) {
-			defer wg.Done()
-			for _, id := range group {
-				install(id)
-			}
-		}(group)
-	}
-	wg.Wait()
 }

@@ -98,7 +98,7 @@ type Options struct {
 // Switch checks one live switch and returns all findings, most severe
 // first.
 func Switch(sw *openflow.Switch, opts Options) []Issue {
-	return check(switchConfig(sw), opts)
+	return newScratch().check(switchConfig(sw), opts)
 }
 
 // config is the read-only view of one switch's configuration the checker
@@ -133,20 +133,52 @@ func switchConfig(sw *openflow.Switch) config {
 	return c
 }
 
+// scratch is one check worker's working memory, reused from switch to
+// switch and cleared by each check before use: a parallel CheckProgram
+// that allocated it per switch would hold far more memory at once.
+type scratch struct {
+	tables []table
+	groups map[uint32]*openflow.GroupEntry
+	seen   map[uint32]*openflow.GroupEntry // reachable groups
+	chain  map[uint32][]uint32             // group -> the groups it hands to
+	state  map[uint32]int                  // loop-walk colour
+	queue  []uint32
+	leaf   []listID
+	ids    []uint32
+}
+
+type listID struct { // a shared action list: first element and length
+	first *openflow.Action
+	n     int
+}
+
+func newScratch() *scratch {
+	return &scratch{
+		groups: map[uint32]*openflow.GroupEntry{},
+		seen:   map[uint32]*openflow.GroupEntry{},
+		chain:  map[uint32][]uint32{},
+		state:  map[uint32]int{},
+	}
+}
+
 // programConfig views a switch program as the configuration
 // Materialize would produce on an empty switch: rules grouped per table
 // in match order, a state table keyed by the first spec that populates
-// it, and the last group entry winning a duplicated ID.
-func programConfig(sp *openflow.SwitchProgram) config {
-	c := config{id: sp.Switch, numPorts: sp.NumPorts}
+// it, and the last group entry winning a duplicated ID. The view lives in
+// the scratch and is valid until the next call.
+func (s *scratch) programConfig(sp *openflow.SwitchProgram) config {
+	c := config{id: sp.Switch, numPorts: sp.NumPorts, tables: s.tables[:0]}
 	at := func(id int) *table {
 		for i := range c.tables {
 			if c.tables[i].id == id {
 				return &c.tables[i]
 			}
 		}
-		c.tables = append(c.tables, table{id: id})
-		return &c.tables[len(c.tables)-1]
+		// Reuse the lists of the slot's previous table.
+		c.tables = slices.Grow(c.tables, 1)[:len(c.tables)+1]
+		t := &c.tables[len(c.tables)-1]
+		*t = table{id: id, flows: t.flows[:0], states: t.states[:0]}
+		return t
 	}
 	for _, r := range sp.Flows {
 		t := at(r.Table)
@@ -168,7 +200,9 @@ func programConfig(sp *openflow.SwitchProgram) config {
 		slices.SortStableFunc(t.flows, func(a, b *openflow.FlowEntry) int { return b.Priority - a.Priority })
 		slices.SortStableFunc(t.states, func(a, b *openflow.StateEntry) int { return b.Priority - a.Priority })
 	}
-	groups := make(map[uint32]*openflow.GroupEntry, len(sp.Groups))
+	s.tables = c.tables
+	groups := s.groups
+	clear(groups)
 	for _, g := range sp.Groups {
 		groups[g.ID] = g
 	}
@@ -177,11 +211,11 @@ func programConfig(sp *openflow.SwitchProgram) config {
 }
 
 // check runs every analysis over one configuration.
-func check(c config, opts Options) []Issue {
+func (s *scratch) check(c config, opts Options) []Issue {
 	if opts.MaxGroupDepth <= 0 {
 		opts.MaxGroupDepth = 8
 	}
-	v := &verifier{cfg: c, opts: opts}
+	v := &verifier{cfg: c, opts: opts, s: s}
 	v.tables()
 	v.groups()
 	if !opts.SkipShadowing {
@@ -208,6 +242,7 @@ type verifier struct {
 	cfg    config
 	opts   Options
 	issues []Issue
+	s      *scratch
 }
 
 func (v *verifier) add(sev Severity, table int, cookie, format string, args ...any) {
@@ -334,8 +369,11 @@ func (v *verifier) actions(table int, cookie string, acts []openflow.Action) {
 func (v *verifier) groups() {
 	// Only groups reachable from a rule are checked: walk the ID space
 	// referenced from rules and, transitively, from buckets.
-	seen := map[uint32]*openflow.GroupEntry{}
-	var queue []uint32
+	seen, chain, state := v.s.seen, v.s.chain, v.s.state
+	clear(seen)
+	clear(chain)
+	clear(state)
+	queue := v.s.queue[:0]
 	enqueue := func(acts []openflow.Action) {
 		for _, a := range acts {
 			ga, ok := a.(openflow.Group)
@@ -366,17 +404,12 @@ func (v *verifier) groups() {
 	// not depend on the bucket holding it. leaf[w] is the last list found
 	// in a bucket watching port w that raised no finding and names no
 	// group: seeing it again there, there is nothing to scan or enqueue.
-	type listID struct {
-		first *openflow.Action
-		n     int
-	}
-	leaf := make([]listID, v.cfg.numPorts+1)
+	leaf := append(v.s.leaf[:0], make([]listID, v.cfg.numPorts+1)...)
+	v.s.leaf = leaf
 	// chain[id] lists the installed groups that group id's buckets hand
 	// packets to, in bucket and action order.
-	chain := map[uint32][]uint32{}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
+	for qi := 0; qi < len(queue); qi++ {
+		id := queue[qi]
 		g := seen[id]
 		if len(g.Buckets) == 0 {
 			v.add(Warn, -1, "", "group %d has no buckets (packets handed to it vanish)", id)
@@ -420,17 +453,17 @@ func (v *verifier) groups() {
 			v.add(Warn, -1, "", "fast-failover group %d has no unconditional bucket: packets are dropped when all %d watched ports fail", id, len(g.Buckets))
 		}
 	}
+	v.s.queue = queue
 	// Chain-depth / loop detection via DFS over the chain graph. A group
 	// whose buckets name no group can neither close a loop nor deepen a
 	// chain, so the walk starts from the others only.
-	state := map[uint32]int{} // 0 unvisited, 1 on stack, 2 done
 	var walk func(id uint32, depth int)
 	walk = func(id uint32, depth int) {
 		if depth > v.opts.MaxGroupDepth {
 			v.add(Err, -1, "", "group chain through %d exceeds depth %d", id, v.opts.MaxGroupDepth)
 			return
 		}
-		if state[id] == 1 {
+		if state[id] == 1 { // 0 unvisited, 1 on stack, 2 done
 			v.add(Err, -1, "", "group chaining loop through group %d", id)
 			return
 		}
@@ -445,11 +478,12 @@ func (v *verifier) groups() {
 	}
 	// Ascending ID order: which group of a loop gets named must not depend
 	// on map iteration.
-	ids := make([]uint32, 0, len(chain))
+	ids := v.s.ids[:0]
 	for id := range chain {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
+	v.s.ids = ids
 	for _, id := range ids {
 		if state[id] == 0 {
 			walk(id, 1)
