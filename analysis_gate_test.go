@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"smartsouth"
-	"smartsouth/internal/analysis"
 	"smartsouth/internal/core"
 )
 
@@ -20,7 +19,7 @@ func TestAnalysisGateAcceptsCleanServices(t *testing.T) {
 	if _, err := d.InstallBlackholeCounter(); err != nil {
 		t.Fatalf("blackhole counter rejected: %v", err)
 	}
-	if errs := analysis.Errors(d.Analyze()); len(errs) != 0 {
+	if errs := smartsouth.Errors(d.Analyze()); len(errs) != 0 {
 		t.Fatalf("clean deployment analyzes dirty: %v", errs)
 	}
 }

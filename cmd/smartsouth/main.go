@@ -19,6 +19,7 @@ import (
 
 	"smartsouth"
 	"smartsouth/internal/dump"
+	"smartsouth/internal/verify"
 )
 
 var (
@@ -365,15 +366,11 @@ func main() {
 	}
 
 	if *doVerify {
-		issues := d.Verify()
-		errs := 0
-		for _, i := range issues {
-			fmt.Println(i)
-			if i.Severity.String() == "error" {
-				errs++
-			}
+		findings := d.Verify()
+		for _, f := range findings {
+			fmt.Println(f)
 		}
-		fmt.Printf("verification: %d findings, %d errors\n", len(issues), errs)
+		fmt.Printf("verification: %d findings, %d errors\n", len(findings), len(verify.Errors(findings)))
 	}
 
 	if *traceCap > 0 {

@@ -215,13 +215,8 @@ func oracles(d *smartsouth.Deployment, g *smartsouth.Graph, rng *rand.Rand, forc
 	}
 
 	// Static verification of the full install.
-	if errs := d.VerifyErrors(); len(errs) > 0 {
+	if errs := verify.Errors(d.Verify()); len(errs) > 0 {
 		return fmt.Errorf("verify: %v", errs[0])
-	}
-	// And of the retained programs: the pre-install check every install
-	// already passed must also hold for the recorded intent.
-	if errs := verify.Errors(d.VerifyPrograms()); len(errs) > 0 {
-		return fmt.Errorf("verify programs: %v", errs[0])
 	}
 	if len(d.Programs()) != 3 {
 		return fmt.Errorf("retained %d programs, want 3", len(d.Programs()))

@@ -53,7 +53,7 @@ func main() {
 	}
 
 	fmt.Printf("\nout-of-band messages for both chained flows: %d\n", d.Ctl.Stats.RuntimeMsgs())
-	if errs := d.VerifyErrors(); len(errs) == 0 {
+	if errs := smartsouth.Errors(d.Verify()); len(errs) == 0 {
 		fmt.Println("static verification of the installed chain: clean")
 	} else {
 		fmt.Printf("verification errors: %v\n", errs)

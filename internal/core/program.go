@@ -29,8 +29,8 @@ func newProgram(service string, slot int, g *topo.Graph, l *Layout) *Program {
 // (or a decorator around one) that wants to veto program installations
 // implements it, and installProgram consults it after the per-program
 // static check. The deployment layer uses this to run the network-wide
-// symbolic analysis (internal/analysis) as an opt-in install gate
-// without core depending on the analyzer.
+// symbolic analysis (verify.CheckDeployment) as an opt-in install gate;
+// core itself runs only the per-program check.
 type ProgramGater interface {
 	// GateProgram returns a non-nil error to reject the program before
 	// any of its rules reach a switch.

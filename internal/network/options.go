@@ -99,7 +99,7 @@ func WithShards(n int) Option {
 }
 
 // WithAnalysis gates every program installation on the network-wide
-// static analysis (internal/analysis): conflicts with installed
+// static analysis (verify.CheckDeployment): conflicts with installed
 // services, forwarding loops and blackholes reject the install.
 func WithAnalysis() Option {
 	return func(c *Config) { c.Analysis = true }

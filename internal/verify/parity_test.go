@@ -1,11 +1,13 @@
 package verify_test
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"smartsouth"
 	"smartsouth/internal/controller"
 	"smartsouth/internal/core"
 	"smartsouth/internal/network"
@@ -17,11 +19,11 @@ import (
 // viaSwitch is the reference CheckProgram is held to: materialize every
 // switch program onto an empty model switch — the rules cloned, sorted and
 // indexed as an install would — and run the live-switch verifier over it.
-func viaSwitch(p *openflow.Program, opts verify.Options) []verify.Issue {
+func viaSwitch(p *openflow.Program, opts verify.Options) []verify.Finding {
 	if opts.TagBytes == 0 {
 		opts.TagBytes = p.TagBytes
 	}
-	var all []verify.Issue
+	var all []verify.Finding
 	for _, id := range p.SwitchIDs() {
 		sp := p.At(id)
 		sw := openflow.NewSwitch(id, sp.NumPorts)
@@ -32,26 +34,44 @@ func viaSwitch(p *openflow.Program, opts verify.Options) []verify.Issue {
 	return all
 }
 
-func checkParity(t *testing.T, p *openflow.Program, opts verify.Options) []verify.Issue {
+// ownerFree drops the owner fields (service, slot) a live switch cannot
+// know, leaving what a view of the same rules must agree on.
+func ownerFree(fs []verify.Finding) []verify.Finding {
+	out := make([]verify.Finding, len(fs))
+	for i, f := range fs {
+		f.Service, f.Slot = "", 0
+		out[i] = f
+	}
+	return out
+}
+
+// sameFindings reports a difference between two owner-free sequences.
+func sameFindings(t *testing.T, what string, got, want []verify.Finding) {
 	t.Helper()
-	got, want := verify.CheckProgram(p, opts), viaSwitch(p, opts)
-	if !slices.Equal(got, want) {
-		t.Errorf("program %q, options %+v: in-place check found %d issues, materialized check %d",
-			p.Service, opts, len(got), len(want))
-		for i := 0; i < len(got) || i < len(want); i++ {
-			var g, w string
-			if i < len(got) {
-				g = got[i].String()
-			}
-			if i < len(want) {
-				w = want[i].String()
-			}
-			if g != w {
-				t.Errorf("  first difference at %d:\n   in place:     %s\n   materialized: %s", i, g, w)
-				break
-			}
+	got, want = ownerFree(got), ownerFree(want)
+	if slices.Equal(got, want) {
+		return
+	}
+	t.Errorf("%s: %d findings, reference %d", what, len(got), len(want))
+	for i := 0; i < len(got) || i < len(want); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i].String()
+		}
+		if i < len(want) {
+			w = want[i].String()
+		}
+		if g != w {
+			t.Errorf("  first difference at %d:\n   got:       %s\n   reference: %s", i, g, w)
+			break
 		}
 	}
+}
+
+func checkParity(t *testing.T, p *openflow.Program, opts verify.Options) []verify.Finding {
+	t.Helper()
+	got := verify.CheckProgram(p, opts)
+	sameFindings(t, fmt.Sprintf("program %q, options %+v: in place vs materialized", p.Service, opts), got, viaSwitch(p, opts))
 	return got
 }
 
@@ -108,6 +128,51 @@ func TestCheckProgramMatchesMaterializedSwitch(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestComposedProgramsMatchLiveSwitches: phase 1 over the composition of
+// every retained program must report what the live-switch check reports
+// over the switches they were installed on — the composed view is the
+// switch — for the five deploy-240 services on both lowerings, and again
+// after one service is uninstalled and installed anew.
+func TestComposedProgramsMatchLiveSwitches(t *testing.T) {
+	g := topo.RandomConnected(60, 30, 7)
+	for _, be := range core.Backends() {
+		t.Run(be.Name(), func(t *testing.T) {
+			d := smartsouth.Deploy(g, smartsouth.WithBackend(be.Name()))
+			anyGroups := map[uint32][]int{1: {3, 17, 41}, 2: {8, 22, 55}}
+			if _, err := d.InstallSnapshot(); err != nil {
+				t.Fatal(err)
+			}
+			any, err := d.InstallAnycast(anyGroups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.InstallPriocast(map[uint32][]smartsouth.PrioMember{1: {{Node: 4, Prio: 5}, {Node: 30, Prio: 1}}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.InstallCritical(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.InstallBlackholeCounter(); err != nil {
+				t.Fatal(err)
+			}
+			compare := func(when string) {
+				t.Helper()
+				composed := verify.CheckComposed(d.Programs(), verify.Options{})
+				if len(composed) == 0 {
+					t.Fatalf("%s: the composition reports nothing: the comparison is vacuous", when)
+				}
+				sameFindings(t, when+": composed programs vs live switches", composed, d.Verify())
+			}
+			compare("cold")
+			d.Uninstall(any.Prog.Slot)
+			if _, err := d.InstallAnycast(anyGroups); err != nil {
+				t.Fatal(err)
+			}
+			compare("after reinstalling anycast")
+		})
 	}
 }
 
@@ -180,7 +245,7 @@ func TestCheckProgramMatchesMaterializedSwitchOnBrokenPrograms(t *testing.T) {
 			issues := checkParity(t, p, verify.Options{})
 			checkParity(t, p, verify.Options{SkipShadowing: true})
 			for _, w := range fx.want {
-				if !slices.ContainsFunc(issues, func(i verify.Issue) bool { return strings.Contains(i.Msg, w) }) {
+				if !slices.ContainsFunc(issues, func(i verify.Finding) bool { return strings.Contains(i.Detail, w) }) {
 					t.Errorf("no issue mentions %q in %v", w, issues)
 				}
 			}

@@ -2,7 +2,6 @@ package verify
 
 import (
 	"slices"
-	"sort"
 
 	"smartsouth/internal/openflow"
 )
@@ -20,19 +19,20 @@ import (
 // When opts.TagBytes is zero the program's own recorded tag budget is
 // used, so tag-bound violations are caught without the caller having to
 // thread the layout through.
-func CheckProgram(p *openflow.Program, opts Options) []Issue {
+func CheckProgram(p *openflow.Program, opts Options) []Finding {
 	if opts.TagBytes == 0 {
 		opts.TagBytes = p.TagBytes
 	}
 	ids := p.SwitchIDs()
-	per := make([][]Issue, len(ids))
+	per := make([][]Finding, len(ids))
 	openflow.EachSwitch(len(ids), func() func(int) {
 		s := newScratch()
-		return func(i int) { per[i] = s.check(s.programConfig(p.At(ids[i])), opts) }
+		return func(i int) {
+			s.one[0] = part{p, p.At(ids[i])}
+			per[i] = s.check(s.compose(s.one[:]), opts)
+		}
 	})
 	all := slices.Concat(per...)
-	sort.SliceStable(all, func(i, j int) bool {
-		return all[i].Severity > all[j].Severity
-	})
+	bySeverityStable(all)
 	return all
 }

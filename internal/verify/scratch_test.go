@@ -53,15 +53,15 @@ func defectProgram(n int) *openflow.Program {
 func TestCheckProgramScratchMatchesFreshChecks(t *testing.T) {
 	p := defectProgram(3*64 + 5)
 	opts := Options{TagBytes: p.TagBytes, MaxGroupDepth: 8}
-	var want []Issue
+	var want []Finding
 	for _, id := range p.SwitchIDs() {
 		s := newScratch()
-		want = append(want, s.check(s.programConfig(p.At(id)), opts)...)
+		want = append(want, s.check(s.compose([]part{{p, p.At(id)}}), opts)...)
 	}
 	sort.SliceStable(want, func(i, j int) bool { return want[i].Severity > want[j].Severity })
 	kinds := map[string]bool{}
 	for _, is := range want {
-		kinds[is.Msg[:min(len(is.Msg), 18)]] = true
+		kinds[is.Detail[:min(len(is.Detail), 18)]] = true
 	}
 	if len(kinds) < 4 {
 		t.Fatalf("fixture reports too few kinds of finding: %v", kinds)

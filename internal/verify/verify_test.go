@@ -68,10 +68,10 @@ func TestVerifyDispatcherOverrideIsInfo(t *testing.T) {
 	issues := verify.Switch(net.Switch(1), verify.Options{})
 	foundOverride := false
 	for _, i := range issues {
-		if i.Severity == verify.Info && strings.Contains(i.Msg, "overridden") {
+		if i.Severity == verify.Info && strings.Contains(i.Detail, "overridden") {
 			foundOverride = true
 		}
-		if i.Severity == verify.Warn && strings.Contains(i.Msg, "shadowed") {
+		if i.Severity == verify.Warn && strings.Contains(i.Detail, "shadowed") {
 			t.Errorf("deliberate override misreported as shadow: %s", i)
 		}
 		if i.Severity == verify.Err {
@@ -95,7 +95,7 @@ func TestVerifyMultiSlotServiceNoShadowWarn(t *testing.T) {
 	}
 	for i := 0; i < net.NumSwitches(); i++ {
 		for _, is := range verify.Switch(net.Switch(i), verify.Options{}) {
-			if is.Severity == verify.Warn && strings.Contains(is.Msg, "shadowed") {
+			if is.Severity == verify.Warn && strings.Contains(is.Detail, "shadowed") {
 				t.Errorf("sw%d: multi-slot override misreported as shadow: %s", i, is)
 			}
 			if is.Severity == verify.Err {
@@ -116,7 +116,7 @@ func TestVerifyDisjointMatchesNotShadowed(t *testing.T) {
 	sw.AddFlow(0, &openflow.FlowEntry{Priority: 5, Match: openflow.MatchEth(5).WithField(f, 2),
 		Goto: openflow.NoGoto, Cookie: "second"})
 	for _, i := range verify.Switch(sw, verify.Options{}) {
-		if strings.Contains(i.Msg, "shadowed") || strings.Contains(i.Msg, "overridden") {
+		if strings.Contains(i.Detail, "shadowed") || strings.Contains(i.Detail, "overridden") {
 			t.Errorf("disjoint rules flagged: %s", i)
 		}
 	}
@@ -131,7 +131,7 @@ func TestVerifyBackwardGoto(t *testing.T) {
 	sw.AddFlow(3, &openflow.FlowEntry{Priority: 1, Match: openflow.MatchAll(), Goto: 1, Cookie: "bad"})
 	sw.AddFlow(1, &openflow.FlowEntry{Priority: 1, Match: openflow.MatchAll(), Goto: openflow.NoGoto, Cookie: "t1"})
 	issues := verify.Errors(verify.Switch(sw, verify.Options{}))
-	if len(issues) != 1 || !strings.Contains(issues[0].Msg, "backward goto") {
+	if len(issues) != 1 || !strings.Contains(issues[0].Detail, "backward goto") {
 		t.Fatalf("issues = %v", issues)
 	}
 }
@@ -143,10 +143,10 @@ func TestVerifyDanglingGotoAndGroup(t *testing.T) {
 	issues := verify.Switch(sw, verify.Options{})
 	var gotoWarn, groupErr bool
 	for _, i := range issues {
-		if strings.Contains(i.Msg, "goto empty table") && i.Severity == verify.Warn {
+		if strings.Contains(i.Detail, "goto empty table") && i.Severity == verify.Warn {
 			gotoWarn = true
 		}
-		if strings.Contains(i.Msg, "missing group") && i.Severity == verify.Err {
+		if strings.Contains(i.Detail, "missing group") && i.Severity == verify.Err {
 			groupErr = true
 		}
 	}
@@ -183,7 +183,7 @@ func TestVerifyGroupLoop(t *testing.T) {
 	errs := verify.Errors(verify.Switch(sw, verify.Options{}))
 	found := false
 	for _, e := range errs {
-		if strings.Contains(e.Msg, "loop") {
+		if strings.Contains(e.Detail, "loop") {
 			found = true
 		}
 	}
@@ -212,7 +212,7 @@ func TestVerifySharedListsReportedPerBucket(t *testing.T) {
 		Goto: openflow.NoGoto, Actions: []openflow.Action{openflow.Group{ID: 1}}, Cookie: "entry"})
 	var got []string
 	for _, e := range verify.Errors(verify.Switch(sw, verify.Options{})) {
-		got = append(got, e.Msg)
+		got = append(got, e.Detail)
 	}
 	want := []string{
 		"group 1 bucket 1 outputs to invalid port 99",
@@ -235,7 +235,7 @@ func TestVerifyFFWithoutTerminalBucket(t *testing.T) {
 	issues := verify.Switch(sw, verify.Options{})
 	found := false
 	for _, i := range issues {
-		if i.Severity == verify.Warn && strings.Contains(i.Msg, "no unconditional bucket") {
+		if i.Severity == verify.Warn && strings.Contains(i.Detail, "no unconditional bucket") {
 			found = true
 		}
 	}
@@ -280,10 +280,10 @@ func TestVerifyShadowingSemantics(t *testing.T) {
 	issues := verify.Switch(sw, verify.Options{})
 	overridden := map[string]bool{}
 	for _, i := range issues {
-		if strings.Contains(i.Msg, "shadowed") {
+		if strings.Contains(i.Detail, "shadowed") {
 			t.Errorf("broader override misreported as shadow: %s", i)
 		}
-		if i.Severity == verify.Info && strings.Contains(i.Msg, "overridden") {
+		if i.Severity == verify.Info && strings.Contains(i.Detail, "overridden") {
 			overridden[i.Cookie] = true
 		}
 	}
@@ -302,7 +302,7 @@ func TestVerifyShadowingSemantics(t *testing.T) {
 	issues = verify.Switch(sw2, verify.Options{})
 	shadowed := map[string]bool{}
 	for _, i := range issues {
-		if strings.Contains(i.Msg, "shadowed") {
+		if strings.Contains(i.Detail, "shadowed") {
 			shadowed[i.Cookie] = true
 		}
 	}

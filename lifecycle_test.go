@@ -137,7 +137,7 @@ func TestInstallPathLifecycle(t *testing.T) {
 				lived.SnapNodes != g.NumNodes() || lived.SnapEdges != g.NumEdges() {
 				t.Errorf("end-state answers wrong: %+v", lived)
 			}
-			if errs := d.VerifyErrors(); len(errs) != 0 {
+			if errs := Errors(d.Verify()); len(errs) != 0 {
 				t.Errorf("lived-in deployment fails verification: %v", errs)
 			}
 		})

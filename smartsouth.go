@@ -40,7 +40,6 @@ import (
 	"os"
 	"sync"
 
-	"smartsouth/internal/analysis"
 	"smartsouth/internal/controller"
 	"smartsouth/internal/core"
 	"smartsouth/internal/dump"
@@ -114,13 +113,9 @@ type (
 	// Backend is a compile backend: a lowering of the service IR onto one
 	// data-plane primitive set (of13 flow/groups, or stateful XFSM tables).
 	Backend = core.Backend
-	// VerifyIssue is one finding of the static data-plane checker.
-	VerifyIssue = verify.Issue
-	// AnalysisFinding is one finding of the network-wide symbolic
-	// analyzer (conflicts, loops, blackholes; see internal/analysis).
-	AnalysisFinding = analysis.Finding
-	// AnalysisOptions tunes the network-wide analyzer.
-	AnalysisOptions = analysis.Options
+	// Finding is one finding of the static checker (Verify, Analyze; see
+	// internal/verify).
+	Finding = verify.Finding
 	// ControlPlane is the interface services program against; both the
 	// local controller and the TCP fabric implement it.
 	ControlPlane = core.ControlPlane
@@ -241,6 +236,9 @@ var (
 	WithTimeline = network.WithTimeline
 )
 
+// Errors returns the error-severity findings of Verify or Analyze.
+var Errors = verify.Errors
+
 // BuildTraces reassembles merged span records (Deployment.SpanRecords)
 // into per-traversal trees, ascending by trace id. A tree is Complete
 // when its root and every intermediate span are still retained; on long
@@ -357,7 +355,7 @@ type analysisGate struct {
 // rejects it if the analyzer finds any error-severity defect.
 func (g *analysisGate) GateProgram(p *Program) error {
 	progs := append(g.ControlPlane.Programs(), p)
-	errs := analysis.Errors(analysis.CheckDeployment(progs, g.d.Graph, g.d.analysisOptions()))
+	errs := Errors(verify.CheckDeployment(progs, g.d.Graph, g.d.analysisOptions()))
 	if len(errs) > 0 {
 		g.d.Net.FlightNote("analysis-gate rejection: " + errs[0].String())
 		g.d.dumpFlightOnFailure("analysis gate")
@@ -369,8 +367,8 @@ func (g *analysisGate) GateProgram(p *Program) error {
 // analysisOptions is the deployment's standard analyzer configuration:
 // the slot geometry every service compiles against, and host data
 // traffic as an additional symbolic seed.
-func (d *Deployment) analysisOptions() AnalysisOptions {
-	return AnalysisOptions{
+func (d *Deployment) analysisOptions() verify.Options {
+	return verify.Options{
 		HostEthTypes: []uint16{core.EthData},
 		SlotTables:   core.SlotTables,
 		SlotGroups:   core.SlotGroups,
@@ -380,9 +378,9 @@ func (d *Deployment) analysisOptions() AnalysisOptions {
 // Analyze runs the network-wide symbolic analysis over the retained
 // programs on demand: cross-service conflicts, forwarding loops,
 // blackholes and unreachable rules, without simulating a packet.
-// Findings come back most severe first; analysis.Errors filters.
-func (d *Deployment) Analyze() []AnalysisFinding {
-	return analysis.CheckDeployment(d.CP.Programs(), d.Graph, d.analysisOptions())
+// Findings come back most severe first; Errors filters.
+func (d *Deployment) Analyze() []Finding {
+	return verify.CheckDeployment(d.CP.Programs(), d.Graph, d.analysisOptions())
 }
 
 // Deploy builds the network and attaches the local controller. The
@@ -809,30 +807,15 @@ func (d *Deployment) dumpFlightOnFailure(why string) {
 	}
 }
 
-// VerifyPrograms re-runs the pre-install static check over every retained
-// program. Installation already enforces it; this re-checks the recorded
-// intent (e.g. after topology or code changes) without touching switches.
-func (d *Deployment) VerifyPrograms() []VerifyIssue {
-	var all []VerifyIssue
-	for _, p := range d.CP.Programs() {
-		all = append(all, verify.CheckProgram(p, verify.Options{})...)
-	}
-	return all
-}
-
 // Verify statically checks the installed configuration of every switch
-// and returns all findings (see internal/verify for the property list).
-func (d *Deployment) Verify() []VerifyIssue {
-	var all []VerifyIssue
+// and returns all findings (see internal/verify for the property list);
+// Errors filters.
+func (d *Deployment) Verify() []Finding {
+	var all []Finding
 	for i := 0; i < d.Net.NumSwitches(); i++ {
 		all = append(all, verify.Switch(d.Net.Switch(i), verify.Options{})...)
 	}
 	return all
-}
-
-// VerifyErrors returns only Err-severity findings from Verify.
-func (d *Deployment) VerifyErrors() []VerifyIssue {
-	return verify.Errors(d.Verify())
 }
 
 // OnDeliver registers a callback for packets delivered to a switch-local

@@ -94,7 +94,7 @@ func TestFacadeChaincastLoadMapAndVerify(t *testing.T) {
 	if !done || len(loads) != 2*g.NumEdges() {
 		t.Errorf("loadmap: done=%v samples=%d", done, len(loads))
 	}
-	if errs := d.VerifyErrors(); len(errs) != 0 {
+	if errs := Errors(d.Verify()); len(errs) != 0 {
 		t.Errorf("verify errors: %v", errs)
 	}
 }
@@ -132,7 +132,7 @@ func TestUninstallRemovesOneServiceLeavesOthers(t *testing.T) {
 	if d.FlowEntries() >= before {
 		t.Fatal("uninstall removed nothing")
 	}
-	if errs := d.VerifyErrors(); len(errs) != 0 {
+	if errs := Errors(d.Verify()); len(errs) != 0 {
 		t.Fatalf("post-uninstall verify: %v", errs)
 	}
 

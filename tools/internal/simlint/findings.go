@@ -3,7 +3,6 @@ package simlint
 import (
 	"fmt"
 
-	"smartsouth/internal/analysis"
 	"smartsouth/internal/verify"
 )
 
@@ -13,11 +12,11 @@ import (
 // ("simlint-hotpath", ...), the deployment coordinates are -1 (these
 // are source findings, not switch findings), and Detail carries the
 // position and message.
-func ToFindings(diags []Diagnostic) []analysis.Finding {
-	fs := make([]analysis.Finding, 0, len(diags))
+func ToFindings(diags []Diagnostic) []verify.Finding {
+	fs := make([]verify.Finding, 0, len(diags))
 	for _, d := range diags {
-		fs = append(fs, analysis.Finding{
-			Kind:     analysis.Kind("simlint-" + d.Analyzer),
+		fs = append(fs, verify.Finding{
+			Kind:     verify.Kind("simlint-" + d.Analyzer),
 			Severity: verify.Err,
 			Service:  "simlint",
 			Slot:     -1,
