@@ -6,8 +6,9 @@
 //
 //	go test -bench . -benchmem ./... | benchguard -baseline BENCH_pr10.json -out BENCH_ci.json
 //
-// Exit codes: 0 all benchmarks within threshold, 1 regression found,
-// 2 usage or parse error. -scale multiplies the measured ns/op before
+// Exit codes: 0 all benchmarks within threshold, 1 regression found or a
+// gated baseline row of a measured package went unmeasured, 2 usage or
+// parse error. -scale multiplies the measured ns/op before
 // comparing — `-scale 2.0` fakes a 2x regression, which CI uses as the
 // negative test that the gate actually fires.
 package main
@@ -171,6 +172,30 @@ func (c Comparison) AllocsRegressed(threshold float64) bool {
 // Benchmarks new since the baseline pass unconditionally; they have
 // nothing to regress from.
 func Compare(baseline []Result, measured []Result, threshold, scale float64) []Comparison {
+	match := matcher(baseline)
+	var out []Comparison
+	for _, m := range measured {
+		b, ok := match(m)
+		if !ok {
+			continue
+		}
+		got := m.NsOp * scale
+		c := Comparison{
+			Name: m.Name, Package: m.Package,
+			BaselineNs: b.NsOp, MeasuredNs: got, Ratio: got / b.NsOp,
+			BaselineAllocs: b.AllocsOp, MeasuredAllocs: m.AllocsOp,
+		}
+		c.Regressed = c.Ratio > threshold || c.AllocsRegressed(threshold)
+		out = append(out, c)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Ratio > out[j].Ratio })
+	return out
+}
+
+// matcher returns the baseline row a measured result gates against, by
+// package+name, then name alone, then with trailing sub-benchmark
+// segments stripped (see Compare).
+func matcher(baseline []Result) func(m Result) (Result, bool) {
 	byKey := map[string]Result{}
 	byName := map[string]Result{}
 	for _, b := range baseline {
@@ -187,8 +212,7 @@ func Compare(baseline []Result, measured []Result, threshold, scale float64) []C
 		b, ok := byName[name]
 		return b, ok
 	}
-	var out []Comparison
-	for _, m := range measured {
+	return func(m Result) (Result, bool) {
 		b, ok := lookup(m.Package, m.Name)
 		for name := m.Name; !ok; {
 			i := strings.LastIndexByte(name, '/')
@@ -198,19 +222,31 @@ func Compare(baseline []Result, measured []Result, threshold, scale float64) []C
 			name = name[:i]
 			b, ok = lookup(m.Package, name)
 		}
-		if !ok {
-			continue
-		}
-		got := m.NsOp * scale
-		c := Comparison{
-			Name: m.Name, Package: m.Package,
-			BaselineNs: b.NsOp, MeasuredNs: got, Ratio: got / b.NsOp,
-			BaselineAllocs: b.AllocsOp, MeasuredAllocs: m.AllocsOp,
-		}
-		c.Regressed = c.Ratio > threshold || c.AllocsRegressed(threshold)
-		out = append(out, c)
+		return b, ok
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Ratio > out[j].Ratio })
+}
+
+// Unmeasured lists the gated baseline rows (those with an after_ns_op)
+// of every package the input measured that no measured result matched:
+// a benchmark deleted or renamed without its row would otherwise drop
+// its gate silently. Packages the input did not run are not reported —
+// benchguard is piped arbitrary package subsets.
+func Unmeasured(baseline []Result, measured []Result) []Result {
+	match := matcher(baseline)
+	pkgs := map[string]bool{}
+	hit := map[string]bool{}
+	for _, m := range measured {
+		pkgs[m.Package] = true
+		if b, ok := match(m); ok {
+			hit[b.Package+" "+b.Name] = true
+		}
+	}
+	var out []Result
+	for _, b := range baseline {
+		if b.NsOp > 0 && pkgs[b.Package] && !hit[b.Package+" "+b.Name] {
+			out = append(out, b)
+		}
+	}
 	return out
 }
 
@@ -270,6 +306,10 @@ func main() {
 
 	comps := Compare(base.Benchmarks, measured, *threshold, *scale)
 	regressions := CheckRatios(base.Ratios, measured)
+	missing := Unmeasured(base.Benchmarks, measured)
+	for _, b := range missing {
+		fmt.Printf("UNMEASURED %-50s (%s): gated in %s but not in the input\n", b.Name, b.Package, *baselinePath)
+	}
 	for _, c := range comps {
 		if c.Regressed {
 			regressions++
@@ -286,9 +326,9 @@ func main() {
 				c.Name, c.BaselineNs, c.MeasuredNs, c.Ratio)
 		}
 	}
-	fmt.Printf("benchguard: %d measured, %d compared against %s, %d regression(s), threshold %.2fx\n",
-		len(measured), len(comps), *baselinePath, regressions, *threshold)
-	if regressions > 0 {
+	fmt.Printf("benchguard: %d measured, %d compared against %s, %d regression(s), %d unmeasured, threshold %.2fx\n",
+		len(measured), len(comps), *baselinePath, regressions, len(missing), *threshold)
+	if regressions > 0 || len(missing) > 0 {
 		os.Exit(1)
 	}
 }

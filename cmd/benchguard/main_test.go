@@ -152,6 +152,44 @@ func TestCompareIgnoresUnmeasuredBaselineRows(t *testing.T) {
 	}
 }
 
+// TestUnmeasuredGatedRows: a gated row of a package the input measured
+// must be reported when nothing matched it, so deleting or renaming a
+// benchmark cannot drop its gate silently.
+func TestUnmeasuredGatedRows(t *testing.T) {
+	base := []Result{
+		{Name: "BenchmarkKept", Package: "p", NsOp: 10},
+		{Name: "BenchmarkGone", Package: "p", NsOp: 10},
+		{Name: "BenchmarkGrew", Package: "p", NsOp: 10},
+		{Name: "BenchmarkDocOnly", Package: "p"},
+		{Name: "BenchmarkOther", Package: "q", NsOp: 10},
+	}
+	for _, tc := range []struct {
+		name     string
+		measured []Result
+		want     []string
+	}{
+		{"all measured", []Result{
+			{Name: "BenchmarkKept", Package: "p"}, {Name: "BenchmarkGone", Package: "p"},
+			{Name: "BenchmarkGrew/n=1", Package: "p"},
+		}, nil},
+		{"row vanished", []Result{
+			{Name: "BenchmarkKept", Package: "p"}, {Name: "BenchmarkGrew/n=1", Package: "p"},
+		}, []string{"BenchmarkGone"}},
+		{"renamed", []Result{
+			{Name: "BenchmarkKept", Package: "p"}, {Name: "BenchmarkGoneRenamed", Package: "p"},
+		}, []string{"BenchmarkGone", "BenchmarkGrew"}},
+		{"package not run", []Result{{Name: "BenchmarkOther", Package: "q"}}, nil},
+	} {
+		var got []string
+		for _, b := range Unmeasured(base, tc.measured) {
+			got = append(got, b.Name)
+		}
+		if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("%s: unmeasured %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestBaselineRoundTrip(t *testing.T) {
 	// A baseline emitted from measured results must parse back and gate.
 	measured := mustParseFixture(t)

@@ -43,7 +43,7 @@ var (
 	metricsTo = flag.String("metrics", "", "write the per-service metrics snapshot as JSON to this file ('-' = stdout)")
 	progsTo   = flag.String("programs", "", "write the compiled programs as JSON to this file ('-' = stdout); feed to oflint")
 	topoTo    = flag.String("topo-json", "", "write the topology as JSON to this file ('-' = stdout); feed to oflint")
-	serveAddr = flag.String("serve", "", "serve /metrics, /telemetry, /debug/vars and /debug/pprof on this address (e.g. :9090) and block after the run")
+	serveAddr = flag.String("serve", "", "serve this deployment's /metrics (with per-service series), /telemetry, /traces (with -timeline), /debug/vars and /debug/pprof on this address (e.g. :9090) and block after the run")
 	telemTo   = flag.String("telemetry", "", "write the process telemetry snapshot as JSON to this file ('-' = stdout)")
 	flightTo  = flag.String("flight", "", "write the flight-recorder JSONL to this file ('-' = stdout) after the run; also the dump path on failure")
 	timeTo    = flag.String("timeline", "", "enable causal tracing and write the span timeline as Chrome trace-event JSON to this file ('-' = stdout); with -serve it is also live on /traces")
@@ -110,7 +110,7 @@ func main() {
 		d.FlightDumpPath = *flightTo
 	}
 	if *serveAddr != "" {
-		addr, err := smartsouth.ServeTelemetry(*serveAddr)
+		addr, err := d.ServeTelemetry(*serveAddr)
 		fatal(err)
 		fmt.Printf("telemetry: serving http://%s/metrics (and /telemetry, /debug/vars, /debug/pprof)\n", addr)
 	}

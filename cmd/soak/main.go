@@ -35,7 +35,7 @@ var (
 	seed      = flag.Int64("seed", 1, "base seed (iteration i uses seed+i)")
 	verbose   = flag.Bool("v", false, "log every iteration")
 	jsonOut   = flag.Bool("json", false, "print a JSON summary instead of the one-line tally")
-	serveAddr = flag.String("serve", "", "serve /metrics, /telemetry and /debug/pprof on this address while soaking")
+	serveAddr = flag.String("serve", "", "serve the process view (summed over every iteration) on /metrics and /telemetry, plus /debug/pprof, on this address while soaking; there is no /traces — see -timeline")
 	forceFail = flag.Bool("force-fail", false, "report a synthetic oracle divergence on every iteration (tests the failure path)")
 	dumpDir   = flag.String("dump-dir", os.TempDir(), "directory for flight-recorder dumps of failed iterations ('' = no dumps)")
 	timeline  = flag.String("timeline", "", "enable causal tracing and write each iteration's span timeline (Chrome trace-event JSON) to this path — overwritten per iteration, so after a failure it holds the failing traversal")
@@ -148,12 +148,11 @@ func runIteration(s int64, forceFail bool, dumpDir string) (family, dumpPath str
 	if *timeline != "" {
 		opts = append(opts, smartsouth.WithTimeline(0))
 	}
-	base := smartsouth.TelemetrySnapshot().FallbackLookups
 	d := smartsouth.Deploy(g, opts...)
 	err = oracles(d, g, rng, forceFail)
 	// Under of13 every lookup must find its matcher in place (the stateful
 	// backend's state tables have none and always report here).
-	if moved := smartsouth.TelemetrySnapshot().FallbackLookups - base; err == nil && moved != 0 && d.BackendName() == "of13" {
+	if moved := d.Net.Telemetry().FallbackLookups; err == nil && moved != 0 && d.BackendName() == "of13" {
 		err = fmt.Errorf("%d flow-table lookups had to compile their matcher first: an install path skipped CompileDispatch", moved)
 	}
 	if *timeline != "" {

@@ -6,7 +6,6 @@ import (
 	"smartsouth/internal/controller"
 	"smartsouth/internal/network"
 	"smartsouth/internal/openflow"
-	"smartsouth/internal/telemetry"
 	"smartsouth/internal/topo"
 )
 
@@ -449,8 +448,8 @@ func TestStatefulLowerRequiresStatefulLayout(t *testing.T) {
 	}
 }
 
-// TestStateCommitTelemetry: Run's telemetry flush publishes committed
-// state-table writes; a traversal on the stateful backend must record
+// TestStateCommitTelemetry: Run's telemetry fold counts committed
+// state-table writes on the network; a traversal on the stateful backend must record
 // some, and the tag-carried of13 backend must record none.
 func TestStateCommitTelemetry(t *testing.T) {
 	bothBackends(t, func(t *testing.T, be Backend) {
@@ -461,12 +460,11 @@ func TestStateCommitTelemetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := telemetry.M.StateCommits.Load()
 		tr.Trigger(0, 0)
 		if _, err := net.Run(); err != nil {
 			t.Fatal(err)
 		}
-		d := telemetry.M.StateCommits.Load() - before
+		d := net.Telemetry().StateCommits
 		if be.Stateful() && d == 0 {
 			t.Error("stateful traversal recorded no state commits")
 		}

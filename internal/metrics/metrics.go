@@ -14,6 +14,8 @@
 package metrics
 
 import (
+	"fmt"
+	"io"
 	"sort"
 	"sync"
 
@@ -304,6 +306,28 @@ func (r *Registry) Reset() {
 			for i, eth := range m.EtherTypes {
 				m.base[i] = r.net.MarkInBand(eth)
 			}
+		}
+	}
+}
+
+// WriteProm renders the Table 2 counters of a snapshot as Prometheus
+// text exposition: one smartsouth_service_*_total series per counter,
+// labelled by service and slot.
+func WriteProm(w io.Writer, ms []ServiceMetrics) {
+	for _, s := range []struct {
+		name, help string
+		v          func(m *ServiceMetrics) int
+	}{
+		{"inband_msgs", "in-band link transmissions of the service's EtherTypes", func(m *ServiceMetrics) int { return m.InBandMsgs }},
+		{"inband_bytes", "in-band bytes transmitted", func(m *ServiceMetrics) int { return m.InBandBytes }},
+		{"trigger_packets", "packets that entered the data plane to start a traversal", func(m *ServiceMetrics) int { return m.TriggerPackets }},
+		{"packet_ins", "collect messages (packet-ins) received", func(m *ServiceMetrics) int { return m.PacketIns }},
+		{"flow_mods", "flow rules installed", func(m *ServiceMetrics) int { return m.FlowMods }},
+	} {
+		name := "smartsouth_service_" + s.name + "_total"
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, s.help, name)
+		for i := range ms {
+			fmt.Fprintf(w, "%s{service=%q,slot=\"%d\"} %d\n", name, ms[i].Service, ms[i].Slot, s.v(&ms[i]))
 		}
 	}
 }

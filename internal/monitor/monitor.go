@@ -16,8 +16,8 @@ import (
 	"sort"
 
 	"smartsouth/internal/core"
+	"smartsouth/internal/network"
 	"smartsouth/internal/telemetry"
-	"smartsouth/internal/topo"
 )
 
 // EventKind classifies a topology change.
@@ -83,7 +83,7 @@ type Monitor struct {
 	Watchdog bool
 
 	ctl   core.ControlPlane
-	g     *topo.Graph
+	net   *network.Network // counts the rounds (Network.Telemetry)
 	snap  *core.Snapshot
 	bh    *core.BlackholeCounter
 	super core.Supervisor
@@ -94,17 +94,18 @@ type Monitor struct {
 	Events []Event
 }
 
-// New installs the monitoring services (two slots from slotBase; three
-// when the watchdog is enabled). Install options — notably the compile
-// backend — are passed through to both services.
-func New(c core.ControlPlane, g *topo.Graph, slotBase, root int, watchdog bool, opts ...core.InstallOption) (*Monitor, error) {
-	m := &Monitor{Root: root, Watchdog: watchdog, ctl: c, g: g}
+// New installs the monitoring services on net through its control plane
+// c (two slots from slotBase; three when the watchdog is enabled). Install
+// options — notably the compile backend — are passed through to both
+// services. The monitor's series count on net.
+func New(c core.ControlPlane, net *network.Network, slotBase, root int, watchdog bool, opts ...core.InstallOption) (*Monitor, error) {
+	m := &Monitor{Root: root, Watchdog: watchdog, ctl: c, net: net}
 	var err error
-	if m.snap, err = core.InstallSnapshot(c, g, slotBase, opts...); err != nil {
+	if m.snap, err = core.InstallSnapshot(c, net.Graph, slotBase, opts...); err != nil {
 		return nil, err
 	}
 	if watchdog {
-		if m.bh, err = core.InstallBlackholeCounter(c, g, slotBase+1, opts...); err != nil {
+		if m.bh, err = core.InstallBlackholeCounter(c, net.Graph, slotBase+1, opts...); err != nil {
 			return nil, err
 		}
 	}
@@ -123,7 +124,7 @@ func key(u, v int) edgeKey {
 // Round runs one monitoring round and returns the events it produced.
 func (m *Monitor) Round() ([]Event, error) {
 	m.round++
-	telemetry.M.MonitorRounds.Inc()
+	m.net.Tally(func(c *telemetry.Counters) { c.MonitorRounds++ })
 	var events []Event
 	defer func() { m.noteEvents(events) }()
 
@@ -174,7 +175,7 @@ func (m *Monitor) Round() ([]Event, error) {
 // watchdogRound runs one smart-counter blackhole detection and appends a
 // BlackholeFound event when a silent failure is located.
 func (m *Monitor) watchdogRound(events *[]Event) (found bool, err error) {
-	telemetry.M.MonitorWatchdog.Inc()
+	m.net.Tally(func(c *telemetry.Counters) { c.MonitorWatchdog++ })
 	m.bh.ResetCounters()
 	m.ctl.ClearInbox()
 	m.bh.Detect(m.Root, m.ctl.Now()+1, 0)
@@ -191,17 +192,19 @@ func (m *Monitor) watchdogRound(events *[]Event) (found bool, err error) {
 	return false, nil
 }
 
-// noteEvents publishes a round's event tally to the process telemetry.
+// noteEvents counts a round's events on the network's telemetry.
 func (m *Monitor) noteEvents(events []Event) {
 	if len(events) == 0 {
 		return
 	}
-	telemetry.M.MonitorEvents.Add(int64(len(events)))
-	for _, e := range events {
-		if e.Kind == BlackholeFound {
-			telemetry.M.MonitorBlackholes.Inc()
+	m.net.Tally(func(c *telemetry.Counters) {
+		c.MonitorEvents += uint64(len(events))
+		for _, e := range events {
+			if e.Kind == BlackholeFound {
+				c.MonitorBlackholes++
+			}
 		}
-	}
+	})
 }
 
 // diff compares the new snapshot with the previous one.

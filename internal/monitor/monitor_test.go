@@ -5,7 +5,6 @@ import (
 
 	"smartsouth/internal/controller"
 	"smartsouth/internal/network"
-	"smartsouth/internal/telemetry"
 	"smartsouth/internal/topo"
 )
 
@@ -13,7 +12,7 @@ func rig(t *testing.T, g *topo.Graph, watchdog bool) (*Monitor, *network.Network
 	t.Helper()
 	net := network.New(g, network.Options{})
 	c := controller.New(net)
-	m, err := New(c, g, 0, 0, watchdog)
+	m, err := New(c, net, 0, 0, watchdog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,19 +167,14 @@ func TestMonitorWithoutWatchdogFailsOnSwallowedSweep(t *testing.T) {
 }
 
 // TestMonitorTelemetryAndWatchdogCost pins the paper's message economics
-// under the process telemetry: a quiet round costs exactly 2 out-of-band
-// messages, and a blackhole round adds exactly the watchdog's 3 — all of
-// it visible as telemetry counter deltas.
+// under the network's telemetry: a quiet round costs exactly 2
+// out-of-band messages, and a blackhole round adds exactly the watchdog's
+// 3 — all of it visible in the network's own monitor counters.
 func TestMonitorTelemetryAndWatchdogCost(t *testing.T) {
-	rounds0 := telemetry.M.MonitorRounds.Load()
-	wd0 := telemetry.M.MonitorWatchdog.Load()
-	bh0 := telemetry.M.MonitorBlackholes.Load()
-	ev0 := telemetry.M.MonitorEvents.Load()
-
 	g := topo.Ring(6)
 	net := network.New(g, network.Options{})
 	c := controller.New(net)
-	m, err := New(c, g, 0, 0, true)
+	m, err := New(c, net, 0, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,17 +208,18 @@ func TestMonitorTelemetryAndWatchdogCost(t *testing.T) {
 	}
 	m.noteEvents(events)
 
-	if d := telemetry.M.MonitorRounds.Load() - rounds0; d != 1 {
-		t.Errorf("MonitorRounds delta %d, want 1", d)
+	tel := net.Telemetry()
+	if tel.MonitorRounds != 1 {
+		t.Errorf("MonitorRounds %d, want 1", tel.MonitorRounds)
 	}
-	if d := telemetry.M.MonitorWatchdog.Load() - wd0; d != 1 {
-		t.Errorf("MonitorWatchdog delta %d, want 1", d)
+	if tel.MonitorWatchdog != 1 {
+		t.Errorf("MonitorWatchdog %d, want 1", tel.MonitorWatchdog)
 	}
-	if d := telemetry.M.MonitorBlackholes.Load() - bh0; d != 1 {
-		t.Errorf("MonitorBlackholes delta %d, want 1", d)
+	if tel.MonitorBlackholes != 1 {
+		t.Errorf("MonitorBlackholes %d, want 1", tel.MonitorBlackholes)
 	}
-	if d := telemetry.M.MonitorEvents.Load() - ev0; d != int64(len(events)) {
-		t.Errorf("MonitorEvents delta %d, want %d", d, len(events))
+	if tel.MonitorEvents != int64(len(events)) {
+		t.Errorf("MonitorEvents %d, want %d", tel.MonitorEvents, len(events))
 	}
 }
 
@@ -232,7 +227,7 @@ func TestMonitorControlPlaneCostStaysConstant(t *testing.T) {
 	g := topo.RandomConnected(40, 25, 9)
 	net := network.New(g, network.Options{})
 	c := controller.New(net)
-	m, err := New(c, g, 0, 0, false)
+	m, err := New(c, net, 0, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

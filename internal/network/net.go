@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -131,6 +132,14 @@ type Network struct {
 	prevCommits    uint64
 	prevFlightRecs uint64
 
+	// mu guards the network's read side, both written only at folds (the
+	// end of a Run, Tally, MarkInBand) so readers on any goroutine never
+	// touch lane state: tel, the telemetry totals, and inband, a copy of
+	// every lane's per-EtherType counters (InBandStat).
+	mu     sync.Mutex
+	tel    telemetry.Counters
+	inband [][]ethCounter
+
 	// traceSeq hands out traversal ids when timeline tracing is on. Only
 	// Inject (a barrier-context call) bumps it, so no atomics.
 	traceSeq uint32
@@ -179,6 +188,7 @@ func New(g *topo.Graph, opts Options) *Network {
 		n.lanes[i] = l
 	}
 	n.ctl = n.lanes[nlanes-1]
+	n.inband = make([][]ethCounter, nlanes)
 	n.Sim = &n.ctl.sim
 	n.Sim.MaxSteps = opts.MaxSteps
 	flightCap := opts.FlightCap
@@ -192,13 +202,13 @@ func New(g *topo.Graph, opts Options) *Network {
 	}
 	for _, l := range n.lanes {
 		if !opts.NoTelemetry {
-			l.sim.stats = &telemetry.SimLocal{}
+			l.sim.stats = &telemetry.Counters{}
 		}
 		if flightCap >= 0 || opts.Timeline > 0 {
 			l.flight = telemetry.NewFlight(flightCap, opts.Timeline)
 		}
 	}
-	telemetry.M.Shards.Set(int64(shards))
+	telemetry.NoteShards(shards)
 	rng := rand.New(rand.NewSource(opts.Seed))
 	n.switches = make([]*openflow.Switch, g.NumNodes())
 	n.portLinks = make([][]*Link, g.NumNodes())
@@ -544,17 +554,18 @@ type InBandStat struct {
 	First, Last Time
 }
 
-// InBandStat sums one EtherType's counters over the lanes.
-//
-//simlint:barrier post-run aggregation across parked lanes
+// InBandStat sums one EtherType's counters over the lanes, as of the
+// last fold. Safe from any goroutine, at any time.
 func (n *Network) InBandStat(eth uint16) InBandStat {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	s := InBandStat{First: -1}
-	for _, l := range n.lanes {
-		idx, ok := l.ethIdx[eth]
-		if !ok {
+	for _, cs := range n.inband {
+		i := slices.IndexFunc(cs, func(c ethCounter) bool { return c.eth == eth })
+		if i < 0 {
 			continue
 		}
-		c := &l.counters[idx]
+		c := &cs[i]
 		s.Msgs += c.pastMsgs + c.msgs
 		s.Bytes += c.pastBytes + c.bytes
 		if c.first >= 0 {
@@ -569,6 +580,16 @@ func (n *Network) InBandStat(eth uint16) InBandStat {
 	return s
 }
 
+// publishInBand copies every lane's per-EtherType counters into the
+// network's read side. The caller holds n.mu.
+//
+//simlint:barrier post-run aggregation across parked lanes
+func (n *Network) publishInBand() {
+	for i, l := range n.lanes {
+		n.inband[i] = append(n.inband[i][:0], l.counters...)
+	}
+}
+
 // MarkInBand starts an observation period for eth: it returns the totals
 // so far, for the reader to subtract, and re-arms First on every lane.
 //
@@ -580,6 +601,9 @@ func (n *Network) MarkInBand(eth uint16) InBandStat {
 			l.counters[idx].first = -1
 		}
 	}
+	n.mu.Lock()
+	n.publishInBand()
+	n.mu.Unlock()
 	return s
 }
 

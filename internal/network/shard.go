@@ -584,7 +584,7 @@ func (n *Network) runSharded() (int, error) {
 		}
 		if cst != nil {
 			// Window accounting runs on the coordinator with every worker
-			// parked, staged into the control lane's SimLocal like every
+			// parked, staged into the control lane's Counters like every
 			// other counter. A lane was active iff it processed something
 			// (it got a window iff its head event was inside it, and a
 			// window always drains at least one event); its stall is the

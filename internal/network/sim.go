@@ -87,10 +87,10 @@ type Sim struct {
 	// events lane.step drains as one ExecBatch; reused across steps.
 	batch []event
 
-	// stats is the telemetry scratchpad of this (single-goroutine) loop;
-	// nil disables recording. Plain increments here, flushed into the
-	// process-wide atomics by Network.Run at Run boundaries.
-	stats *telemetry.SimLocal
+	// stats is the telemetry staging of this (single-goroutine) loop; nil
+	// disables recording. Plain increments here, folded into the network's
+	// totals by Network.Run at Run boundaries.
+	stats *telemetry.Counters
 }
 
 // The typed event kinds double as telemetry kind indices; the two enums

@@ -62,10 +62,8 @@ func SweepWith[S any](n, workers int, newState func(w int) S, job func(st S, i i
 		workers = n
 	}
 	errs := make([]error, n)
-	m := telemetry.M
-	m.SweepRuns.Inc()
-	m.SweepWorkers.Set(int64(workers))
-	m.ResetSweepWorkers(workers)
+	m := &telemetry.Sweeps
+	m.Start(workers)
 	//simlint:ignore determinism: wall-clock sample feeds telemetry only, never the sim
 	sweepStart := time.Now()
 	if workers == 1 {
@@ -75,10 +73,10 @@ func SweepWith[S any](n, workers int, newState func(w int) S, job func(st S, i i
 			t0 := time.Now()
 			errs[i] = job(st, i)
 			//simlint:ignore determinism: wall-clock sample feeds telemetry only, never the sim
-			m.NoteSweepJob(0, time.Since(t0).Nanoseconds())
+			m.NoteJob(0, time.Since(t0).Nanoseconds())
 		}
 		//simlint:ignore determinism: wall-clock sample feeds telemetry only, never the sim
-		m.SweepWallNs.Add(time.Since(sweepStart).Nanoseconds())
+		m.WallNs.Add(time.Since(sweepStart).Nanoseconds())
 		return errors.Join(errs...)
 	}
 	// Dynamic work stealing via a shared counter: jobs vary wildly in cost
@@ -103,12 +101,12 @@ func SweepWith[S any](n, workers int, newState func(w int) S, job func(st S, i i
 				t0 := time.Now()
 				errs[i] = job(st, i)
 				//simlint:ignore determinism: wall-clock sample feeds telemetry only, never the sim
-				m.NoteSweepJob(w, time.Since(t0).Nanoseconds())
+				m.NoteJob(w, time.Since(t0).Nanoseconds())
 			}
 		}(w)
 	}
 	wg.Wait()
 	//simlint:ignore determinism: wall-clock sample feeds telemetry only, never the sim
-	m.SweepWallNs.Add(time.Since(sweepStart).Nanoseconds())
+	m.WallNs.Add(time.Since(sweepStart).Nanoseconds())
 	return errors.Join(errs...)
 }

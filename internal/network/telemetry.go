@@ -212,13 +212,13 @@ func (d *TagDecoder) Capture(sw int, tag []byte, out *[3]uint32) {
 	}
 }
 
-// Run drains the event queue and, unless telemetry is disabled, flushes
-// the staged per-loop counters into the process-global metrics: the Run's
-// simulated and wall-clock spans, the event/hop/pool counters, and the
-// FlowTable scan deltas accumulated by the switches since the last flush.
+// Run drains the event queue and then folds: unless telemetry is
+// disabled, it stages the Run's simulated and wall-clock spans and the
+// FlowTable scan deltas the switches accumulated since the last fold,
+// then folds every lane's staging into the network's totals and the
+// process sum; and it republishes the in-band totals InBandStat reads.
 // On a sharded network the drain is the conservative-window coordinator
-// (runSharded) and every worker lane's staging is folded into the control
-// lane's before the single flush.
+// (runSharded).
 //
 //simlint:barrier drives the loop; workers only touch lanes inside the windows it hands out
 func (n *Network) Run() (int, error) {
@@ -228,7 +228,9 @@ func (n *Network) Run() (int, error) {
 	}
 	st := n.Sim.stats
 	if st == nil {
-		return run()
+		steps, err := run()
+		n.fold()
+		return steps, err
 	}
 	simStart := n.Sim.now
 	//simlint:ignore determinism: wall-clock sample feeds telemetry only, never the sim
@@ -246,15 +248,10 @@ func (n *Network) Run() (int, error) {
 	st.StateCommits += cm - n.prevCommits
 	n.prevMatcher, n.prevFallback = agg.MatcherLookups, agg.FallbackLookups
 	n.prevScanned, n.prevCommits = agg.Scanned, cm
-	for _, l := range n.lanes {
-		if l != n.ctl && l.sim.stats != nil {
-			st.MergeFrom(l.sim.stats)
-		}
-	}
 	if n.flightOn() {
 		// Record counts are derived from the rings' running totals here,
 		// once per Run, so the record paths don't pay a counter bump. (The
-		// lanes count their spans into SpanRecords, merged above.)
+		// lanes count their spans into SpanRecords.)
 		var t uint64
 		for _, l := range n.lanes {
 			t += l.flight.Total()
@@ -262,7 +259,60 @@ func (n *Network) Run() (int, error) {
 		st.FlightRecords += t - n.prevFlightRecs
 		n.prevFlightRecs = t
 	}
+	st.Runs++
+	if err != nil {
+		st.RunErrors++
+	}
+	st.RunSimNs.Observe(int64(n.Sim.now - simStart))
 	//simlint:ignore determinism: wall-clock sample feeds telemetry only, never the sim
-	st.FlushTo(telemetry.M, int64(n.Sim.now-simStart), time.Since(wallStart).Nanoseconds(), err != nil)
+	st.RunWallNs.Observe(time.Since(wallStart).Nanoseconds())
+	n.fold()
 	return steps, err
+}
+
+// Tally adds counts made outside the event loop — monitor rounds, flight
+// dumps — to the network's totals and the process sum: f increments the
+// control lane's staging, which is folded at once. A no-op when
+// telemetry is disabled.
+//
+//simlint:barrier called between runs; all lanes are parked
+func (n *Network) Tally(f func(c *telemetry.Counters)) {
+	if st := n.Sim.stats; st != nil {
+		f(st)
+		n.fold()
+	}
+}
+
+// fold moves every lane's staging into the network's totals and the
+// process sum, and republishes the per-EtherType in-band totals.
+//
+//simlint:barrier post-run aggregation across parked lanes
+func (n *Network) fold() {
+	st := n.Sim.stats
+	if st != nil {
+		for _, l := range n.lanes {
+			if l != n.ctl {
+				st.Add(l.sim.stats)
+				l.sim.stats.Reset()
+			}
+		}
+		telemetry.Fold(st)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if st != nil {
+		n.tel.Add(st)
+		st.Reset()
+	}
+	n.publishInBand()
+}
+
+// Telemetry returns the network's own counters as of the last fold. Safe
+// from any goroutine, at any time; without telemetry it reads zero.
+func (n *Network) Telemetry() telemetry.Snapshot {
+	n.mu.Lock()
+	s := n.tel.Snap()
+	n.mu.Unlock()
+	s.Shards = int64(n.Shards())
+	return s
 }

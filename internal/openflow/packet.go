@@ -72,11 +72,12 @@ func (p *Packet) Clone() *Packet {
 // Tag/Labels/Payload backing arrays between uses, so a steady-state hop
 // (clone at emission, clone at pipeline entry) recycles buffers instead of
 // allocating. The pool is safe for concurrent use, which is what lets the
-// parallel sweep runner share it across simulations. Gets and misses feed
-// the process-wide telemetry so a scrape can tell whether the freelist is
-// actually recycling (hit rate ~1) or degenerating into the allocator.
+// parallel sweep runner share it across simulations. Misses feed the
+// process tier of the telemetry (the networks count their gets), so a
+// scrape can tell whether the freelist is actually recycling (hit rate
+// ~1) or degenerating into the allocator.
 var pktPool = sync.Pool{New: func() any {
-	telemetry.M.PoolMisses.Inc()
+	telemetry.PoolMisses.Add(1)
 	return new(Packet)
 }}
 

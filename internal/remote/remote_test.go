@@ -379,7 +379,7 @@ func TestFlowStatsOverWireProfile(t *testing.T) {
 func TestMonitorOverWire(t *testing.T) {
 	g := topo.Ring(6)
 	f, nw := fabricRig(t, g)
-	m, err := monitor.New(f, g, 0, 0, true)
+	m, err := monitor.New(f, nw, 0, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // Log-linear bucketing: values 0..7 get exact buckets; every octave above
 // is split into 8 linear sub-buckets, so the relative quantization error
@@ -43,28 +40,6 @@ func bucketUpper(i int) int64 {
 	return lower + int64(1)<<(exp-subBits) - 1
 }
 
-// Histogram is the shared, concurrency-safe aggregate. Observe is
-// lock-free (three atomic adds); the intended high-rate feed is a
-// LocalHist flushed at Run boundaries, which amortizes even that.
-// The zero value is ready to use.
-type Histogram struct {
-	buckets [numBuckets]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64
-	max     MaxGauge
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v int64) {
-	h.buckets[bucketOf(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.max.Observe(v)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // BucketCount is one non-empty bucket of a snapshot.
 type BucketCount struct {
 	// Upper is the inclusive upper bound of the bucket.
@@ -78,32 +53,6 @@ type HistSnapshot struct {
 	Sum     int64         `json:"sum"`
 	Max     int64         `json:"max"`
 	Buckets []BucketCount `json:"buckets,omitempty"`
-}
-
-// Snapshot copies the non-empty buckets.
-func (h *Histogram) Snapshot() HistSnapshot {
-	s := HistSnapshot{
-		Count: h.count.Load(),
-		Sum:   h.sum.Load(),
-		Max:   h.max.Load(),
-	}
-	for i := 0; i < numBuckets; i++ {
-		if c := h.buckets[i].Load(); c > 0 {
-			s.Buckets = append(s.Buckets, BucketCount{Upper: bucketUpper(i), Count: c})
-		}
-	}
-	return s
-}
-
-// Reset zeroes the histogram (test helper; not linearizable against
-// concurrent Observes).
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.max.Reset()
 }
 
 // Mean returns the average observed value (0 when empty).
@@ -134,10 +83,11 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	return s.Max
 }
 
-// LocalHist is the single-owner histogram the event loop records into:
-// plain integers, no atomics. FlushTo folds it into a shared Histogram
-// and clears it; only the touched bucket span is walked, so a flush
-// after a typical traversal is a few dozen adds.
+// LocalHist is the plain-integer histogram every counter set carries:
+// no atomics, so it belongs to one goroutine at a time — the lane staging
+// it, or whoever holds the mutex of the totals it sits in. Merge and
+// Reset walk only the touched bucket span, so folding a typical
+// traversal's staging is a few dozen adds.
 type LocalHist struct {
 	buckets [numBuckets]uint64
 	count   uint64
@@ -146,8 +96,7 @@ type LocalHist struct {
 	lo, hi  int
 }
 
-// Observe records one value. Not safe for concurrent use — a LocalHist
-// belongs to exactly one goroutine, like the Sim that owns it.
+// Observe records one value.
 func (l *LocalHist) Observe(v int64) {
 	b := bucketOf(v)
 	if l.count == 0 {
@@ -168,13 +117,10 @@ func (l *LocalHist) Observe(v int64) {
 	}
 }
 
-// Count returns the number of unflushed observations.
+// Count returns the number of observations.
 func (l *LocalHist) Count() uint64 { return l.count }
 
-// Merge folds another LocalHist into l and resets o — how a sharded
-// simulation folds its per-lane staging into the control lane's before
-// one FlushTo publishes the union. Both histograms must be quiescent
-// (their owning loops parked), like FlushTo.
+// Merge adds o's observations to l; o is left as it was.
 func (l *LocalHist) Merge(o *LocalHist) {
 	if o.count == 0 {
 		return
@@ -182,42 +128,36 @@ func (l *LocalHist) Merge(o *LocalHist) {
 	if l.count == 0 {
 		l.lo, l.hi = o.lo, o.hi
 	} else {
-		if o.lo < l.lo {
-			l.lo = o.lo
-		}
-		if o.hi > l.hi {
-			l.hi = o.hi
-		}
+		l.lo, l.hi = min(l.lo, o.lo), max(l.hi, o.hi)
 	}
 	for i := o.lo; i <= o.hi; i++ {
-		if c := o.buckets[i]; c > 0 {
-			l.buckets[i] += c
-			o.buckets[i] = 0
-		}
+		l.buckets[i] += o.buckets[i]
 	}
 	l.count += o.count
 	l.sum += o.sum
-	if o.max > l.max {
-		l.max = o.max
-	}
-	o.count, o.sum, o.max = 0, 0, 0
-	o.lo, o.hi = 0, 0
+	l.max = max(l.max, o.max)
 }
 
-// FlushTo folds the local counts into h and resets the local state.
-func (l *LocalHist) FlushTo(h *Histogram) {
+// Reset clears l.
+func (l *LocalHist) Reset() {
 	if l.count == 0 {
 		return
 	}
-	for i := l.lo; i <= l.hi; i++ {
-		if c := l.buckets[i]; c > 0 {
-			h.buckets[i].Add(int64(c))
-			l.buckets[i] = 0
-		}
-	}
-	h.count.Add(int64(l.count))
-	h.sum.Add(l.sum)
-	h.max.Observe(l.max)
+	clear(l.buckets[l.lo : l.hi+1])
 	l.count, l.sum, l.max = 0, 0, 0
 	l.lo, l.hi = 0, 0
+}
+
+// Snapshot copies the non-empty buckets.
+func (l *LocalHist) Snapshot() HistSnapshot {
+	s := HistSnapshot{Count: int64(l.count), Sum: l.sum, Max: l.max}
+	if l.count == 0 {
+		return s
+	}
+	for i := l.lo; i <= l.hi; i++ {
+		if c := l.buckets[i]; c > 0 {
+			s.Buckets = append(s.Buckets, BucketCount{Upper: bucketUpper(i), Count: int64(c)})
+		}
+	}
+	return s
 }

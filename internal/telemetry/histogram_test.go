@@ -41,7 +41,7 @@ func TestBucketRoundTrip(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
+	var h LocalHist
 	for v := int64(1); v <= 1000; v++ {
 		h.Observe(v)
 	}
@@ -64,40 +64,48 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestLocalHistFlush pins the staging flush a Run ends with: Merge adds
+// the staged observations to the totals, Reset clears the staging, and
+// the next flush accumulates on top.
 func TestLocalHistFlush(t *testing.T) {
-	var l LocalHist
-	var h Histogram
+	var l, h LocalHist
 	for v := int64(0); v < 100; v++ {
 		l.Observe(v)
 	}
 	if l.Count() != 100 {
 		t.Fatal("local count")
 	}
-	l.FlushTo(&h)
-	if l.Count() != 0 {
-		t.Fatal("flush must clear the local histogram")
+	h.Merge(&l)
+	if l.Count() != 100 {
+		t.Fatal("Merge must leave its source as it was")
+	}
+	l.Reset()
+	if l.Count() != 0 || l.Snapshot().Buckets != nil {
+		t.Fatal("Reset must clear the local histogram")
 	}
 	s := h.Snapshot()
 	if s.Count != 100 || s.Max != 99 || s.Sum != 4950 {
 		t.Fatalf("flushed snapshot %+v", s)
 	}
-	// A second flush of an empty local must be a no-op.
-	l.FlushTo(&h)
+	// Merging an empty local must be a no-op.
+	h.Merge(&l)
 	if h.Count() != 100 {
-		t.Fatal("empty flush changed the histogram")
+		t.Fatal("empty merge changed the histogram")
 	}
 	// Flushing more data accumulates.
 	l.Observe(1 << 30)
-	l.FlushTo(&h)
-	if got := h.Snapshot(); got.Count != 101 || got.Max != 1<<30 {
+	h.Merge(&l)
+	if got := h.Snapshot(); got.Count != 101 || got.Max != 1<<30 || len(got.Buckets) != len(s.Buckets)+1 {
 		t.Fatalf("second flush %+v", got)
 	}
 }
 
-// TestHistogramConcurrent checks the shared histogram under concurrent
-// observers (the sweep-worker case).
+// TestHistogramConcurrent folds staging from concurrent goroutines (the
+// sweep-worker case: many networks ending Runs at once) into the process
+// sum: no observation may be lost.
 func TestHistogramConcurrent(t *testing.T) {
-	var h Histogram
+	count := func() int64 { return ProcessSnap().RunSimNs.Count }
+	before := count()
 	workers := runtime.GOMAXPROCS(0)
 	const perWorker = 20_000
 	var wg sync.WaitGroup
@@ -106,18 +114,19 @@ func TestHistogramConcurrent(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			var l LocalHist
+			var c Counters
 			for i := 0; i < perWorker; i++ {
-				l.Observe(rng.Int63n(1 << 20))
+				c.RunSimNs.Observe(rng.Int63n(1 << 20))
 				if i%1000 == 999 {
-					l.FlushTo(&h)
+					Fold(&c)
+					c.Reset()
 				}
 			}
-			l.FlushTo(&h)
+			Fold(&c)
 		}(int64(w))
 	}
 	wg.Wait()
-	if got, want := h.Count(), int64(workers*perWorker); got != want {
+	if got, want := count()-before, int64(workers*perWorker); got != want {
 		t.Fatalf("lost observations: got %d want %d", got, want)
 	}
 }

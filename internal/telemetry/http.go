@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -19,20 +18,6 @@ var publishOnce sync.Once
 // startTime anchors the /healthz uptime; the process start is close
 // enough for an observability endpoint.
 var startTime = time.Now()
-
-// traceSource holds the registered /traces renderer (see SetTraceSource).
-var traceSource atomic.Value // of func(io.Writer) error
-
-// SetTraceSource registers the renderer behind the /traces endpoint —
-// typically a closure writing the current deployment's causal timeline
-// as Chrome trace-event JSON. The telemetry package cannot depend on the
-// exporters (they sit above the simulator), so the deployment layer
-// injects one; the last registration wins, and /traces answers 404
-// until one exists. The renderer is invoked from HTTP goroutines and
-// must be safe for concurrent use.
-func SetTraceSource(fn func(w io.Writer) error) {
-	traceSource.Store(fn)
-}
 
 // health is the /healthz payload: enough to tell which build is serving,
 // how long it has been up, and what shape the simulator runs in.
@@ -46,13 +31,13 @@ type health struct {
 	Runs       int64  `json:"runs"`
 }
 
-func healthz(w http.ResponseWriter, _ *http.Request) {
+func healthz(w http.ResponseWriter, s Snapshot) {
 	h := health{
 		Status:     "ok",
 		GoVersion:  runtime.Version(),
 		UptimeSecs: int64(time.Since(startTime).Seconds()),
-		Shards:     M.Shards.Load(),
-		Runs:       M.Runs.Load(),
+		Shards:     s.Shards,
+		Runs:       s.Runs,
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		h.Module = bi.Main.Path
@@ -68,47 +53,57 @@ func healthz(w http.ResponseWriter, _ *http.Request) {
 	_ = enc.Encode(h)
 }
 
-// Handler returns the observability mux:
+// Source is what one observability server exposes: a network's counters
+// (Deployment.ServeTelemetry) or the process view (ProcessSnap).
+type Source struct {
+	// Snap reads the counters behind /metrics, /telemetry and /healthz.
+	Snap func() Snapshot
+	// Series, when set, writes the source's own series after the counters
+	// on /metrics (a deployment's per-service series).
+	Series func(w io.Writer)
+	// Traces, when set, renders /traces; without it the endpoint answers
+	// 404. Invoked from HTTP goroutines, so it must be safe for concurrent
+	// use.
+	Traces func(w io.Writer) error
+}
+
+// Handler returns the observability mux over src:
 //
-//	/metrics        Prometheus text exposition (global metrics + extras)
-//	/telemetry      the same data as indented JSON (quantile views)
+//	/metrics        Prometheus text exposition
+//	/telemetry      the same counters as indented JSON (quantile views)
 //	/healthz        build info, uptime, shard count
-//	/traces         the causal timeline (Chrome trace-event JSON), once a
-//	                source is registered via SetTraceSource
-//	/debug/vars     expvar (includes a "smartsouth" variable)
+//	/traces         the causal timeline (Chrome trace-event JSON)
+//	/debug/vars     expvar (a "smartsouth" variable holds the process view)
 //	/debug/pprof/*  the standard profiling endpoints
-//
-// extras are invoked after the global series on every /metrics scrape.
-func Handler(extras ...func(w http.ResponseWriter)) http.Handler {
+func Handler(src Source) http.Handler {
 	publishOnce.Do(func() {
-		expvar.Publish("smartsouth", expvar.Func(func() any { return M.Snap() }))
+		expvar.Publish("smartsouth", expvar.Func(func() any { return ProcessSnap() }))
 	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		M.WriteProm(w)
-		for _, fn := range extras {
-			fn(w)
+		s := src.Snap()
+		WriteProm(w, &s)
+		if src.Series != nil {
+			src.Series(w)
 		}
 	})
 	mux.HandleFunc("/telemetry", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(M.Snap())
+		_ = enc.Encode(src.Snap())
 	})
-	mux.HandleFunc("/healthz", healthz)
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { healthz(w, src.Snap()) })
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
-		fn, _ := traceSource.Load().(func(io.Writer) error)
-		if fn == nil {
-			http.Error(w, "no trace source registered (timeline tracing off)", http.StatusNotFound)
+		if src.Traces == nil {
+			http.Error(w, "no timeline to serve (timeline tracing off)", http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		if err := fn(w); err != nil {
-			// Headers are committed; all we can do is cut the body short.
-			return
-		}
+		// On error the headers are committed; all that can happen is a
+		// body cut short.
+		_ = src.Traces(w)
 	})
 	// The stdlib expvar handler sets its own Content-Type, but that is an
 	// implementation detail of net/http — set it explicitly so a scrape
@@ -125,16 +120,16 @@ func Handler(extras ...func(w http.ResponseWriter)) http.Handler {
 	return mux
 }
 
-// Serve binds addr and serves Handler on it in a background goroutine,
-// returning the bound address (useful with ":0") or an error. The
-// listener stays open for the life of the process — the serve mode of
-// the CLI binaries is explicitly "until killed".
-func Serve(addr string, extras ...func(w http.ResponseWriter)) (string, error) {
+// Serve binds addr and serves Handler(src) on it in a background
+// goroutine, returning the bound address (useful with ":0") or an error.
+// The listener stays open for the life of the process — the serve mode
+// of the CLI binaries is explicitly "until killed".
+func Serve(addr string, src Source) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	srv := &http.Server{Handler: Handler(extras...)}
+	srv := &http.Server{Handler: Handler(src)}
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), nil
 }

@@ -8,35 +8,34 @@ import (
 	"testing"
 )
 
-// newTestMetrics builds a populated Metrics so exposition tests don't
-// depend on (or mutate) the global M.
-func newTestMetrics() *Metrics {
-	m := &Metrics{}
-	m.Events[KindProcess].Add(40)
-	m.Events[KindPacketIn].Add(2)
-	m.Runs.Inc()
+// testSnapshot renders a populated Counters, with the process-wide
+// series set by hand, so exposition tests don't depend on the process.
+func testSnapshot() Snapshot {
+	var c Counters
+	c.Events[KindProcess] = 40
+	c.Events[KindPacketIn] = 2
+	c.Runs = 1
 	for v := int64(100); v <= 1000; v += 100 {
-		m.HopWallNs.Observe(v)
-		m.HeapDepth.Observe(v / 100)
+		c.HopWallNs.Observe(v)
+		c.HeapDepth.Observe(v / 100)
 	}
-	m.Hops.Add(38)
-	m.PoolGets.Add(10)
-	m.PoolMisses.Add(2)
-	m.FlowLookups.Add(40)
-	m.FlowScanned.Add(52)
-	m.SweepWorkers.Set(2)
-	m.WorkerBusyNs[0].Store(5000)
-	m.WorkerBusyNs[1].Store(4000)
-	m.WorkerJobs[0].Store(3)
-	m.WorkerJobs[1].Store(2)
-	return m
+	c.Hops = 38
+	c.PoolGets = 10
+	c.MatcherLookups = 40
+	c.FlowScanned = 52
+	s := c.view()
+	s.PoolMisses, s.PoolHitRate = 2, 0.8
+	s.SweepWorkers = 2
+	s.SweepWorkerBusyNs = []int64{5000, 4000}
+	s.SweepWorkerJobs = []int64{3, 2}
+	return s
 }
 
 // TestPromExposition pins the series names the CI smoke job greps for.
 func TestPromExposition(t *testing.T) {
-	m := newTestMetrics()
+	s := testSnapshot()
 	var sb strings.Builder
-	m.WriteProm(&sb)
+	WriteProm(&sb, &s)
 	out := sb.String()
 
 	for _, want := range []string{
@@ -48,6 +47,7 @@ func TestPromExposition(t *testing.T) {
 		"smartsouth_hops_total 38",
 		"smartsouth_flowtable_fanout 1.3",
 		"smartsouth_sweep_worker_busy_ns{worker=\"0\"} 5000",
+		"smartsouth_sweep_worker_jobs{worker=\"1\"} 2",
 		"smartsouth_flight_records_total 0",
 	} {
 		if !strings.Contains(out, want) {
@@ -70,9 +70,8 @@ func TestPromExposition(t *testing.T) {
 }
 
 func TestSnapJSON(t *testing.T) {
-	m := newTestMetrics()
-	s := m.Snap()
-	if s.Events["process"] != 40 || s.PoolHitRate != 0.8 {
+	s := testSnapshot()
+	if s.Events["process"] != 40 || s.FlowLookups != 40 || s.FlowFanout != 1.3 {
 		t.Fatalf("snap %+v", s)
 	}
 	if s.HopWallNs.Count != 10 || s.HopWallNs.P50 < 500 {
@@ -92,35 +91,33 @@ func TestSnapJSON(t *testing.T) {
 }
 
 func TestServeEndpoints(t *testing.T) {
-	addr, err := Serve("127.0.0.1:0", func(w http.ResponseWriter) {
-		io.WriteString(w, "smartsouth_extra_series 1\n")
-	})
+	addr, err := Serve("127.0.0.1:0", Source{Snap: ProcessSnap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func(path string) string {
+	get := func(path string, status int) string {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != status {
+			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, status)
 		}
 		b, _ := io.ReadAll(resp.Body)
 		return string(b)
 	}
-	metrics := get("/metrics")
-	if !strings.Contains(metrics, "smartsouth_runs_total") || !strings.Contains(metrics, "smartsouth_extra_series 1") {
+	if metrics := get("/metrics", 200); !strings.Contains(metrics, "smartsouth_runs_total") {
 		t.Fatalf("/metrics missing series:\n%s", metrics)
 	}
-	tele := get("/telemetry")
+	tele := get("/telemetry", 200)
 	var snap map[string]any
 	if err := json.Unmarshal([]byte(tele), &snap); err != nil {
 		t.Fatalf("/telemetry not JSON: %v", err)
 	}
-	vars := get("/debug/vars")
+	vars := get("/debug/vars", 200)
 	if !strings.Contains(vars, "\"smartsouth\"") {
 		t.Fatal("/debug/vars missing smartsouth expvar")
 	}
+	get("/traces", http.StatusNotFound) // the process has no timeline
 }

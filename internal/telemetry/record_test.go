@@ -5,13 +5,12 @@ import (
 
 	"smartsouth"
 	"smartsouth/internal/openflow"
-	"smartsouth/internal/telemetry"
 )
 
 // TestTimelineRunRecordCounts: the causal span rides on the exec record
-// instead of claiming a record of its own. On a timeline run the span
-// counter moves by exactly the traced executions, and the flight-record
-// counter by what the same run writes without the timeline.
+// instead of claiming a record of its own. On a timeline run the
+// deployment's span counter reads exactly the traced executions, and its
+// flight-record counter what the same run writes without the timeline.
 func TestTimelineRunRecordCounts(t *testing.T) {
 	run := func(shards int, opts ...smartsouth.Option) (flight, spans int64, traced int) {
 		d := smartsouth.Deploy(smartsouth.Ring(20), append(opts, smartsouth.WithShards(shards))...)
@@ -24,22 +23,21 @@ func TestTimelineRunRecordCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := telemetry.M.Snap()
 		snap.Trigger(0, 0)
 		if err := d.Run(); err != nil {
 			t.Fatal(err)
 		}
-		after := telemetry.M.Snap()
-		return after.FlightRecords - before.FlightRecords, after.SpanRecords - before.SpanRecords, traced
+		tel := d.Net.Telemetry()
+		return tel.FlightRecords, tel.SpanRecords, traced
 	}
 	for _, shards := range []int{1, 4} {
 		flight, spans, traced := run(shards, smartsouth.WithTimeline(1<<14))
 		plain, _, _ := run(shards)
 		if traced == 0 || spans != int64(traced) {
-			t.Errorf("shards=%d: span_records_total moved by %d, want the %d traced executions", shards, spans, traced)
+			t.Errorf("shards=%d: span_records_total is %d, want the %d traced executions", shards, spans, traced)
 		}
 		if flight != plain {
-			t.Errorf("shards=%d: flight_records_total moved by %d with the timeline, %d without", shards, flight, plain)
+			t.Errorf("shards=%d: flight_records_total is %d with the timeline, %d without", shards, flight, plain)
 		}
 	}
 }

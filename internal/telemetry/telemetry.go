@@ -1,26 +1,24 @@
 // Package telemetry is the always-on instrumentation core of the
-// simulator: lock-free sharded counters, log-linear latency histograms,
-// and a fixed-size flight recorder, all built on the standard library
-// alone and all allocation-free on their record paths.
+// simulator: one plain-integer counter set with log-linear latency
+// histograms, and a fixed-size flight recorder, all built on the standard
+// library alone and all allocation-free on their record paths.
 //
-// The design splits recording from aggregation so the per-event cost
-// stays in the low nanoseconds:
+// There is one counter set type, Counters, and one fold, Counters.Add:
 //
-//   - The simulator's single-threaded event loop records into a plain
-//     (non-atomic) SimLocal owned by one Sim. Recording is an integer
-//     increment or a bucket bump — no atomics, no locks, no time.Now
-//     except on a 1-in-64 sample of events.
-//   - At Run boundaries the SimLocal is flushed into the process-global
-//     Metrics set (sharded counters, atomic histograms), which many
-//     parallel sweep workers share safely.
-//   - Scrapers (the /metrics endpoint, dump JSON) read only the global
-//     set, so they never race the hot loop.
+//   - Every lane of a network records into its own staging Counters.
+//     Recording is an integer increment or a bucket bump — no atomics, no
+//     locks, no time.Now except on a 1-in-64 sample of events.
+//   - At the end of each Run the network folds the staging into its own
+//     totals under a network mutex (Network.Telemetry reads them) and
+//     into the process sum (ProcessSnap reads that).
+//   - Scrapers read only folded totals, so they never race the hot loop.
+//
+// The process tier keeps only what no network owns: packet-pool misses
+// (counted where the shared freelist allocates) and the sweep runner's
+// series.
 //
 // The flight recorder (see flight.go) is the post-mortem complement: a
 // fixed ring of recent data-plane events that costs a struct store per
 // record when nobody is looking and dumps structured JSONL when a sweep
 // errors, an oracle diverges, or an install is rejected.
 package telemetry
-
-// Version tags the exposition format; bump when series are renamed.
-const Version = "pr5"

@@ -152,8 +152,9 @@ type (
 	TraceTree = trace.TraceTree
 	// SpanNode is one node of a TraceTree.
 	SpanNode = trace.SpanNode
-	// Telemetry is a point-in-time snapshot of the process-wide telemetry
-	// registry (counters, gauges, histogram views with quantiles).
+	// Telemetry is a point-in-time snapshot of a counter set — one
+	// network's (Net.Telemetry) or the process sum (TelemetrySnapshot):
+	// counters, gauges, histogram views with quantiles.
 	Telemetry = telemetry.Snapshot
 	// ServiceMetrics is the aggregated observability view of one deployed
 	// service: install cost, trigger/collect messages, in-band messages
@@ -232,7 +233,7 @@ var (
 	// lane's flight ring to at least the last n execution records (n <= 0
 	// selects the default). Read the result with SpanRecords (BuildTraces makes
 	// trees of them) or WriteTimeline, or from the /traces endpoint of
-	// ServeTelemetry.
+	// Deployment.ServeTelemetry.
 	WithTimeline = network.WithTimeline
 )
 
@@ -245,17 +246,21 @@ var Errors = verify.Errors
 // runs the store keeps only the most recent traversals whole.
 var BuildTraces = trace.BuildTraces
 
-// TelemetrySnapshot captures the process-wide telemetry registry:
-// event/hop/packet-in counters, pool hit rate, flow-table fan-out,
-// latency histograms with quantiles. It aggregates across every
-// deployment in the process.
-func TelemetrySnapshot() Telemetry { return telemetry.M.Snap() }
+// TelemetrySnapshot captures the process view: the sum of every
+// deployment's counters in the process (event/hop/packet-in counters,
+// flow-table fan-out, latency histograms with quantiles) plus the
+// process-wide series — packet-pool misses and hit rate, the sweep
+// runner. One deployment's own counters are d.Net.Telemetry().
+func TelemetrySnapshot() Telemetry { return telemetry.ProcessSnap() }
 
-// ServeTelemetry starts the observability HTTP server on addr
-// (host:port; :0 picks a free port) and returns the bound address. It
-// serves /metrics (Prometheus text), /telemetry (JSON snapshot),
-// /debug/vars (expvar) and /debug/pprof.
-var ServeTelemetry = telemetry.Serve
+// ServeTelemetry starts the process-wide observability HTTP server on
+// addr (host:port; :0 picks a free port) and returns the bound address.
+// It serves the process view on /metrics (Prometheus text), /telemetry
+// (JSON) and /healthz, plus /debug/vars (expvar) and /debug/pprof; it has
+// no /traces. Deployment.ServeTelemetry serves one deployment.
+func ServeTelemetry(addr string) (string, error) {
+	return telemetry.Serve(addr, telemetry.Source{Snap: telemetry.ProcessSnap})
+}
 
 // Deployment couples one topology with its simulated network and a
 // control plane — local (Ctl) or OpenFlow-over-TCP (Fabric) — and hands
@@ -318,13 +323,30 @@ func resolveBackend(cfg network.Config) (core.Backend, error) {
 	return core.BackendByName(name)
 }
 
-func newDeployment(g *Graph, cfg network.Config) *Deployment {
-	net := network.New(g, cfg.Opts)
+// newDeployment wires a deployment over net and its control plane cp —
+// the local controller or the TCP fabric: the metrics-metered decoration
+// every installer goes through, the WithAnalysis gate, the packet-in
+// hook into the registry, and the trace and timeline stores.
+func newDeployment(net *Network, cfg network.Config, be core.Backend, cp ControlPlane) *Deployment {
 	d := &Deployment{
-		Graph: g,
+		Graph: net.Graph,
 		Net:   net,
 		reg:   metrics.NewRegistry(net),
 		slots: core.NewSlotAllocator(0),
+		be:    be,
+	}
+	notePacketIn := func(pi controller.PacketIn) {
+		d.reg.NotePacketIn(pi.At, pi.Pkt.EthType, pi.Pkt.Size())
+	}
+	switch p := cp.(type) {
+	case *controller.Controller:
+		d.Ctl, p.OnPacketIn = p, notePacketIn
+	case *remote.Fabric:
+		d.Fabric, p.OnPacketIn = p, notePacketIn
+	}
+	d.CP = metrics.Meter(cp, d.reg)
+	if cfg.Analysis {
+		d.CP = &analysisGate{ControlPlane: d.CP, d: d}
 	}
 	if cfg.TraceCap > 0 {
 		d.Trace = trace.NewRecorder(net, cfg.TraceCap)
@@ -332,12 +354,6 @@ func newDeployment(g *Graph, cfg network.Config) *Deployment {
 	}
 	if cfg.Opts.Timeline > 0 {
 		d.timelineMax = cfg.Opts.Timeline * (net.Shards() + 1)
-		// Serve this deployment's timeline on /traces. Registration is
-		// last-wins process state, matching the process-global metrics: the
-		// most recently deployed traced network is what the endpoint shows.
-		telemetry.SetTraceSource(func(w io.Writer) error {
-			return dump.WriteChromeTrace(w, d.SpanRecords())
-		})
 	}
 	return d
 }
@@ -393,17 +409,8 @@ func Deploy(g *Graph, opts ...Option) *Deployment {
 	if err != nil {
 		panic("smartsouth: " + err.Error())
 	}
-	d := newDeployment(g, cfg)
-	d.be = be
-	d.Ctl = controller.New(d.Net)
-	d.CP = metrics.Meter(d.Ctl, d.reg)
-	if cfg.Analysis {
-		d.CP = &analysisGate{ControlPlane: d.CP, d: d}
-	}
-	d.Ctl.OnPacketIn = func(pi controller.PacketIn) {
-		d.reg.NotePacketIn(pi.At, pi.Pkt.EthType, pi.Pkt.Size())
-	}
-	return d
+	net := network.New(g, cfg.Opts)
+	return newDeployment(net, cfg, be, controller.New(net))
 }
 
 // DeployRemote builds the network and attaches the TCP control plane (one
@@ -419,21 +426,12 @@ func DeployRemote(g *Graph, opts ...Option) (*Deployment, error) {
 	if be.Stateful() {
 		return nil, fmt.Errorf("smartsouth: the stateful backend compiles to state tables, which the OpenFlow 1.3 wire protocol cannot carry; use the local control plane or the of13 backend")
 	}
-	d := newDeployment(g, cfg)
-	d.be = be
-	f, err := remote.New(d.Net)
+	net := network.New(g, cfg.Opts)
+	f, err := remote.New(net)
 	if err != nil {
 		return nil, err
 	}
-	d.Fabric = f
-	d.CP = metrics.Meter(f, d.reg)
-	if cfg.Analysis {
-		d.CP = &analysisGate{ControlPlane: d.CP, d: d}
-	}
-	f.OnPacketIn = func(pi controller.PacketIn) {
-		d.reg.NotePacketIn(pi.At, pi.Pkt.EthType, pi.Pkt.Size())
-	}
-	return d, nil
+	return newDeployment(net, cfg, be, f), nil
 }
 
 // Run processes the data plane to quiescence. On a remote deployment this
@@ -665,7 +663,7 @@ func (d *Deployment) InstallMonitor(root int, watchdog bool) (*Monitor, error) {
 	base := d.slots.Reserve(2)
 	m := d.reg.Register("monitor", base, 2,
 		core.EthSnapshot, core.EthBlackhole, core.EthBlackholeChk)
-	mon, err := monitor.New(d.CP, d.Graph, base, root, watchdog, core.WithBackend(d.be))
+	mon, err := monitor.New(d.CP, d.Net, base, root, watchdog, core.WithBackend(d.be))
 	if err != nil {
 		return nil, err
 	}
@@ -776,6 +774,23 @@ func (d *Deployment) WriteTimeline(w io.Writer) error {
 	return dump.WriteChromeTrace(w, d.SpanRecords())
 }
 
+// ServeTelemetry serves this deployment's observability endpoints on addr
+// (host:port; :0 picks a free port) and returns the bound address: its
+// own counters (Net.Telemetry) on /metrics, /telemetry and /healthz, its
+// per-service series on /metrics, and under WithTimeline its timeline on
+// /traces; plus /debug/vars (expvar, the process view) and /debug/pprof.
+// Scrapes read what the last Run folded, so they are safe at any time.
+func (d *Deployment) ServeTelemetry(addr string) (string, error) {
+	src := telemetry.Source{
+		Snap:   d.Net.Telemetry,
+		Series: func(w io.Writer) { metrics.WriteProm(w, d.reg.Snapshot()) },
+	}
+	if d.timelineMax > 0 {
+		src.Traces = d.WriteTimeline
+	}
+	return telemetry.Serve(addr, src)
+}
+
 // DumpFlight writes the flight recorder's last records (WithFlightCap of
 // them) to w as JSONL, oldest first; it fails with network.ErrNoFlight
 // under WithoutTelemetry or WithFlightCap(-1). It is the post-mortem: the
@@ -786,7 +801,7 @@ func (d *Deployment) DumpFlight(w io.Writer) error {
 	if err := d.Net.WriteFlightJSONL(w); err != nil {
 		return err
 	}
-	telemetry.M.FlightDumps.Inc()
+	d.Net.Tally(func(c *telemetry.Counters) { c.FlightDumps++ })
 	return nil
 }
 

@@ -6,14 +6,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
-
-	"smartsouth/internal/telemetry"
 )
 
 // TestTimelineCrossShardReconstruction pins the tentpole property of the
@@ -116,25 +113,26 @@ func TestTimelineDisabled(t *testing.T) {
 	}
 }
 
-// TestConcurrentScrapesDuringShardedRun exercises the whole telemetry
-// HTTP surface while a sharded network is actively running: /metrics
-// scrapes must stay well-formed and monotone (counters only ever grow),
-// /healthz and /debug/vars must answer JSON, and /traces must serve the
-// registered timeline — all race-clean against the worker lanes (run
-// with -race in CI).
+// TestConcurrentScrapesDuringShardedRun exercises the deployment's whole
+// telemetry HTTP surface while its sharded network is actively running:
+// /metrics scrapes must stay well-formed and monotone (counters only ever
+// grow), /healthz and /debug/vars must answer JSON, and /traces must
+// serve the deployment's timeline — all race-clean against the worker
+// lanes (run with -race in CI).
 func TestConcurrentScrapesDuringShardedRun(t *testing.T) {
-	srv := httptest.NewServer(telemetry.Handler())
-	defer srv.Close()
-
 	g := Ring(16)
 	d := Deploy(g, WithShards(4), WithTimeline(0))
 	snap, err := d.InstallSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr, err := d.ServeTelemetry("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	get := func(path string) (*http.Response, []byte) {
-		resp, err := http.Get(srv.URL + path)
+		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Errorf("GET %s: %v", path, err)
 			return nil, nil
