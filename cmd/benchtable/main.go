@@ -308,45 +308,45 @@ func backendMatrixTable() {
 
 	type svc struct {
 		name    string
-		install func(d *smartsouth.Deployment) (run func(d *smartsouth.Deployment), eths []uint16)
+		install func(d *smartsouth.Deployment) (run func())
 	}
 	svcs := []svc{
-		{"snapshot", func(d *smartsouth.Deployment) (func(d *smartsouth.Deployment), []uint16) {
+		{"snapshot", func(d *smartsouth.Deployment) func() {
 			s, err := d.InstallSnapshot()
 			must(err)
-			return func(d *smartsouth.Deployment) {
+			return func() {
 				s.Trigger(0, 0)
 				must(d.Run())
-			}, []uint16{core.EthSnapshot}
+			}
 		}},
-		{"anycast", func(d *smartsouth.Deployment) (func(d *smartsouth.Deployment), []uint16) {
+		{"anycast", func(d *smartsouth.Deployment) func() {
 			a, err := d.InstallAnycast(map[uint32][]int{1: {10}})
 			must(err)
-			return func(d *smartsouth.Deployment) {
+			return func() {
 				a.Send(0, 1, nil, 0)
 				must(d.Run())
-			}, []uint16{core.EthAnycast}
+			}
 		}},
-		{"critical", func(d *smartsouth.Deployment) (func(d *smartsouth.Deployment), []uint16) {
+		{"critical", func(d *smartsouth.Deployment) func() {
 			cr, err := d.InstallCritical()
 			must(err)
-			return func(d *smartsouth.Deployment) {
+			return func() {
 				cr.Check(0, 0)
 				must(d.Run())
-			}, []uint16{core.EthCritical}
+			}
 		}},
-		{"blackhole-2", func(d *smartsouth.Deployment) (func(d *smartsouth.Deployment), []uint16) {
+		{"blackhole-2", func(d *smartsouth.Deployment) func() {
 			b, err := d.InstallBlackholeCounter()
 			must(err)
-			return func(d *smartsouth.Deployment) {
+			return func() {
 				b.Detect(0, 0, 0)
 				must(d.Run())
-			}, []uint16{core.EthBlackhole, core.EthBlackholeChk}
+			}
 		}},
-		{"portknock", func(d *smartsouth.Deployment) (func(d *smartsouth.Deployment), []uint16) {
+		{"portknock", func(d *smartsouth.Deployment) func() {
 			pk, err := d.InstallPortKnock(10, []uint32{3, 1, 4})
 			must(err)
-			return func(d *smartsouth.Deployment) {
+			return func() {
 				pk.Knock(0, 7, 3, 0)
 				pk.Knock(0, 7, 1, 10_000)
 				pk.Knock(0, 7, 4, 20_000)
@@ -357,7 +357,7 @@ func backendMatrixTable() {
 				if !pk.Open(7) {
 					log.Fatal("backend matrix: knock sequence did not open the port")
 				}
-			}, []uint16{core.EthKnock, core.EthGuarded}
+			}
 		}},
 	}
 
@@ -368,13 +368,9 @@ func backendMatrixTable() {
 		var total [2]int
 		for i, be := range []string{"of13", "stateful"} {
 			d := smartsouth.Deploy(g, smartsouth.WithBackend(be))
-			run, eths := s.install(d)
+			run := s.install(d)
 			modsAfterInstall := d.Ctl.Stats.FlowMods
-			run(d)
-			inband := 0
-			for _, eth := range eths {
-				inband += d.Net.InBandCount(eth)
-			}
+			run()
 			tag := 0
 			for _, p := range d.Programs() {
 				if p.TagBytes > tag {
@@ -384,7 +380,7 @@ func backendMatrixTable() {
 			total[i] = d.FlowEntries() + d.GroupEntries() + d.StateEntries()
 			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
 				s.name, be, d.FlowEntries(), d.GroupEntries(), d.StateEntries(), total[i],
-				tag, inband, d.Ctl.Stats.PacketIns, d.Ctl.Stats.FlowMods-modsAfterInstall)
+				tag, d.MetricsSnapshot()[0].InBandMsgs, d.Ctl.Stats.PacketIns, d.Ctl.Stats.FlowMods-modsAfterInstall)
 		}
 		if total[1] < total[0] {
 			shrunk++
@@ -407,16 +403,14 @@ func latencyTable() {
 	for _, n := range parseSizes() {
 		g := graph(n)
 
-		runOne := func(name string, install func(d *smartsouth.Deployment) (trigger func(), eth uint16)) {
+		runOne := func(name string, installAndTrigger func(d *smartsouth.Deployment)) {
 			d := deploy(g)
-			trigger, eth := install(d)
-			trigger()
+			installAndTrigger(d)
 			must(d.Run())
-			msgs := d.Net.InBandCount(eth)
-			bytes := d.Net.InBandSize(eth)
+			m := d.MetricsSnapshot()[0]
 			avg := 0
-			if msgs > 0 {
-				avg = bytes / msgs
+			if m.InBandMsgs > 0 {
+				avg = m.InBandBytes / m.InBandMsgs
 			}
 			report := 0
 			for _, pi := range d.Ctl.Inbox() {
@@ -428,22 +422,22 @@ func latencyTable() {
 				name, n, g.NumEdges(), d.Net.Sim.Now()/1000, avg, report)
 		}
 
-		runOne("snapshot", func(d *smartsouth.Deployment) (func(), uint16) {
+		runOne("snapshot", func(d *smartsouth.Deployment) {
 			s, err := d.InstallSnapshot()
 			must(err)
-			return func() { s.Trigger(0, 0) }, core.EthSnapshot
+			s.Trigger(0, 0)
 		})
-		runOne("critical", func(d *smartsouth.Deployment) (func(), uint16) {
+		runOne("critical", func(d *smartsouth.Deployment) {
 			c, err := d.InstallCritical()
 			must(err)
-			return func() { c.Check(0, 0) }, core.EthCritical
+			c.Check(0, 0)
 		})
-		runOne("anycast", func(d *smartsouth.Deployment) (func(), uint16) {
+		runOne("anycast", func(d *smartsouth.Deployment) {
 			golden := topo.GoldenDFS(g, 0, topo.Never, topo.Never)
 			last := golden.FirstVisits[len(golden.FirstVisits)-1]
 			a, err := d.InstallAnycast(map[uint32][]int{1: {last}})
 			must(err)
-			return func() { a.Send(0, 1, nil, 0) }, core.EthAnycast
+			a.Send(0, 1, nil, 0)
 		})
 	}
 	w.Flush()

@@ -66,6 +66,8 @@ func InstallAnycast(c ControlPlane, g *topo.Graph, slot int, groups map[uint32][
 	return a, nil
 }
 
+func (a *Anycast) Identity() (*Program, *Layout, []uint16) { return a.Prog, a.L, []uint16{EthAnycast} }
+
 // NewMessage builds an anycast packet for the group, carrying payload.
 func (a *Anycast) NewMessage(gid uint32, payload []byte) *openflow.Packet {
 	pkt := a.L.NewPacket(a.Tmpl.Eth)

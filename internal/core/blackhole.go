@@ -105,6 +105,10 @@ func InstallBlackholeTTL(c ControlPlane, g *topo.Graph, slot int, opts ...Instal
 	return b, nil
 }
 
+func (b *BlackholeTTL) Identity() (*Program, *Layout, []uint16) {
+	return b.Prog, b.L, []uint16{EthBlackhole}
+}
+
 // probeOutcome classifies one probe.
 type probeOutcome int
 
@@ -433,6 +437,10 @@ func InstallBlackholeCounter(c ControlPlane, g *topo.Graph, slot int, opts ...In
 	}
 	b.Prog = prog
 	return b, nil
+}
+
+func (b *BlackholeCounter) Identity() (*Program, *Layout, []uint16) {
+	return b.Prog, b.L, []uint16{EthBlackhole, EthBlackholeChk}
 }
 
 // Detect launches the two traversals from root: the dance immediately, the

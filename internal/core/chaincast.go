@@ -119,8 +119,9 @@ func InstallChaincast(c ControlPlane, g *topo.Graph, slotBase int, chain [][]int
 	return cc, nil
 }
 
-// NumSlots returns how many service slots the chain consumed.
-func (cc *Chaincast) NumSlots() int { return len(cc.Chain) }
+func (cc *Chaincast) Identity() (*Program, *Layout, []uint16) {
+	return cc.Prog, cc.L, []uint16{EthChaincast}
+}
 
 // Send injects a chain packet at switch from (in-band host traffic). The
 // packet will visit one member of every stage group, in order.

@@ -121,6 +121,10 @@ func InstallCritical(c ControlPlane, g *topo.Graph, slot int, opts ...InstallOpt
 	return cr, nil
 }
 
+func (cr *Critical) Identity() (*Program, *Layout, []uint16) {
+	return cr.Prog, cr.L, []uint16{EthCritical}
+}
+
 // Check asks node to test its own criticality (one out-of-band message).
 func (cr *Critical) Check(node int, at network.Time) {
 	resetStateful(cr.ctl, cr.be, cr.Prog)

@@ -167,6 +167,12 @@ func InstallLoadMap(c ControlPlane, g *topo.Graph, slot int, opts ...InstallOpti
 	return lm, nil
 }
 
+// Identity claims the data packets its counters tick on as well as its
+// sweep.
+func (lm *LoadMap) Identity() (*Program, *Layout, []uint16) {
+	return lm.Prog, lm.L, []uint16{EthLoadMap, EthData}
+}
+
 // SendData injects one data packet at switch from addressed to switch to.
 func (lm *LoadMap) SendData(from, to int, at network.Time) {
 	pkt := lm.L.NewPacket(EthData)

@@ -245,6 +245,11 @@ func InstallPktLoss(c ControlPlane, g *topo.Graph, slot int, primes []int, opts 
 	return pl, nil
 }
 
+// Identity claims the data packets it counts as well as its sweep.
+func (pl *PktLoss) Identity() (*Program, *Layout, []uint16) {
+	return pl.Prog, pl.L, []uint16{EthPktLoss, EthData}
+}
+
 // SendData injects one data packet at switch from addressed to switch to.
 func (pl *PktLoss) SendData(from, to int, at network.Time) {
 	pkt := pl.L.NewPacket(EthData)

@@ -167,6 +167,12 @@ func InstallPortKnock(c ControlPlane, g *topo.Graph, slot int, guard int, seq []
 	return pk, nil
 }
 
+// Identity declares no tag layout: the packets carry only a client id and
+// a knock code, no DFS state.
+func (pk *PortKnock) Identity() (*Program, *Layout, []uint16) {
+	return pk.Prog, nil, []uint16{EthKnock, EthGuarded}
+}
+
 // Knock sends one knock packet for client id from switch from.
 func (pk *PortKnock) Knock(from int, id, code uint32, at network.Time) {
 	pkt := pk.L.NewPacket(EthKnock)

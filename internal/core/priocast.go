@@ -281,6 +281,10 @@ func InstallPriocast(c ControlPlane, g *topo.Graph, slot int, groups map[uint32]
 	return p, nil
 }
 
+func (p *Priocast) Identity() (*Program, *Layout, []uint16) {
+	return p.Prog, p.L, []uint16{EthPriocast}
+}
+
 // Send injects a priocast message at switch from (in-band host traffic).
 func (p *Priocast) Send(from int, gid uint32, payload []byte, at network.Time) {
 	resetStateful(p.ctl, p.be, p.Prog)

@@ -13,6 +13,14 @@ import (
 // vocabulary without forcing a dependency direction.
 type Program = openflow.Program
 
+// Service is an installed service handle as the deployment layer sees it:
+// the program its install retained (name, slot span), the layout of the
+// DFS state its packets carry (nil if none), and the EtherTypes its rules
+// match, in attribution order.
+type Service interface {
+	Identity() (prog *Program, tags *Layout, eths []uint16)
+}
+
 // newProgram starts a service program covering every node of the graph
 // (port counts recorded for the static check) with the layout's tag
 // budget, so the pre-install check can bound tag fields.

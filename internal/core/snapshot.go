@@ -90,6 +90,10 @@ func installSnapshot(c ControlPlane, g *topo.Graph, slot, reportPort int, opts [
 	return s, nil
 }
 
+func (s *Snapshot) Identity() (*Program, *Layout, []uint16) {
+	return s.Prog, s.L, []uint16{EthSnapshot}
+}
+
 // snapshotTemplate is the snapshot service as a template. SendNext runs
 // once per advance bucket — O(Δ³) times per node — so the records that do
 // not name the node are built here, once, and the hooks hand out the same

@@ -220,6 +220,10 @@ func InstallSnapshotSplit(c ControlPlane, g *topo.Graph, slot, budget int, opts 
 	return s, nil
 }
 
+func (s *SnapshotSplit) Identity() (*Program, *Layout, []uint16) {
+	return s.Prog, s.L, []uint16{EthSnapSplit}
+}
+
 // Trigger requests a split snapshot starting at switch root.
 func (s *SnapshotSplit) Trigger(root int, at network.Time) {
 	resetStateful(s.ctl, s.be, s.Prog)

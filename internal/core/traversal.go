@@ -60,6 +60,10 @@ func InstallTraversal(c ControlPlane, g *topo.Graph, slot int, opts ...InstallOp
 	return tr, nil
 }
 
+func (tr *Traversal) Identity() (*Program, *Layout, []uint16) {
+	return tr.Prog, tr.L, []uint16{EthTraversal}
+}
+
 // Trigger injects the trigger packet at switch root (one out-of-band
 // message). The traversal starts there.
 func (tr *Traversal) Trigger(root int, at network.Time) {

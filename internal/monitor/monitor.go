@@ -95,9 +95,10 @@ type Monitor struct {
 }
 
 // New installs the monitoring services on net through its control plane
-// c (two slots from slotBase; three when the watchdog is enabled). Install
-// options — notably the compile backend — are passed through to both
-// services. The monitor's series count on net.
+// c: the snapshot at slotBase and, when the watchdog is enabled, the
+// blackhole counter at slotBase+1. Install options — notably the compile
+// backend — are passed through to both services. The monitor's series
+// count on net.
 func New(c core.ControlPlane, net *network.Network, slotBase, root int, watchdog bool, opts ...core.InstallOption) (*Monitor, error) {
 	m := &Monitor{Root: root, Watchdog: watchdog, ctl: c, net: net}
 	var err error

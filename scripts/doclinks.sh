@@ -20,7 +20,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-mapfile -t tracked < <(git ls-files)
+# One newline-framed string, matched in-process: a `printf | grep -q`
+# pipe fails under pipefail whenever grep exits before printf is done.
+tracked=$'\n'$(git ls-files)$'\n'
 exists() { # path or glob, relative to the root
 	# A directory-only ignore pattern (`out/`) matches a path that does not
 	# exist only when it is spelled with the trailing slash.
@@ -45,7 +47,7 @@ for doc in README.md DESIGN.md PERFORMANCE.md EXPERIMENTS.md docs/*.md; do
 		else
 			[[ $p =~ \.(go|md|sh|json|yml|conf|golden)$ ]] || continue
 			exists "$p" && continue
-			printf '%s\n' "${tracked[@]}" | grep -q -- "/${p//./\\.}\$" && continue
+			[[ $tracked == *"/$p"$'\n'* ]] && continue
 		fi
 		echo "$doc: \`$tok\` names no file in the repository" >&2
 		bad=1

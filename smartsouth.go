@@ -480,13 +480,31 @@ func (d *Deployment) Stats() Stats {
 // installers directly against CP.
 func (d *Deployment) Slot() int { return d.slots.Next() }
 
-// observe registers a service's EtherTypes with the network's tag decoder,
-// once, for both readers: flight-recorder records and hop-trace events of
-// its packets carry the decoded DFS state (start, par, cur), so a
-// post-mortem JSONL dump replays the traversal at every hop. l may be nil
-// when the inner layout is not exposed (monitor); events are then labeled
-// but not decoded.
-func (d *Deployment) observe(m *metrics.ServiceMetrics, l *core.Layout) {
+// attach makes a core service visible once its install succeeded (see
+// register). A rejected install leaves no metrics entry and claims no
+// EtherType, but its slots stay used: it may have left rules there.
+func (d *Deployment) attach(s core.Service, err error) error {
+	if err == nil {
+		p, l, eths := s.Identity()
+		d.register(p.Service, p.Slot, core.SlotSpan(p), l, eths...)
+	}
+	return err
+}
+
+// register makes an installed service visible: its metrics entry for
+// slots [slot, slot+slots), credited with the install cost of the programs
+// retained there, and the tag decoder of every EtherType the entry claimed,
+// with which flight-recorder records and hop-trace events decode the DFS
+// state (start, par, cur) of its packets. l is nil when the packets carry
+// no DFS state (portknock) or the inner layouts are not exposed (monitor);
+// events are then labeled but not decoded.
+func (d *Deployment) register(service string, slot, slots int, l *core.Layout, eths ...uint16) {
+	m := d.reg.Register(service, slot, slots, eths...)
+	for _, p := range d.CP.Programs() {
+		if p.Slot >= slot && p.Slot < slot+slots {
+			d.reg.NoteInstall(p)
+		}
+	}
 	names := [3]string{"start", "par", "cur"}
 	var fields network.TagFields
 	switch {
@@ -508,166 +526,93 @@ func (d *Deployment) observe(m *metrics.ServiceMetrics, l *core.Layout) {
 
 // InstallTraversal installs the bare template.
 func (d *Deployment) InstallTraversal() (*Traversal, error) {
-	slot := d.slots.Next()
-	m := d.reg.Register("traversal", slot, 1, core.EthTraversal)
-	tr, err := core.InstallTraversal(d.CP, d.Graph, slot, core.WithBackend(d.be))
-	if err != nil {
-		return nil, err
-	}
-	d.observe(m, tr.L)
-	return tr, nil
+	tr, err := core.InstallTraversal(d.CP, d.Graph, d.slots.Next(), core.WithBackend(d.be))
+	return tr, d.attach(tr, err)
 }
 
 // InstallSnapshot installs the topology snapshot service.
 func (d *Deployment) InstallSnapshot() (*Snapshot, error) {
-	slot := d.slots.Next()
-	m := d.reg.Register("snapshot", slot, 1, core.EthSnapshot)
-	snap, err := core.InstallSnapshot(d.CP, d.Graph, slot, core.WithBackend(d.be))
-	if err != nil {
-		return nil, err
-	}
-	d.observe(m, snap.L)
-	return snap, nil
+	snap, err := core.InstallSnapshot(d.CP, d.Graph, d.slots.Next(), core.WithBackend(d.be))
+	return snap, d.attach(snap, err)
 }
 
 // InstallSnapshotSplit installs the splitting snapshot with the given
 // per-fragment record budget.
 func (d *Deployment) InstallSnapshotSplit(budget int) (*SnapshotSplit, error) {
-	slot := d.slots.Next()
-	m := d.reg.Register("snapsplit", slot, 1, core.EthSnapSplit)
-	ss, err := core.InstallSnapshotSplit(d.CP, d.Graph, slot, budget, core.WithBackend(d.be))
-	if err != nil {
-		return nil, err
-	}
-	d.observe(m, ss.L)
-	return ss, nil
+	ss, err := core.InstallSnapshotSplit(d.CP, d.Graph, d.slots.Next(), budget, core.WithBackend(d.be))
+	return ss, d.attach(ss, err)
 }
 
 // InstallAnycast installs the anycast service with the given groups
 // (group id -> member switches).
 func (d *Deployment) InstallAnycast(groups map[uint32][]int) (*Anycast, error) {
-	slot := d.slots.Next()
-	m := d.reg.Register("anycast", slot, 1, core.EthAnycast)
-	ac, err := core.InstallAnycast(d.CP, d.Graph, slot, groups, core.WithBackend(d.be))
-	if err != nil {
-		return nil, err
-	}
-	d.observe(m, ac.L)
-	return ac, nil
+	ac, err := core.InstallAnycast(d.CP, d.Graph, d.slots.Next(), groups, core.WithBackend(d.be))
+	return ac, d.attach(ac, err)
 }
 
 // InstallPriocast installs the priocast service with the given groups.
 func (d *Deployment) InstallPriocast(groups map[uint32][]PrioMember) (*Priocast, error) {
-	slot := d.slots.Next()
-	m := d.reg.Register("priocast", slot, 1, core.EthPriocast)
-	pc, err := core.InstallPriocast(d.CP, d.Graph, slot, groups, core.WithBackend(d.be))
-	if err != nil {
-		return nil, err
-	}
-	d.observe(m, pc.L)
-	return pc, nil
+	pc, err := core.InstallPriocast(d.CP, d.Graph, d.slots.Next(), groups, core.WithBackend(d.be))
+	return pc, d.attach(pc, err)
 }
 
 // InstallBlackholeTTL installs the TTL-probing blackhole detector.
 func (d *Deployment) InstallBlackholeTTL() (*BlackholeTTL, error) {
-	slot := d.slots.Next()
-	m := d.reg.Register("blackhole-ttl", slot, 1, core.EthBlackhole)
-	bh, err := core.InstallBlackholeTTL(d.CP, d.Graph, slot, core.WithBackend(d.be))
-	if err != nil {
-		return nil, err
-	}
-	d.observe(m, bh.L)
-	return bh, nil
+	bh, err := core.InstallBlackholeTTL(d.CP, d.Graph, d.slots.Next(), core.WithBackend(d.be))
+	return bh, d.attach(bh, err)
 }
 
 // InstallBlackholeCounter installs the smart-counter blackhole detector.
 func (d *Deployment) InstallBlackholeCounter() (*BlackholeCounter, error) {
-	slot := d.slots.Next()
-	m := d.reg.Register("blackhole-ctr", slot, 1, core.EthBlackhole, core.EthBlackholeChk)
-	bh, err := core.InstallBlackholeCounter(d.CP, d.Graph, slot, core.WithBackend(d.be))
-	if err != nil {
-		return nil, err
-	}
-	d.observe(m, bh.L)
-	return bh, nil
+	bh, err := core.InstallBlackholeCounter(d.CP, d.Graph, d.slots.Next(), core.WithBackend(d.be))
+	return bh, d.attach(bh, err)
 }
 
 // InstallPktLoss installs the packet-loss monitor (nil primes selects
 // core.DefaultPrimes).
 func (d *Deployment) InstallPktLoss(primes []int) (*PktLoss, error) {
-	slot := d.slots.Next()
-	m := d.reg.Register("pktloss", slot, 1, core.EthPktLoss, core.EthData)
-	pl, err := core.InstallPktLoss(d.CP, d.Graph, slot, primes, core.WithBackend(d.be))
-	if err != nil {
-		return nil, err
-	}
-	d.observe(m, pl.L)
-	return pl, nil
+	pl, err := core.InstallPktLoss(d.CP, d.Graph, d.slots.Next(), primes, core.WithBackend(d.be))
+	return pl, d.attach(pl, err)
 }
 
 // InstallCritical installs the critical-node service.
 func (d *Deployment) InstallCritical() (*Critical, error) {
-	slot := d.slots.Next()
-	m := d.reg.Register("critical", slot, 1, core.EthCritical)
-	cr, err := core.InstallCritical(d.CP, d.Graph, slot, core.WithBackend(d.be))
-	if err != nil {
-		return nil, err
-	}
-	d.observe(m, cr.L)
-	return cr, nil
+	cr, err := core.InstallCritical(d.CP, d.Graph, d.slots.Next(), core.WithBackend(d.be))
+	return cr, d.attach(cr, err)
 }
 
 // InstallChaincast installs the service-chaining extension over the given
 // ordered middlebox groups (one service slot per stage).
 func (d *Deployment) InstallChaincast(chain [][]int) (*Chaincast, error) {
-	base := d.slots.Reserve(len(chain))
-	m := d.reg.Register("chaincast", base, len(chain), core.EthChaincast)
-	cc, err := core.InstallChaincast(d.CP, d.Graph, base, chain, core.WithBackend(d.be))
-	if err != nil {
-		return nil, err
-	}
-	d.observe(m, cc.L)
-	return cc, nil
+	cc, err := core.InstallChaincast(d.CP, d.Graph, d.slots.Reserve(len(chain)), chain, core.WithBackend(d.be))
+	return cc, d.attach(cc, err)
 }
 
 // InstallLoadMap installs the load-inference extension. It owns the
 // EthData ingress rules, so it cannot share a deployment with PktLoss.
 func (d *Deployment) InstallLoadMap() (*LoadMap, error) {
-	slot := d.slots.Next()
-	m := d.reg.Register("loadmap", slot, 1, core.EthLoadMap, core.EthData)
-	lm, err := core.InstallLoadMap(d.CP, d.Graph, slot, core.WithBackend(d.be))
-	if err != nil {
-		return nil, err
-	}
-	d.observe(m, lm.L)
-	return lm, nil
+	lm, err := core.InstallLoadMap(d.CP, d.Graph, d.slots.Next(), core.WithBackend(d.be))
+	return lm, d.attach(lm, err)
 }
 
 // InstallPortKnock installs the knock-sequence guard at node guard with
-// the given secret code sequence. The packet tag carries only the client
-// id and knock code, so no DFS layout is registered with the observers.
+// the given secret code sequence.
 func (d *Deployment) InstallPortKnock(guard int, seq []uint32) (*PortKnock, error) {
-	slot := d.slots.Next()
-	m := d.reg.Register("portknock", slot, 1, core.EthKnock, core.EthGuarded)
-	pk, err := core.InstallPortKnock(d.CP, d.Graph, slot, guard, seq, core.WithBackend(d.be))
-	if err != nil {
-		return nil, err
-	}
-	d.observe(m, nil)
-	return pk, nil
+	pk, err := core.InstallPortKnock(d.CP, d.Graph, d.slots.Next(), guard, seq, core.WithBackend(d.be))
+	return pk, d.attach(pk, err)
 }
 
 // InstallMonitor installs the troubleshooting monitor (snapshot diffing
-// from root; optional blackhole watchdog). It consumes two service slots.
+// from root; optional blackhole watchdog). It consumes two service slots
+// and claims the EtherTypes of both inner services, whether or not the
+// watchdog is on.
 func (d *Deployment) InstallMonitor(root int, watchdog bool) (*Monitor, error) {
 	base := d.slots.Reserve(2)
-	m := d.reg.Register("monitor", base, 2,
-		core.EthSnapshot, core.EthBlackhole, core.EthBlackholeChk)
 	mon, err := monitor.New(d.CP, d.Net, base, root, watchdog, core.WithBackend(d.be))
 	if err != nil {
 		return nil, err
 	}
-	d.observe(m, nil)
+	d.register("monitor", base, 2, nil, core.EthSnapshot, core.EthBlackhole, core.EthBlackholeChk)
 	return mon, nil
 }
 
