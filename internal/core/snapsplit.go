@@ -85,16 +85,34 @@ func InstallSnapshotSplit(c ControlPlane, g *topo.Graph, slot, budget int, opts 
 		}
 		return append(do, openflow.SetField{F: s.FCnt, Value: 0})
 	}
+	// cntIs[x] is the criteria list rec_cnt = x. The compiler copies what
+	// it keeps of a hook's result, so every variant testing x shares it.
+	cntIs := make([][]openflow.FieldMatch, budget+3)
+	for x := range cntIs {
+		cntIs[x] = []openflow.FieldMatch{{F: s.FCnt, Value: uint64(x)}}
+	}
 	// safePush returns one variant per possible counter value.
 	safePush := func(label uint32) []Variant {
 		vs := make([]Variant, budget+2)
 		for x := range vs {
-			vs[x] = Variant{
-				Match: []openflow.FieldMatch{{F: s.FCnt, Value: uint64(x)}},
-				Do:    pushRecord(label, x),
-			}
+			vs[x] = Variant{Match: cntIs[x], Do: pushRecord(label, x)}
 		}
 		return vs
+	}
+	// A bounce onto a visited node cancels the sender's OUT record (it is
+	// still on top of the stack: OUT sites never flush) and decrements.
+	// Nothing here names the node or the port, so every call returns the
+	// same variants.
+	bounceSeen := make([]Variant, budget+2)
+	for i := range bounceSeen {
+		x := i + 1
+		bounceSeen[i] = Variant{
+			Match: cntIs[x],
+			Do: []openflow.Action{
+				openflow.PopLabel{},
+				openflow.SetField{F: s.FCnt, Value: uint64(x - 1)},
+			},
+		}
 	}
 
 	s.Tmpl = &Template{
@@ -112,19 +130,7 @@ func InstallSnapshotSplit(c ControlPlane, g *topo.Graph, slot, budget int, opts 
 			},
 			BounceSplit: true,
 			BounceSeen: func(node, in int) []Variant {
-				// Cancel the sender's OUT record (it is still on top of
-				// the stack: OUT sites never flush) and decrement.
-				var vs []Variant
-				for x := 1; x <= budget+2; x++ {
-					vs = append(vs, Variant{
-						Match: []openflow.FieldMatch{{F: s.FCnt, Value: uint64(x)}},
-						Do: []openflow.Action{
-							openflow.PopLabel{},
-							openflow.SetField{F: s.FCnt, Value: uint64(x - 1)},
-						},
-					})
-				}
-				return vs
+				return bounceSeen
 			},
 			BounceNew: func(node, in int) []Variant {
 				return safePush(encRec(recBounce, node, in))

@@ -1,6 +1,9 @@
 package openflow
 
-import "slices"
+import (
+	"slices"
+	"sync"
+)
 
 // This file implements the compiled dispatch matcher: an immutable
 // decision-tree built from a flow table's entries at install time.
@@ -39,6 +42,13 @@ import "slices"
 // matcher — so compile cost stays in the install stage. A Lookup that
 // still finds no matcher (a table mutated behind that seam) compiles it
 // itself and is counted as a fallback lookup.
+//
+// Working set. The compile's partition, node lists, plans and sort
+// buffers live in a compileScratch that is reused: CompileDispatch takes
+// one from a pool for all the tables it compiles, and Compile takes one
+// for its table. Only the matcher, its arenas, its nodes and their port
+// lists are allocated per table, exactly sized. Nothing a matcher keeps
+// may alias the scratch, which the next compile overwrites.
 
 // anyInPort is the key sentinel for entries that wildcard the ingress
 // port. It cannot collide with a packet's InPort: reserved ports are small
@@ -334,7 +344,8 @@ func extraCrits(e ordEntry, keyed int) int {
 // nodePlan is the sizing pass over one (EtherType, InPort) node: whether
 // it splits, on which field, into which value lists of what length. The
 // plans of a whole table size its arena exactly; emit then writes every
-// reduced entry once, straight into its final slot.
+// reduced entry once, straight into its final slot. A plan's slices live
+// in the compile scratch.
 type nodePlan struct {
 	list  []ordEntry // match order
 	split bool
@@ -350,19 +361,101 @@ const smallSplitMax = 12
 
 func (pl *nodePlan) small() bool { return pl.split && len(pl.keys) <= smallSplitMax }
 
+// ethBucket is one exact EtherType's share of a table during the compile:
+// its entries, the named ingress ports and which of them every entry names.
+type ethBucket struct {
+	eth   int32
+	all   []ordEntry // this EtherType's entries, in match order
+	pidx  []int32    // per entry: index into ports, -1 for any port
+	ports []int32    // distinct exact ingress ports, first-seen order
+	named []int      // per port: entries naming it
+	nAny  int        // port-wildcard entries
+}
+
+// tally counts the entries a node could key on one field.
+type tally struct {
+	k fkey
+	n int
+}
+
+// compileScratch is compileMatcher's working set: the EtherType
+// partition, the dealt node lists, the plans and the buffers the sizing
+// and emit passes run through. None of it outlives a compile — what the
+// matcher keeps is copied into its own allocations, never aliased — so
+// one scratch serves every table an install compiles, and scratchPool
+// carries it from install to install. Each compile ends in reset, which
+// clears only what that compile used and drops the flow-entry pointers
+// the scratch held. The zero value is ready to use.
+type compileScratch struct {
+	idx     map[int32]int32 // EtherType -> index into buckets
+	buckets []ethBucket     // first-seen order; spare ones keep their buffers
+	wild    []ordEntry      // entries with a wildcarded EtherType
+	block   []ordEntry      // every node's list, back to back
+	lists   [][]ordEntry    // one EtherType's node lists while they are dealt
+	plans   []nodePlan
+	keys    []uint64 // the plans' keys
+	cnt     []int    // the plans' per-key counts
+	tally   []tally  // planNode: one node's field tally
+	vals    []uint64 // planNode: one node's keyed match values
+	start   []int    // emit: list li occupies block[start[li]:start[li+1]]
+	fill    []int    // emit: each list's next free slot
+	slots   []int32  // emit: slot -> index into the plan's list
+}
+
+// scratchPool recycles compile scratches across installs. Concurrent
+// installs (openflow.EachSwitch) each take their own.
+var scratchPool = sync.Pool{New: func() any { return new(compileScratch) }}
+
+// bucket returns the bucket of eth, opening the next one on first sight.
+func (s *compileScratch) bucket(eth int32) *ethBucket {
+	if s.idx == nil {
+		s.idx = make(map[int32]int32)
+	}
+	bi, ok := s.idx[eth]
+	if !ok {
+		bi = int32(len(s.buckets))
+		s.idx[eth] = bi
+		if len(s.buckets) < cap(s.buckets) {
+			s.buckets = s.buckets[:bi+1] // a reset bucket: empty, buffers kept
+		} else {
+			s.buckets = append(s.buckets, ethBucket{})
+		}
+		s.buckets[bi].eth = eth
+	}
+	return &s.buckets[bi]
+}
+
+// reset empties the scratch for the next compile. It clears only the
+// used lengths, so its cost follows the table just compiled rather than
+// the largest one the scratch ever served.
+func (s *compileScratch) reset() {
+	for i := range s.buckets {
+		b := &s.buckets[i]
+		delete(s.idx, b.eth)
+		clear(b.all)
+		b.all, b.pidx, b.ports, b.named, b.nAny = b.all[:0], b.pidx[:0], b.ports[:0], b.named[:0], 0
+	}
+	s.buckets = s.buckets[:0]
+	clear(s.wild)
+	s.wild = s.wild[:0]
+	clear(s.block)
+	s.block = s.block[:0]
+	clear(s.lists)
+	s.lists = s.lists[:0]
+	clear(s.plans)
+	s.plans = s.plans[:0]
+	s.keys, s.cnt = s.keys[:0], s.cnt[:0]
+}
+
 // planNode sizes one node. list is in match order; dealing it out in
 // order keeps every sub-list ordered too.
-func planNode(list []ordEntry) nodePlan {
+func (s *compileScratch) planNode(list []ordEntry) nodePlan {
 	pl := nodePlan{list: list}
 	// Pick the full-width-exact field covering the most entries; the first
 	// field to reach the top count wins a tie. An entry naming a field twice
 	// counts once. Nodes see a handful of distinct fields, so the tally is a
 	// scanned slice rather than a map.
-	type tally struct {
-		k fkey
-		n int
-	}
-	var counts []tally
+	counts := s.tally[:0]
 	bestCnt := 0
 	for _, e := range list {
 		for j, fm := range e.Match.Fields {
@@ -383,10 +476,11 @@ func planNode(list []ordEntry) nodePlan {
 			}
 		}
 	}
+	s.tally = counts
 	// A split only pays when it actually carves the bucket up: with fewer
 	// than two keyed entries the value lists are pure overhead over the list.
 	pl.split = bestCnt >= 2 && len(list) >= 3
-	var vals []uint64 // the keyed entries' match values, in match order
+	vals := s.vals[:0] // the keyed entries' match values, in match order
 	for _, e := range list {
 		keyed := 0
 		if pl.split {
@@ -398,15 +492,23 @@ func planNode(list []ordEntry) nodePlan {
 		}
 		pl.nCrit += extraCrits(e, keyed)
 	}
+	s.vals = vals
 	if !pl.split {
 		return pl
 	}
 	// Sorted keys make the compiled layout (and hence the probe order and
 	// scan telemetry) identical run to run.
-	pl.keys = slices.Clone(vals)
-	slices.Sort(pl.keys)
-	pl.keys = slices.Compact(pl.keys)
-	pl.cnt = make([]int, len(pl.keys))
+	base := len(s.keys)
+	s.keys = append(s.keys, vals...)
+	keys := s.keys[base:]
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	s.keys = s.keys[:base+len(keys)]
+	pl.keys = keys[:len(keys):len(keys)]
+	base = len(s.cnt)
+	s.cnt = slices.Grow(s.cnt, len(keys))[:base+len(keys)]
+	pl.cnt = s.cnt[base:]
+	clear(pl.cnt)
 	for _, v := range vals {
 		i, _ := slices.BinarySearch(pl.keys, v)
 		pl.cnt[i]++
@@ -417,7 +519,7 @@ func planNode(list []ordEntry) nodePlan {
 // emit writes the planned node into nd, laying its lists out back to
 // back in the arena: the residual list, then one list per key in key
 // order, each in match order.
-func (pl *nodePlan) emit(nd *mNode, a *arena) {
+func (s *compileScratch) emit(pl *nodePlan, nd *mNode, a *arena) {
 	block := a.take(len(pl.list))
 	if !pl.split {
 		for i, e := range pl.list {
@@ -440,22 +542,26 @@ func (pl *nodePlan) emit(nd *mNode, a *arena) {
 		li, _ := slices.BinarySearch(pl.keys, fm.Value&fm.F.Max())
 		return li + 1
 	}
-	start := make([]int, len(pl.keys)+2) // list li occupies block[start[li]:start[li+1]]
-	start[1] = len(pl.list)
+	nl := len(pl.keys) + 2                     // bounds of the residual list and one list per key
+	start := slices.Grow(s.start[:0], nl)[:nl] // list li occupies block[start[li]:start[li+1]]
+	s.start = start
+	start[0], start[1] = 0, len(pl.list)
 	for _, c := range pl.cnt {
 		start[1] -= c
 	}
 	for i, c := range pl.cnt {
 		start[i+2] = start[i+1] + c
 	}
-	order := make([]int32, len(pl.list)) // slot -> index into pl.list
-	fill := slices.Clone(start)
+	slots := slices.Grow(s.slots[:0], len(pl.list))[:len(pl.list)] // slot -> index into pl.list
+	s.slots = slots
+	fill := append(s.fill[:0], start...)
+	s.fill = fill
 	for i, e := range pl.list {
 		li := listOf(e)
-		order[fill[li]] = int32(i)
+		slots[fill[li]] = int32(i)
 		fill[li]++
 	}
-	for slot, i := range order {
+	for slot, i := range slots {
 		e := pl.list[i]
 		a.reduce(&block[slot], e, exactOn(e.Match.Fields, pl.key))
 	}
@@ -481,48 +587,34 @@ func (pl *nodePlan) emit(nd *mNode, a *arena) {
 		}
 		return
 	}
-	s := len(a.keys)
+	n := len(a.keys)
 	a.keys = append(a.keys, pl.keys...)
-	nd.keys = a.keys[s:len(a.keys):len(a.keys)]
-	s = len(a.lists)
+	nd.keys = a.keys[n:len(a.keys):len(a.keys)]
+	n = len(a.lists)
 	for i := range pl.keys {
 		a.lists = append(a.lists, sub(i+1))
 	}
-	nd.lists = a.lists[s:len(a.lists):len(a.lists)]
+	nd.lists = a.lists[n:len(a.lists):len(a.lists)]
 }
 
 // compileMatcher builds the dispatch tree from entries (already in
-// match order).
-func compileMatcher(entries []*FlowEntry) *matcher {
+// match order), working in s and leaving it reset.
+func compileMatcher(entries []*FlowEntry, s *compileScratch) *matcher {
+	defer s.reset()
 	m := &matcher{}
 	// Partition by exact EtherType, in order, remembering each type's
 	// named ingress ports and which of them every entry names; entries
 	// without an exact EtherType go on the wildcard list.
-	type ethBucket struct {
-		all   []ordEntry // this EtherType's entries, in match order
-		pidx  []int32    // per entry: index into ports, -1 for any port
-		ports []int32    // distinct exact ingress ports, first-seen order
-		named []int      // per port: entries naming it
-		nAny  int        // port-wildcard entries
-	}
-	byEth := make(map[int32]*ethBucket)
-	var order []int32
-	var wild []ordEntry
-	nNodes, nC := 0, 0
+	nC, nPorts := 0, 0
 	for i, fe := range entries {
 		e := ordEntry{fe, int32(i)}
 		k, ok := keyOf(e.Match)
 		if !ok {
-			wild = append(wild, e)
+			s.wild = append(s.wild, e)
 			nC += extraCrits(e, 0)
 			continue
 		}
-		b := byEth[k.eth]
-		if b == nil {
-			b = &ethBucket{}
-			byEth[k.eth] = b
-			order = append(order, k.eth)
-		}
+		b := s.bucket(k.eth)
 		pi := int32(-1)
 		if k.in != anyInPort {
 			pi = int32(slices.Index(b.ports, k.in))
@@ -530,11 +622,11 @@ func compileMatcher(entries []*FlowEntry) *matcher {
 				pi = int32(len(b.ports))
 				b.ports = append(b.ports, k.in)
 				b.named = append(b.named, 0)
-				nNodes++
+				nPorts++
 			}
 			b.named[pi]++
-		} else if b.nAny++; b.nAny == 1 {
-			nNodes++
+		} else {
+			b.nAny++
 		}
 		b.all = append(b.all, e)
 		b.pidx = append(b.pidx, pi)
@@ -543,26 +635,26 @@ func compileMatcher(entries []*FlowEntry) *matcher {
 	// port-wildcard entries; the any-port node holds the wildcard entries
 	// alone, for packets on unnamed ports. One pass over the ordered list
 	// deals every entry to the lists it belongs on, so each list comes out
-	// in match order; the lists are carved from one exactly-sized block.
-	// Duplicating the port-wildcard entries is what buys the single probe.
-	plans := make([]nodePlan, 0, nNodes)
-	nE, nK := len(wild), 0
-	for _, eth := range order {
-		b := byEth[eth]
-		total := b.nAny
-		for _, n := range b.named {
-			total += n + b.nAny
-		}
-		block := make([]ordEntry, total)
-		lists := make([][]ordEntry, len(b.ports)+1) // last: any-port
-		off := 0
-		for i := range lists {
+	// in match order; the lists of every EtherType are carved from one
+	// block. Duplicating the port-wildcard entries is what buys the single
+	// probe.
+	nE, nK := len(s.wild), 0
+	for i := range s.buckets {
+		b := &s.buckets[i]
+		nE += len(b.all) + b.nAny*len(b.ports) // one more copy of each port wildcard per named port
+	}
+	s.block = slices.Grow(s.block, nE-len(s.wild))
+	for bi := range s.buckets {
+		b := &s.buckets[bi]
+		lists := s.lists[:0]
+		for i := 0; i <= len(b.ports); i++ { // last: any-port
 			n := b.nAny
 			if i < len(b.named) {
 				n += b.named[i]
 			}
-			lists[i] = block[off : off : off+n]
-			off += n
+			off := len(s.block)
+			s.block = s.block[:off+n]
+			lists = append(lists, s.block[off:off:off+n])
 		}
 		for i, e := range b.all {
 			if pi := b.pidx[i]; pi >= 0 {
@@ -573,18 +665,18 @@ func compileMatcher(entries []*FlowEntry) *matcher {
 				lists[j] = append(lists[j], e)
 			}
 		}
+		s.lists = lists
 		if b.nAny == 0 {
 			lists = lists[:len(b.ports)]
 		}
 		for _, l := range lists {
-			pl := planNode(l)
-			plans = append(plans, pl)
+			pl := s.planNode(l)
+			s.plans = append(s.plans, pl)
 			nC += pl.nCrit
 			if pl.small() {
 				nK += len(pl.keys)
 			}
 		}
-		nE += total
 	}
 	a := &arena{
 		ents:  make(mList, 0, nE),
@@ -592,30 +684,38 @@ func compileMatcher(entries []*FlowEntry) *matcher {
 		keys:  make([]uint64, 0, nK),
 		lists: make([]mList, 0, nK),
 	}
-	m.wild = a.take(len(wild))
-	for i, e := range wild {
+	m.wild = a.take(len(s.wild))
+	for i, e := range s.wild {
 		a.reduce(&m.wild[i], e, -1)
 	}
-	nodes := make([]mNode, len(plans))
-	for i := range plans {
-		plans[i].emit(&nodes[i], a)
+	nodes := make([]mNode, len(s.plans))
+	for i := range s.plans {
+		s.emit(&s.plans[i], &nodes[i], a)
 	}
 	// Hand the nodes to their EtherTypes in the walk order that planned
-	// them: each type's named ports, then its any-port node.
-	m.eths = make([]ethNode, 0, len(order))
+	// them: each type's named ports, then its any-port node. The port
+	// lists are copied out of the scratch, one block for the whole table.
+	m.eths = make([]ethNode, len(s.buckets))
+	ports := make([]int32, 0, nPorts)
+	pvec := make([]*mNode, 0, nPorts)
 	next := 0
-	for _, eth := range order {
-		b := byEth[eth]
-		en := ethNode{eth: eth, ports: b.ports, pvec: make([]*mNode, len(b.ports))}
-		for i := range en.pvec {
-			en.pvec[i] = &nodes[next]
-			next++
+	for i := range s.buckets {
+		b := &s.buckets[i]
+		en := &m.eths[i]
+		en.eth = b.eth
+		if np := len(b.ports); np > 0 {
+			ports = append(ports, b.ports...)
+			en.ports = ports[len(ports)-np : len(ports) : len(ports)]
+			for range b.ports {
+				pvec = append(pvec, &nodes[next])
+				next++
+			}
+			en.pvec = pvec[len(pvec)-np : len(pvec) : len(pvec)]
 		}
 		if b.nAny > 0 {
 			en.any = &nodes[next]
 			next++
 		}
-		m.eths = append(m.eths, en)
 	}
 	if len(m.eths) > smallEthMax {
 		m.ethIdx = make(map[int32]int32, len(m.eths))
@@ -632,7 +732,9 @@ func compileMatcher(entries []*FlowEntry) *matcher {
 // Install is an off-hot-path phase, so compiling there never taxes packet
 // time.
 func (t *FlowTable) Compile() {
-	t.cur = compileMatcher(t.entries)
+	s := scratchPool.Get().(*compileScratch)
+	t.cur = compileMatcher(t.entries, s)
+	scratchPool.Put(s)
 }
 
 // Compiled reports whether the table holds a matcher of its current

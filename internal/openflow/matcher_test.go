@@ -386,3 +386,30 @@ func TestCompileDispatchRecompilesStaleTablesOnly(t *testing.T) {
 		t.Error("group-only program did not install its group")
 	}
 }
+
+// TestCompiledMatchersOutliveLaterCompiles compiles many tables through
+// one compile scratch (one CompileDispatch) and only then checks each
+// against the linear reference: nothing a matcher keeps may alias the
+// scratch, which every later compile overwrites.
+func TestCompiledMatchersOutliveLaterCompiles(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	sw := NewSwitch(0, 8)
+	const tables = 24
+	for id := 0; id < tables; id++ {
+		sw.Table(id).AddBatch(randFuzzTable(r, fuzzCfgs[id%len(fuzzCfgs)]).entries)
+	}
+	sw.CompileDispatch()
+	for id := 0; id < tables; id++ {
+		cfg, ft := fuzzCfgs[id%len(fuzzCfgs)], sw.Table(id)
+		for i := 0; i < 300; i++ {
+			p := randFuzzPacket(r, cfg)
+			if got, want := ft.Lookup(p), refLookup(ft, p); got != want {
+				t.Fatalf("table %d (%s) pkt %d: matcher chose %v, reference %v (pkt eth=%#x in=%d ttl=%d tag=%x)",
+					id, cfg.name, i, got, want, p.EthType, p.InPort, p.TTL, p.Tag)
+			}
+		}
+		if st := ft.ScanStats(); st.FallbackLookups != 0 {
+			t.Fatalf("table %d: %d lookups compiled their matcher inline", id, st.FallbackLookups)
+		}
+	}
+}

@@ -264,13 +264,16 @@ func (sw *Switch) ScanStats() ScanStats {
 // transaction pays for the tables it wrote to, so a group-mod or
 // state-only program compiles nothing and a service install recompiles
 // table 0 plus its own block. State tables are exact-match keyed already
-// and need no compilation.
+// and need no compilation. Every table compiled here shares one pooled
+// compile scratch.
 func (sw *Switch) CompileDispatch() {
+	s := scratchPool.Get().(*compileScratch)
 	for _, t := range sw.tableList {
 		if !t.Compiled() {
-			t.Compile()
+			t.cur = compileMatcher(t.entries, s)
 		}
 	}
+	scratchPool.Put(s)
 }
 
 // TableIDs returns the IDs of all non-empty tables — flow and state — in
