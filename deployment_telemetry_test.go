@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"smartsouth/internal/metrics"
 )
 
 // ownCounts are the deterministic series of a counter set: a pure
@@ -233,4 +235,71 @@ func httpGet(t *testing.T, addr, path string) string {
 		t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
 	}
 	return string(body)
+}
+
+// TestServiceSeriesScrapedDuringRuns: a deployment's /metrics is safe to
+// scrape at any time. One goroutine scrapes it in a loop while a remote
+// deployment runs 20 snapshot sweeps, whose packet-ins come back on the
+// session reader goroutines (run it under -race). The scrape after the
+// last Run serves exactly the per-service series of MetricsSnapshot.
+func TestServiceSeriesScrapedDuringRuns(t *testing.T) {
+	d, err := DeployRemote(Ring(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	snap, err := d.InstallSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := d.ServeTelemetry("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	scrapes := 0
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Get("http://" + addr + "/metrics")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			scrapes++
+		}
+	}()
+	halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer halt()
+	for i := 0; i < 20; i++ {
+		d.CP.ClearInbox()
+		snap.Trigger(0, d.Net.Sim.Now()+1)
+		if err := d.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := snap.Collect(); err != nil || res == nil || len(res.Nodes) != 20 {
+			t.Fatalf("sweep %d: %v %v", i, res, err)
+		}
+	}
+	halt()
+	if scrapes == 0 {
+		t.Fatal("no scrape completed during the sweeps")
+	}
+	var want bytes.Buffer
+	metrics.WriteProm(&want, d.MetricsSnapshot())
+	if got := httpGet(t, addr, "/metrics"); !strings.Contains(got, want.String()) {
+		t.Errorf("/metrics after the last Run\n%s\ndoes not carry MetricsSnapshot's series\n%s", got, want.String())
+	}
+	if m := d.MetricsSnapshot()[0]; m.PacketIns != 20 || m.PacketOuts != 20 {
+		t.Errorf("after 20 sweeps: %d packet-ins, %d packet-outs, want 20 each", m.PacketIns, m.PacketOuts)
+	}
 }
