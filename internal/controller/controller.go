@@ -98,8 +98,10 @@ func (c *Controller) ClearInbox() {
 // retained for declarative accounting (rule-space figures are read off
 // installed programs, not live switches). Materialization and dispatch
 // compilation touch only their target switch, so switches install in
-// parallel (openflow.EachSwitch); accounting stays serial.
+// parallel (openflow.EachSwitch); accounting stays serial, and the
+// network's install ledger records the program (RecordInstall).
 func (c *Controller) InstallProgram(p *openflow.Program) {
+	c.Net.RecordInstall(p)
 	ids := p.SwitchIDs()
 	for _, id := range ids {
 		sp := p.At(id)
@@ -172,7 +174,7 @@ func (c *Controller) ReadState(sw, table int, key uint64) (uint64, bool) {
 func (c *Controller) PacketOut(sw, inPort int, pkt *openflow.Packet, at network.Time) {
 	c.Stats.PacketOuts++
 	c.Stats.OutBandBytes += pkt.Size()
-	c.Net.Inject(sw, inPort, pkt, at)
+	c.Net.Inject(sw, inPort, pkt, at, network.PacketOut)
 }
 
 // PacketOutActions injects a packet with an explicit action list,
@@ -184,9 +186,9 @@ func (c *Controller) PacketOutActions(sw int, actions []openflow.Action, pkt *op
 }
 
 // InjectHost injects in-band host traffic at a switch — ordinary data
-// plane input, not a controller message, so it is not counted.
+// plane input, not a controller message, so Stats does not count it.
 func (c *Controller) InjectHost(sw int, pkt *openflow.Packet, at network.Time) {
-	c.Net.Inject(sw, openflow.PortController, pkt, at)
+	c.Net.Inject(sw, openflow.PortController, pkt, at, network.HostInject)
 }
 
 // RunNetwork drains the simulator's event queue.

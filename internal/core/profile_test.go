@@ -131,7 +131,7 @@ func TestForgedTagCanLoopForever(t *testing.T) {
 	pkt.Store(tr.L.Cur[0], 1)
 	pkt.Store(tr.L.Par[1], 1)
 	pkt.Store(tr.L.Cur[1], 1)
-	net.Inject(0, 1, pkt, 0) // as if arriving from the link
+	net.Inject(0, 1, pkt, 0, network.HostInject) // as if arriving from the link
 	_, err = net.Run()
 	if err == nil {
 		t.Fatal("expected the event limit to stop the forged-tag loop")

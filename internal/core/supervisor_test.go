@@ -134,7 +134,7 @@ func TestScheduledRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Advance past the repair.
-	net.Inject(0, openflow.PortController, openflow.NewPacket(0xFFFF, 1), 1_000_001)
+	net.Inject(0, openflow.PortController, openflow.NewPacket(0xFFFF, 1), 1_000_001, network.PacketOut)
 	if _, err := net.Run(); err != nil {
 		t.Fatal(err)
 	}

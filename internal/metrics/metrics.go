@@ -1,16 +1,18 @@
-// Package metrics aggregates per-service observability counters for a
-// SmartSouth deployment: how many rules a service installed, how many
-// trigger packets the controller sent, how many in-band messages its
+// Package metrics is the per-service view of a SmartSouth deployment's
+// counters: how many rules a service installed, how many trigger packets
+// entered the data plane for it, how many in-band messages its
 // traversals generated (the Table 2 columns of the paper), how many
 // packet-ins came back, and the traversal wall-clock in simulation time.
 //
-// The registry is written from two directions — a Metered control-plane
-// decorator attributes installs and trigger packets, and packet-in hooks
-// attribute collect messages — and reads the third: in-band link crossings
-// are counted once, by the network's lanes, and joined into the
-// per-service view when a snapshot is taken. Services are identified by
-// the slot range they occupy and by the EtherTypes of their tagged packets
-// — the same two keys the data plane itself uses.
+// It counts nothing itself. The network counts every message once, by
+// EtherType — link transmissions on its lanes, packet-outs and host
+// injects where they enter the simulator, packet-ins where they leave it
+// — and keeps the install ledger by slot; the registry holds each
+// service's identity (name, slot range, claimed EtherTypes, history) and
+// one baseline per EtherType, and joins the two when a snapshot is taken.
+// Services are identified by the slot range they occupy and by the
+// EtherTypes of their tagged packets — the same two keys the data plane
+// itself uses.
 package metrics
 
 import (
@@ -50,8 +52,7 @@ type ServiceMetrics struct {
 	OutBandBytes   int `json:"outBandBytes"`
 
 	// In-band cost: link transmissions of the service's EtherTypes,
-	// delivered or not — the "#msgs / size" columns of Table 2. Read from
-	// the network's lane counters at snapshot time.
+	// delivered or not — the "#msgs / size" columns of Table 2.
 	InBandMsgs  int `json:"inBandMsgs"`
 	InBandBytes int `json:"inBandBytes"`
 
@@ -63,7 +64,8 @@ type ServiceMetrics struct {
 	WallClock network.Time `json:"wallClock"`
 
 	// RuleHits/GroupHits are the live data-plane counters of the rules the
-	// service installed, read from its retained Programs at snapshot time.
+	// service installed, read from its retained Programs by the
+	// deployment's MetricsSnapshot; Registry.Snapshot leaves them empty.
 	RuleHits  []openflow.RuleHit  `json:"ruleHits,omitempty"`
 	GroupHits []openflow.GroupHit `json:"groupHits,omitempty"`
 
@@ -72,29 +74,17 @@ type ServiceMetrics struct {
 	// are free for the next registrant.
 	Uninstalled bool `json:"uninstalled,omitempty"`
 
-	active bool // FirstAt is meaningful only after the first activity
-	// base[i] is the lanes' stat of EtherTypes[i] when the service
-	// registered or was last Reset; in-band activity is what came after.
-	base []network.InBandStat
+	// base[i] is the network's stat of EtherTypes[i] when the service
+	// registered or was last Reset; the runtime columns are what came
+	// after. Once Uninstalled, end[i] and cost are what the network read
+	// at Release, and the entry reads them in place of the live counters.
+	base, end []network.InBandStat
+	cost      network.InstallCost
 }
 
-func (m *ServiceMetrics) touch(at network.Time) {
-	if !m.active {
-		m.active = true
-		m.FirstAt, m.LastAt = at, at
-		return
-	}
-	if at < m.FirstAt {
-		m.FirstAt = at
-	}
-	if at > m.LastAt {
-		m.LastAt = at
-	}
-}
-
-// Registry holds the per-service metrics of one deployment. Safe for
-// concurrent use: remote deployments feed it from the simulator and the
-// packet-in reader goroutines.
+// Registry holds the identities of one deployment's services and reads
+// their metrics off the network. Safe for concurrent use: Snapshot may
+// run on any goroutine, at any time.
 type Registry struct {
 	mu       sync.Mutex
 	net      *network.Network
@@ -102,9 +92,10 @@ type Registry struct {
 	byEth    map[uint16]*ServiceMetrics
 }
 
-// NewRegistry returns an empty registry over the network whose in-band
-// counters it reports. Snapshot, Register, Release and Reset read (and
-// re-arm) those counters, so they belong between runs.
+// NewRegistry returns an empty registry over the network whose counters
+// it reports. Snapshot reads what the network published at its last fold;
+// Register and Reset re-arm the network's counters, so they belong
+// between runs.
 func NewRegistry(net *network.Network) *Registry {
 	return &Registry{net: net, byEth: make(map[uint16]*ServiceMetrics)}
 }
@@ -144,75 +135,26 @@ func (r *Registry) bySlotLocked(slot int) *ServiceMetrics {
 	return nil
 }
 
-// NoteInstall attributes a compiled program's installation cost to the
-// service occupying the program's slot. Transient programs (runtime
-// group-mods like a smart-counter reset) count as group mods only.
-func (r *Registry) NoteInstall(p *openflow.Program) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.bySlotLocked(p.Slot)
-	if m == nil {
-		return
+// read returns m's per-EtherType stats and install cost: the live
+// counters, re-armed when mark is set, or what Release froze.
+func (r *Registry) read(m *ServiceMetrics, mark bool) ([]network.InBandStat, network.InstallCost) {
+	if m.Uninstalled {
+		return m.end, m.cost
 	}
-	m.InstallTxns += len(p.SwitchIDs())
-	m.FlowMods += p.FlowCount()
-	m.StateMods += p.StateCount()
-	m.GroupMods += p.GroupCount()
-}
-
-// NotePacketOut attributes a controller trigger packet by EtherType.
-func (r *Registry) NotePacketOut(at network.Time, eth uint16, bytes int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m := r.byEth[eth]; m != nil {
-		m.PacketOuts++
-		m.OutBandMsgs++
-		m.OutBandBytes += bytes
-		m.touch(at)
-	}
-}
-
-// NoteHostInject attributes an in-band host trigger by EtherType.
-func (r *Registry) NoteHostInject(at network.Time, eth uint16, bytes int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m := r.byEth[eth]; m != nil {
-		m.HostInjects++
-		m.touch(at)
-	}
-}
-
-// NotePacketIn attributes a collect message (packet-in) by EtherType.
-func (r *Registry) NotePacketIn(at network.Time, eth uint16, bytes int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m := r.byEth[eth]; m != nil {
-		m.PacketIns++
-		m.OutBandMsgs++
-		m.OutBandBytes += bytes
-		m.touch(at)
-	}
-}
-
-// joinInBand adds to m what the lanes counted for its EtherTypes since
-// their baselines. Every attempt counts, delivered or not, matching
-// network.InBandMsgs.
-func (r *Registry) joinInBand(m *ServiceMetrics) {
+	stats := make([]network.InBandStat, len(m.EtherTypes))
 	for i, eth := range m.EtherTypes {
-		s := r.net.InBandStat(eth)
-		if s.Msgs == m.base[i].Msgs {
-			continue
+		if mark {
+			stats[i] = r.net.MarkInBand(eth)
+		} else {
+			stats[i] = r.net.InBandStat(eth)
 		}
-		m.InBandMsgs += s.Msgs - m.base[i].Msgs
-		m.InBandBytes += s.Bytes - m.base[i].Bytes
-		m.touch(s.First)
-		m.touch(s.Last)
 	}
+	return stats, r.net.InstallCost(m.Slot, m.Slots)
 }
 
-// Release marks the service covering slot uninstalled: its in-band
-// counters freeze at what the lanes read now and its EtherTypes return to
-// the pool, so whoever registers them next is credited from here on.
+// Release marks the service covering slot uninstalled: its counters
+// freeze at what the network reads now and its EtherTypes return to the
+// pool, so whoever registers them next is credited from here on.
 func (r *Registry) Release(slot int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -220,7 +162,7 @@ func (r *Registry) Release(slot int) {
 	if m == nil || m.Uninstalled {
 		return
 	}
-	r.joinInBand(m)
+	m.end, m.cost = r.read(m, false)
 	m.Uninstalled = true
 	for _, eth := range m.EtherTypes {
 		delete(r.byEth, eth)
@@ -240,19 +182,35 @@ func (r *Registry) ByEth(eth uint16) *ServiceMetrics {
 	return &c
 }
 
-// view copies m with the in-band counters joined in and TriggerPackets
-// and WallClock computed.
+// view copies m with every counter read off the network (or off what
+// Release froze) against m's baselines.
 func (r *Registry) view(m *ServiceMetrics) ServiceMetrics {
 	c := *m
-	if !c.Uninstalled {
-		r.joinInBand(&c)
+	stats, cost := r.read(m, false)
+	c.InstallTxns, c.FlowMods, c.StateMods, c.GroupMods = cost.Txns, cost.FlowMods, cost.StateMods, cost.GroupMods
+	active := false
+	for i, s := range stats {
+		b := m.base[i]
+		if s.Msgs == b.Msgs && s.PacketOuts == b.PacketOuts && s.HostInjects == b.HostInjects && s.PacketIns == b.PacketIns {
+			continue
+		}
+		if !active || s.First < c.FirstAt {
+			c.FirstAt = s.First
+		}
+		if !active || s.Last > c.LastAt {
+			c.LastAt = s.Last
+		}
+		active = true
+		c.InBandMsgs += s.Msgs - b.Msgs
+		c.InBandBytes += s.Bytes - b.Bytes
+		c.PacketOuts += s.PacketOuts - b.PacketOuts
+		c.HostInjects += s.HostInjects - b.HostInjects
+		c.PacketIns += s.PacketIns - b.PacketIns
+		c.OutBandBytes += s.OutBandBytes - b.OutBandBytes
 	}
 	c.TriggerPackets = c.PacketOuts + c.HostInjects
-	if c.active {
-		c.WallClock = c.LastAt - c.FirstAt
-	}
-	c.RuleHits = append([]openflow.RuleHit(nil), m.RuleHits...)
-	c.GroupHits = append([]openflow.GroupHit(nil), m.GroupHits...)
+	c.OutBandMsgs = c.PacketOuts + c.PacketIns
+	c.WallClock = c.LastAt - c.FirstAt
 	return c
 }
 
@@ -268,45 +226,15 @@ func (r *Registry) Snapshot() []ServiceMetrics {
 	return out
 }
 
-// ClearHits discards the attached hit counters of every service; call it
-// before re-attaching a fresh read.
-func (r *Registry) ClearHits() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, m := range r.services {
-		m.RuleHits, m.GroupHits = nil, nil
-	}
-}
-
-// AttachHits appends rule/group hit counters to the service occupying
-// slot. A multi-slot service accumulates the hits of all its programs;
-// ClearHits first to replace rather than grow.
-func (r *Registry) AttachHits(slot int, rules []openflow.RuleHit, groups []openflow.GroupHit) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m := r.bySlotLocked(slot); m != nil {
-		m.RuleHits = append(m.RuleHits, rules...)
-		m.GroupHits = append(m.GroupHits, groups...)
-	}
-}
-
-// Reset zeroes the runtime counters of every service (install counters
-// survive, mirroring ResetRuntimeStats on the controller) and moves the
-// in-band baselines of the installed ones to now.
+// Reset restarts the runtime counters of every service: each entry's
+// baselines move to what the network (or, once uninstalled, Release)
+// reads now. Install counters survive, mirroring ResetRuntimeStats on
+// the controller.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, m := range r.services {
-		m.PacketOuts, m.HostInjects, m.PacketIns = 0, 0, 0
-		m.OutBandMsgs, m.OutBandBytes = 0, 0
-		m.InBandMsgs, m.InBandBytes = 0, 0
-		m.FirstAt, m.LastAt, m.active = 0, 0, false
-		m.RuleHits, m.GroupHits = nil, nil
-		if !m.Uninstalled {
-			for i, eth := range m.EtherTypes {
-				m.base[i] = r.net.MarkInBand(eth)
-			}
-		}
+		m.base, _ = r.read(m, true)
 	}
 }
 

@@ -32,7 +32,7 @@ func TestSteadyHopPathZeroAlloc(t *testing.T) {
 	}
 	pkt := openflow.NewPacket(0x0900, 4)
 	hop := func() {
-		n.Inject(0, openflow.PortController, pkt, n.Sim.Now()+1)
+		n.Inject(0, openflow.PortController, pkt, n.Sim.Now()+1, PacketOut)
 		if _, err := n.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func benchLinkCrossing(b *testing.B, opts Options) {
 	pkt := openflow.NewPacket(1, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Inject(0, openflow.PortController, pkt, n.Sim.Now()+1)
+		n.Inject(0, openflow.PortController, pkt, n.Sim.Now()+1, PacketOut)
 		if _, err := n.Run(); err != nil {
 			b.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func BenchmarkFanoutInjection(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for sw := 0; sw < net.NumSwitches(); sw++ {
-					net.Inject(sw, openflow.PortController, pkt, net.Sim.Now()+1)
+					net.Inject(sw, openflow.PortController, pkt, net.Sim.Now()+1, PacketOut)
 				}
 				if _, err := net.Run(); err != nil {
 					b.Fatal(err)

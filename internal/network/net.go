@@ -55,17 +55,42 @@ type Options struct {
 }
 
 // ethCounter is one interned per-EtherType accounting slot. The hot path
-// bumps these by index; the public map views are rebuilt on demand.
-// first/last are the lane-clock times of the earliest transmission since
-// MarkInBand re-armed first (negative: none yet) and of the latest one;
-// pastMsgs/pastBytes keep what ResetAccounting cleared.
+// bumps msgs/bytes by index; the public map views are rebuilt on demand.
+// The control-channel counts — packet-outs and host injects where they
+// enter the simulator, packet-ins where they leave it, and the bytes of
+// packet-outs and packet-ins — are bumped off the hop path. first/last
+// are the times of the earliest event since MarkInBand re-armed first
+// (negative: none yet) and of the latest one: a transmission by its lane's
+// clock, an injection by its activation time, a packet-in by the control
+// lane's clock. pastMsgs/pastBytes keep what ResetAccounting cleared.
 type ethCounter struct {
-	eth         uint16
-	msgs        int
-	bytes       int
-	first, last Time
-	pastMsgs    int
-	pastBytes   int
+	eth          uint16
+	msgs         int
+	bytes        int
+	first, last  Time
+	pastMsgs     int
+	pastBytes    int
+	packetOuts   int
+	hostInjects  int
+	packetIns    int
+	outBandBytes int
+}
+
+// Entry says how a packet entered the data plane from outside it.
+type Entry uint8
+
+const (
+	// PacketOut is a controller message (OFPT_PACKET_OUT).
+	PacketOut Entry = iota
+	// HostInject is traffic from a host attached to the switch.
+	HostInject
+)
+
+// InstallCost is what installing programs into one slot range cost: one
+// transaction per switch a program touched (the batched wire
+// transaction), and the flow, state and group messages inside them.
+type InstallCost struct {
+	Txns, FlowMods, StateMods, GroupMods int
 }
 
 // Network instantiates one openflow.Switch per graph node, one Link per
@@ -132,13 +157,16 @@ type Network struct {
 	prevCommits    uint64
 	prevFlightRecs uint64
 
-	// mu guards the network's read side, both written only at folds (the
-	// end of a Run, Tally, MarkInBand) so readers on any goroutine never
-	// touch lane state: tel, the telemetry totals, and inband, a copy of
-	// every lane's per-EtherType counters (InBandStat).
+	// mu guards the network's read side. tel, the telemetry totals, and
+	// inband, a copy of every lane's per-EtherType counters (InBandStat),
+	// are written only at folds (the end of a Run, Tally, MarkInBand), so
+	// readers on any goroutine never touch lane state.
 	mu     sync.Mutex
 	tel    telemetry.Counters
 	inband [][]ethCounter
+	// installs is the install ledger by program slot (RecordInstall),
+	// written by the control planes under mu.
+	installs map[int]InstallCost
 
 	// traceSeq hands out traversal ids when timeline tracing is on. Only
 	// Inject (a barrier-context call) bumps it, so no atomics.
@@ -164,9 +192,10 @@ func New(g *topo.Graph, opts Options) *Network {
 		shards = nn
 	}
 	n := &Network{
-		Graph: g,
-		delay: opts.LinkDelay,
-		multi: shards > 1,
+		Graph:    g,
+		delay:    opts.LinkDelay,
+		multi:    shards > 1,
+		installs: make(map[int]InstallCost),
 	}
 	nlanes := shards
 	if n.multi {
@@ -390,14 +419,16 @@ func (n *Network) SetLoss(u, v int, p float64) error {
 
 // Inject schedules pkt to be processed by switch sw as if it arrived on
 // inPort at time t. Use openflow.PortController as inPort for packet-outs.
-// The caller keeps ownership of pkt: it is cloned at call time. On a
-// sharded network the event lands on the heap of the shard owning sw;
-// Inject must only be called between runs or from control-lane callbacks
-// (never from inside a window).
+// via says how the packet entered; it is counted under its EtherType
+// (InBandStat). The caller keeps ownership of pkt: it is cloned at call
+// time. On a sharded network the event lands on the heap of the shard
+// owning sw; Inject must only be called between runs or from control-lane
+// callbacks (never from inside a window).
 //
 //simlint:barrier called between runs or before Run; no worker window is active
-func (n *Network) Inject(sw int, inPort int, pkt *openflow.Packet, t Time) {
+func (n *Network) Inject(sw int, inPort int, pkt *openflow.Packet, t Time, via Entry) {
 	l := n.laneFor(sw)
+	l.countEntry(via, pkt, t)
 	if st := l.sim.stats; st != nil {
 		st.PoolGets++
 	}
@@ -415,8 +446,12 @@ func (n *Network) Inject(sw int, inPort int, pkt *openflow.Packet, t Time) {
 
 // InjectActions schedules an action-list packet-out at switch sw (an
 // OFPT_PACKET_OUT that bypasses the tables), e.g. the LLDP probes of the
-// baseline discovery app.
+// baseline discovery app. It counts as a packet-out. Like Inject, it must
+// only be called between runs or from control-lane callbacks.
+//
+//simlint:barrier called between runs or from control-lane callbacks; no worker window is active
 func (n *Network) InjectActions(sw int, actions []openflow.Action, pkt *openflow.Packet, t Time) {
+	n.ctl.countEntry(PacketOut, pkt, t)
 	p := pkt.ClonePooled()
 	n.Sim.At(t, func() {
 		res := n.switches[sw].Execute(p, actions)
@@ -544,14 +579,17 @@ func (n *Network) TotalInBand() int {
 	return total
 }
 
-// InBandStat is what the lanes recorded for one EtherType: transmissions
-// and bytes since the network was built (ResetAccounting does not rewind
-// them), and the times, by the sending lane's clock, of the first and
-// last transmission since MarkInBand. First is negative when there were
-// none.
+// InBandStat is what the network recorded for one EtherType since it was
+// built: link transmissions and their bytes (ResetAccounting does not
+// rewind these), packet-outs and host injects entering the data plane,
+// packet-ins leaving it, and the bytes of the packet-outs and packet-ins.
+// First and Last are the times of the first event since MarkInBand and of
+// the last one; First is negative when there was none.
 type InBandStat struct {
-	Msgs, Bytes int
-	First, Last Time
+	Msgs, Bytes                        int
+	PacketOuts, HostInjects, PacketIns int
+	OutBandBytes                       int
+	First, Last                        Time
 }
 
 // InBandStat sums one EtherType's counters over the lanes, as of the
@@ -559,6 +597,10 @@ type InBandStat struct {
 func (n *Network) InBandStat(eth uint16) InBandStat {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.inBandStatLocked(eth)
+}
+
+func (n *Network) inBandStatLocked(eth uint16) InBandStat {
 	s := InBandStat{First: -1}
 	for _, cs := range n.inband {
 		i := slices.IndexFunc(cs, func(c ethCounter) bool { return c.eth == eth })
@@ -568,6 +610,10 @@ func (n *Network) InBandStat(eth uint16) InBandStat {
 		c := &cs[i]
 		s.Msgs += c.pastMsgs + c.msgs
 		s.Bytes += c.pastBytes + c.bytes
+		s.PacketOuts += c.packetOuts
+		s.HostInjects += c.hostInjects
+		s.PacketIns += c.packetIns
+		s.OutBandBytes += c.outBandBytes
 		if c.first >= 0 {
 			if s.First < 0 || c.first < s.First {
 				s.First = c.first
@@ -591,20 +637,52 @@ func (n *Network) publishInBand() {
 }
 
 // MarkInBand starts an observation period for eth: it returns the totals
-// so far, for the reader to subtract, and re-arms First on every lane.
+// so far, injections since the last fold included, for the reader to
+// subtract, and re-arms First on every lane.
 //
 //simlint:barrier called between runs; no worker window is active
 func (n *Network) MarkInBand(eth uint16) InBandStat {
-	s := n.InBandStat(eth)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.publishInBand()
+	s := n.inBandStatLocked(eth)
 	for _, l := range n.lanes {
 		if idx, ok := l.ethIdx[eth]; ok {
 			l.counters[idx].first = -1
 		}
 	}
-	n.mu.Lock()
 	n.publishInBand()
-	n.mu.Unlock()
 	return s
+}
+
+// RecordInstall adds program p's cost to the install ledger of its slot.
+// The control planes call it once for every program they install,
+// transient ones included. Safe from any goroutine.
+func (n *Network) RecordInstall(p *openflow.Program) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	c := n.installs[p.Slot]
+	c.Txns += len(p.SwitchIDs())
+	c.FlowMods += p.FlowCount()
+	c.StateMods += p.StateCount()
+	c.GroupMods += p.GroupCount()
+	n.installs[p.Slot] = c
+}
+
+// InstallCost sums the install ledger over slots [slot, slot+slots).
+// Safe from any goroutine, at any time.
+func (n *Network) InstallCost(slot, slots int) InstallCost {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var sum InstallCost
+	for s := slot; s < slot+slots; s++ {
+		c := n.installs[s]
+		sum.Txns += c.Txns
+		sum.FlowMods += c.FlowMods
+		sum.StateMods += c.StateMods
+		sum.GroupMods += c.GroupMods
+	}
+	return sum
 }
 
 // ResetAccounting clears the in-band counters (link DirStats included) so

@@ -44,7 +44,7 @@ func TestDeliveryAcrossALine(t *testing.T) {
 	// Inject at switch 0 as if arriving from a host on... node 0 has only
 	// port 1; give it a direct send rule instead: process with InPort
 	// that misses and use explicit injection at node 1.
-	n.Inject(1, 1, pkt, 0)
+	n.Inject(1, 1, pkt, 0, HostInject)
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestLinkDownUpdatesLivenessAndDrops(t *testing.T) {
 	}
 	delivered := 0
 	n.OnSelf = func(int, *openflow.Packet) { delivered++ }
-	n.Inject(1, 1, openflow.NewPacket(testEth, 2), 0)
+	n.Inject(1, 1, openflow.NewPacket(testEth, 2), 0, HostInject)
 	n.Run()
 	if delivered != 0 {
 		t.Error("packet crossed a down link")
@@ -108,7 +108,7 @@ func TestBlackholeInvisibleToLiveness(t *testing.T) {
 			lost = h.From == 1 && h.To == 2
 		}
 	})
-	n.Inject(1, 1, openflow.NewPacket(testEth, 2), 0)
+	n.Inject(1, 1, openflow.NewPacket(testEth, 2), 0, HostInject)
 	n.Run()
 	if hops != 1 || !lost {
 		t.Errorf("hops=%d lost=%v; want the single hop swallowed at 1->2", hops, lost)
@@ -134,7 +134,7 @@ func TestLossyLinkDropsStatistically(t *testing.T) {
 	n.OnSelf = func(int, *openflow.Packet) { delivered++ }
 	const trials = 2000
 	for i := 0; i < trials; i++ {
-		n.Inject(0, openflow.PortController, openflow.NewPacket(testEth, 1), Time(i))
+		n.Inject(0, openflow.PortController, openflow.NewPacket(testEth, 1), Time(i), PacketOut)
 	}
 	// Give node 0 a rule that forwards controller-injected packets.
 	n.Switch(0).AddFlow(0, &openflow.FlowEntry{Priority: 1,
@@ -205,7 +205,7 @@ func TestPacketInReachesController(t *testing.T) {
 	var from int
 	count := 0
 	n.OnPacketIn = func(sw int, pkt *openflow.Packet) { from = sw; count++ }
-	n.Inject(0, 1, openflow.NewPacket(testEth, 1), 0)
+	n.Inject(0, 1, openflow.NewPacket(testEth, 1), 0, HostInject)
 	n.Run()
 	if count != 1 || from != 0 {
 		t.Errorf("packet-in count=%d from=%d", count, from)
@@ -232,7 +232,7 @@ func TestEventLimitCatchesForwardingLoops(t *testing.T) {
 				Actions: []openflow.Action{openflow.Output{Port: openflow.PortInPort}}, Cookie: "pingpong"})
 		}
 		for i := 0; i < n.NumSwitches(); i++ {
-			n.Inject(i, 1, openflow.NewPacket(testEth, 1), 0)
+			n.Inject(i, 1, openflow.NewPacket(testEth, 1), 0, HostInject)
 		}
 		steps, err := n.Run()
 		var lim ErrEventLimit
@@ -258,7 +258,7 @@ func TestDeterminism(t *testing.T) {
 		var hops []int
 		n.ObserveHops(func(h Hop, _ *openflow.Packet, _ bool) { hops = append(hops, h.From*100+h.To) })
 		n.Sim.MaxSteps = 200
-		n.Inject(0, openflow.PortController, openflow.NewPacket(testEth, 1), 0)
+		n.Inject(0, openflow.PortController, openflow.NewPacket(testEth, 1), 0, PacketOut)
 		n.Run()
 		return hops
 	}
@@ -277,7 +277,7 @@ func TestResetAccounting(t *testing.T) {
 	g := topo.Line(3)
 	n := New(g, Options{})
 	lineForwarding(n)
-	n.Inject(1, 1, openflow.NewPacket(testEth, 1), 0)
+	n.Inject(1, 1, openflow.NewPacket(testEth, 1), 0, HostInject)
 	n.Run()
 	if n.TotalInBand() == 0 {
 		t.Fatal("expected traffic")

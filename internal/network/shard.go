@@ -295,13 +295,7 @@ func (l *lane) dispatch(sw int, res *openflow.Result) {
 func (l *lane) countInBand(eth uint16, size int) {
 	idx := l.lastIdx
 	if idx >= len(l.counters) || l.counters[idx].eth != eth {
-		var ok bool
-		idx, ok = l.ethIdx[eth]
-		if !ok {
-			idx = len(l.counters)
-			l.counters = append(l.counters, ethCounter{eth: eth, first: -1})
-			l.ethIdx[eth] = idx
-		}
+		idx = l.intern(eth)
 		l.lastIdx = idx
 	}
 	c := &l.counters[idx]
@@ -311,6 +305,49 @@ func (l *lane) countInBand(eth uint16, size int) {
 	c.last = l.sim.now
 	c.msgs++
 	c.bytes += size
+}
+
+// intern returns the index of eth's counter, adding one on first sight.
+func (l *lane) intern(eth uint16) int {
+	idx, ok := l.ethIdx[eth]
+	if !ok {
+		idx = len(l.counters)
+		l.counters = append(l.counters, ethCounter{eth: eth, first: -1})
+		l.ethIdx[eth] = idx
+	}
+	return idx
+}
+
+// countEntry counts a packet entering the data plane at time at: once per
+// trigger, off the hop path.
+func (l *lane) countEntry(via Entry, pkt *openflow.Packet, at Time) {
+	c := &l.counters[l.intern(pkt.EthType)]
+	if via == PacketOut {
+		c.packetOuts++
+		c.outBandBytes += pkt.Size()
+	} else {
+		c.hostInjects++
+	}
+	c.stamp(at)
+}
+
+// countPacketIn counts a packet leaving for the controller, by the lane's
+// clock: once per collect, off the hop path.
+func (l *lane) countPacketIn(pkt *openflow.Packet) {
+	c := &l.counters[l.intern(pkt.EthType)]
+	c.packetIns++
+	c.outBandBytes += pkt.Size()
+	c.stamp(l.sim.now)
+}
+
+// stamp widens the counter's [first, last] bracket to cover at.
+func (c *ethCounter) stamp(at Time) {
+	if c.first < 0 || at < c.first {
+		c.first = at
+	}
+	if at > c.last {
+		c.last = at
+	}
 }
 
 // now is the lane's clock: the time of the event it is executing.

@@ -28,7 +28,7 @@ func lineRun(t *testing.T, nodes, shards, packets int) string {
 	}
 	for i := 0; i < packets; i++ {
 		src := 1 + i%(nodes-2)
-		n.Inject(src, 1, openflow.NewPacket(testEth, 2), Time(i)*300)
+		n.Inject(src, 1, openflow.NewPacket(testEth, 2), Time(i)*300, HostInject)
 	}
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestShardedPacketIn(t *testing.T) {
 			ins = append(ins, fmt.Sprintf("%d@%d", sw, n.Sim.Now()))
 		}
 		for i := 1; i < 16; i++ {
-			n.Inject(i, 1, openflow.NewPacket(testEth, 2), Time(i)*10)
+			n.Inject(i, 1, openflow.NewPacket(testEth, 2), Time(i)*10, HostInject)
 		}
 		if _, err := n.Run(); err != nil {
 			t.Fatal(err)
@@ -106,7 +106,7 @@ func TestShardedScheduledLinkDown(t *testing.T) {
 		n.OnSelf = func(int, *openflow.Packet) { delivered++ }
 		// One packet every 2µs from node 1; the 5-6 link dies at 40µs.
 		for i := 0; i < 20; i++ {
-			n.Inject(1, 1, openflow.NewPacket(testEth, 2), Time(i)*2000)
+			n.Inject(1, 1, openflow.NewPacket(testEth, 2), Time(i)*2000, HostInject)
 		}
 		if err := n.ScheduleLinkDown(5, 6, true, 40_000); err != nil {
 			t.Fatal(err)
@@ -140,7 +140,7 @@ func TestShardedLossyLink(t *testing.T) {
 		delivered := 0
 		n.OnSelf = func(int, *openflow.Packet) { delivered++ }
 		for i := 0; i < 40; i++ {
-			n.Inject(1, 1, openflow.NewPacket(testEth, 2), Time(i)*5000)
+			n.Inject(1, 1, openflow.NewPacket(testEth, 2), Time(i)*5000, HostInject)
 		}
 		if _, err := n.Run(); err != nil {
 			t.Fatal(err)
@@ -162,7 +162,7 @@ func TestShardedEventLimit(t *testing.T) {
 	n := New(g, Options{Shards: 4, MaxSteps: 10})
 	lineForwarding(n)
 	for i := 0; i < 8; i++ {
-		n.Inject(1+i, 1, openflow.NewPacket(testEth, 2), 0)
+		n.Inject(1+i, 1, openflow.NewPacket(testEth, 2), 0, HostInject)
 	}
 	_, err := n.Run()
 	var lim ErrEventLimit
@@ -215,7 +215,7 @@ func TestShardedObserverSerialization(t *testing.T) {
 	hops := 0
 	n.ObserveHops(func(Hop, *openflow.Packet, bool) { hops++ })
 	for i := 0; i < 16; i++ {
-		n.Inject(1+i, 1, openflow.NewPacket(testEth, 2), Time(i)*100)
+		n.Inject(1+i, 1, openflow.NewPacket(testEth, 2), Time(i)*100, HostInject)
 	}
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestShardedWakesParkedLanes(t *testing.T) {
 			deliveries = append(deliveries, fmt.Sprintf("%d@%d", sw, n.Sim.Now()))
 		}
 		for i := 0; i < 6; i++ {
-			n.Inject(1+i, 1, openflow.NewPacket(testEth, 2), Time(i)*4000)
+			n.Inject(1+i, 1, openflow.NewPacket(testEth, 2), Time(i)*4000, HostInject)
 		}
 		if _, err := n.Run(); err != nil {
 			t.Fatal(err)
@@ -300,7 +300,7 @@ func TestShardedRunLeavesNoGoroutines(t *testing.T) {
 	n := New(topo.Line(24), Options{Shards: 4, MaxSteps: 10})
 	lineForwarding(n)
 	for i := 0; i < 8; i++ {
-		n.Inject(1+i, 1, openflow.NewPacket(testEth, 2), 0)
+		n.Inject(1+i, 1, openflow.NewPacket(testEth, 2), 0, HostInject)
 	}
 	if _, err := n.Run(); !errors.As(err, new(ErrEventLimit)) {
 		t.Fatalf("err = %v, want ErrEventLimit", err)

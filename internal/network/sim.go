@@ -270,6 +270,7 @@ func (l *lane) step(budget int) int {
 		if st != nil {
 			st.PacketIns++
 		}
+		l.countPacketIn(e.pkt)
 		if n := l.net; n.OnPacketIn != nil {
 			n.OnPacketIn(e.sw, e.pkt)
 		}

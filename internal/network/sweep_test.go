@@ -31,7 +31,7 @@ func lineJob(size int) (int, error) {
 		})
 	}
 	pkt := openflow.NewPacket(0x0900, 0)
-	n.Inject(0, openflow.PortController, pkt, 0)
+	n.Inject(0, openflow.PortController, pkt, 0, PacketOut)
 	if _, err := n.Run(); err != nil {
 		return 0, err
 	}
@@ -138,7 +138,7 @@ func newReusableLine(size int) *reusableLine {
 func (r *reusableLine) measure() (int, error) {
 	r.runs++
 	r.n.ResetAccounting()
-	r.n.Inject(0, openflow.PortController, openflow.NewPacket(0x0900, 0), r.n.Sim.Now())
+	r.n.Inject(0, openflow.PortController, openflow.NewPacket(0x0900, 0), r.n.Sim.Now(), PacketOut)
 	if _, err := r.n.Run(); err != nil {
 		return 0, err
 	}

@@ -431,7 +431,7 @@ func TestSmartSouthOverTCP(t *testing.T) {
 	}
 	mu.Lock()
 	for _, p := range queue {
-		tcpNet.Inject(p.sw, p.inPort, p.pkt, 0)
+		tcpNet.Inject(p.sw, p.inPort, p.pkt, 0, network.PacketOut)
 	}
 	mu.Unlock()
 	if _, err := tcpNet.Run(); err != nil {

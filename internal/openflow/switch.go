@@ -728,16 +728,6 @@ func (sw *Switch) FlowEntryCount() int {
 	return n
 }
 
-// StateEntryCount returns the total number of transition entries
-// installed across state tables.
-func (sw *Switch) StateEntryCount() int {
-	n := 0
-	for _, t := range sw.stateTables {
-		n += t.Len()
-	}
-	return n
-}
-
 // GroupCount returns the number of group entries installed.
 func (sw *Switch) GroupCount() int { return len(sw.gids) }
 

@@ -27,10 +27,6 @@ type Fabric struct {
 	Net *network.Network
 	// Stats counts control-channel traffic like the local controller.
 	Stats controller.Stats
-	// OnPacketIn, if set, observes every packet-in as it arrives off the
-	// wire (the inbox is appended regardless). Set it before RunNetwork;
-	// it is called from the per-session reader goroutines.
-	OnPacketIn func(controller.PacketIn)
 
 	agents    []*ofconn.Agent
 	clients   []*ofconn.Client
@@ -160,14 +156,9 @@ func New(nw *network.Network) (*Fabric, error) {
 				if q := f.inTimes[sw]; len(q) > 0 {
 					at, f.inTimes[sw] = q[0], q[1:]
 				}
-				rec := controller.PacketIn{Switch: sw, Pkt: pi.Pkt, At: at}
-				f.inbox = append(f.inbox, rec)
+				f.inbox = append(f.inbox, controller.PacketIn{Switch: sw, Pkt: pi.Pkt, At: at})
 				f.gotIns++
-				hook := f.OnPacketIn
 				f.mu.Unlock()
-				if hook != nil {
-					hook(rec)
-				}
 			}
 		}(i, cl)
 	}
@@ -193,8 +184,10 @@ func (f *Fabric) Err() error {
 // switch's rules and groups travel in as few TypeBatch messages as the
 // size cap allows, instead of one flow-mod/group-mod message per rule.
 // FlowMods/GroupMods keep counting logical rules; InstallMsgs counts the
-// messages actually written, which is where batching shows.
+// messages actually written, which is where batching shows. The
+// network's install ledger records the program (RecordInstall).
 func (f *Fabric) InstallProgram(p *openflow.Program) {
+	f.Net.RecordInstall(p)
 	if p.StateCount() > 0 {
 		// Binary OpenFlow 1.3 has no state-table messages; programs from
 		// the stateful backend cannot cross this wire. The deployment
@@ -270,7 +263,7 @@ func (f *Fabric) PacketOut(sw, inPort int, pkt *openflow.Packet, at network.Time
 // InjectHost injects in-band host traffic directly — hosts are part of
 // the data plane, not the control channel.
 func (f *Fabric) InjectHost(sw int, pkt *openflow.Packet, at network.Time) {
-	f.Net.Inject(sw, openflow.PortController, pkt, at)
+	f.Net.Inject(sw, openflow.PortController, pkt, at, network.HostInject)
 }
 
 // Inbox returns the packet-ins received over the wire so far, ordered by
@@ -318,7 +311,7 @@ func (f *Fabric) RunNetwork() (int, error) {
 	f.queue = nil
 	f.mu.Unlock()
 	for _, p := range queue {
-		f.Net.Inject(p.sw, p.inPort, p.pkt, p.at)
+		f.Net.Inject(p.sw, p.inPort, p.pkt, p.at, network.PacketOut)
 	}
 
 	steps, err := f.Net.Run()

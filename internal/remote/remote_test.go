@@ -258,7 +258,7 @@ func TestGroupStatsOverWire(t *testing.T) {
 	})
 	f.InstallProgram(drive)
 	for i := 0; i < 7; i++ {
-		nw.Inject(0, 1, openflow.NewPacket(1, l.TagBytes()), network.Time(i)*1000)
+		nw.Inject(0, 1, openflow.NewPacket(1, l.TagBytes()), network.Time(i)*1000, network.HostInject)
 	}
 	if _, err := f.RunNetwork(); err != nil {
 		t.Fatal(err)

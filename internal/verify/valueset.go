@@ -44,9 +44,6 @@ func SetOf(vs ...uint64) ValueSet {
 	return ValueSet{vals: out[:w]}
 }
 
-// IsTop reports whether the set is the full domain.
-func (s ValueSet) IsTop() bool { return s.top }
-
 // Empty reports whether the set holds no value.
 func (s ValueSet) Empty() bool { return !s.top && len(s.vals) == 0 }
 

@@ -152,8 +152,8 @@ func TestMetricsJoinAgreesWithHopObserver(t *testing.T) {
 // TestFacadeAddsNoObservers is the facade twin of the network package's
 // TestSteadyHopPathZeroAlloc: a default Deploy registers no hop or exec
 // observer — the per-service metrics are a read, not a second writer — and
-// a traversal through the metered control plane runs out of recycled
-// memory once warm.
+// a traversal, its trigger and its packet-in counted by the network, runs
+// out of recycled memory once warm.
 func TestFacadeAddsNoObservers(t *testing.T) {
 	g := Ring(12)
 	// Pinned: the sweep re-sends one prebuilt trigger packet; under the

@@ -271,9 +271,9 @@ type Deployment struct {
 	Graph *Graph
 	Net   *Network
 
-	// CP is the control plane services are installed through. It is the
-	// metrics-metered decoration of Ctl or Fabric; use it for anything
-	// the ControlPlane interface offers.
+	// CP is the control plane services are installed through: Ctl or
+	// Fabric, behind the install gate under WithAnalysis. Use it for
+	// anything the ControlPlane interface offers.
 	CP ControlPlane
 	// Ctl is the local controller, nil on remote deployments.
 	Ctl *Controller
@@ -323,28 +323,25 @@ func resolveBackend(cfg network.Config) (core.Backend, error) {
 	return core.BackendByName(name)
 }
 
-// newDeployment wires a deployment over net and its control plane cp —
-// the local controller or the TCP fabric: the metrics-metered decoration
-// every installer goes through, the WithAnalysis gate, the packet-in
-// hook into the registry, and the trace and timeline stores.
-func newDeployment(net *Network, cfg network.Config, be core.Backend, cp ControlPlane) *Deployment {
+// newDeployment wires a deployment over net and its control plane: the
+// local controller ctl or the TCP fabric f, the other nil. It adds the
+// WithAnalysis gate, the per-service metrics registry (a read of the
+// network's counters), and the trace and timeline stores.
+func newDeployment(net *Network, cfg network.Config, be core.Backend, ctl *Controller, f *Fabric) *Deployment {
 	d := &Deployment{
-		Graph: net.Graph,
-		Net:   net,
-		reg:   metrics.NewRegistry(net),
-		slots: core.NewSlotAllocator(0),
-		be:    be,
+		Graph:  net.Graph,
+		Net:    net,
+		Ctl:    ctl,
+		Fabric: f,
+		reg:    metrics.NewRegistry(net),
+		slots:  core.NewSlotAllocator(0),
+		be:     be,
 	}
-	notePacketIn := func(pi controller.PacketIn) {
-		d.reg.NotePacketIn(pi.At, pi.Pkt.EthType, pi.Pkt.Size())
+	if ctl != nil {
+		d.CP = ctl
+	} else {
+		d.CP = f
 	}
-	switch p := cp.(type) {
-	case *controller.Controller:
-		d.Ctl, p.OnPacketIn = p, notePacketIn
-	case *remote.Fabric:
-		d.Fabric, p.OnPacketIn = p, notePacketIn
-	}
-	d.CP = metrics.Meter(cp, d.reg)
 	if cfg.Analysis {
 		d.CP = &analysisGate{ControlPlane: d.CP, d: d}
 	}
@@ -410,7 +407,7 @@ func Deploy(g *Graph, opts ...Option) *Deployment {
 		panic("smartsouth: " + err.Error())
 	}
 	net := network.New(g, cfg.Opts)
-	return newDeployment(net, cfg, be, controller.New(net))
+	return newDeployment(net, cfg, be, controller.New(net), nil)
 }
 
 // DeployRemote builds the network and attaches the TCP control plane (one
@@ -431,7 +428,7 @@ func DeployRemote(g *Graph, opts ...Option) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newDeployment(net, cfg, be, f), nil
+	return newDeployment(net, cfg, be, nil, f), nil
 }
 
 // Run processes the data plane to quiescence. On a remote deployment this
@@ -492,19 +489,14 @@ func (d *Deployment) attach(s core.Service, err error) error {
 }
 
 // register makes an installed service visible: its metrics entry for
-// slots [slot, slot+slots), credited with the install cost of the programs
-// retained there, and the tag decoder of every EtherType the entry claimed,
+// slots [slot, slot+slots), and the tag decoder of every EtherType the
+// entry claimed,
 // with which flight-recorder records and hop-trace events decode the DFS
 // state (start, par, cur) of its packets. l is nil when the packets carry
 // no DFS state (portknock) or the inner layouts are not exposed (monitor);
 // events are then labeled but not decoded.
 func (d *Deployment) register(service string, slot, slots int, l *core.Layout, eths ...uint16) {
 	m := d.reg.Register(service, slot, slots, eths...)
-	for _, p := range d.CP.Programs() {
-		if p.Slot >= slot && p.Slot < slot+slots {
-			d.reg.NoteInstall(p)
-		}
-	}
 	names := [3]string{"start", "par", "cur"}
 	var fields network.TagFields
 	switch {
@@ -686,12 +678,18 @@ func (d *Deployment) liveSwitch(sw int) *openflow.Switch { return d.Net.Switch(s
 // by slot, with the live rule-hit/group-bucket counters of each service's
 // retained programs attached.
 func (d *Deployment) MetricsSnapshot() []ServiceMetrics {
-	d.reg.ClearHits()
+	ms := d.reg.Snapshot()
 	for _, p := range d.CP.Programs() {
-		r, g := p.HitCounters(d.liveSwitch)
-		d.reg.AttachHits(p.Slot, r, g)
+		for i := range ms {
+			if m := &ms[i]; p.Slot >= m.Slot && p.Slot < m.Slot+m.Slots {
+				r, g := p.HitCounters(d.liveSwitch)
+				m.RuleHits = append(m.RuleHits, r...)
+				m.GroupHits = append(m.GroupHits, g...)
+				break
+			}
+		}
 	}
-	return d.reg.Snapshot()
+	return ms
 }
 
 // Metrics exposes the live registry, for callers that want to reset it or
