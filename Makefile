@@ -27,7 +27,8 @@ lint: vet
 	fi
 
 # lint-negative proves the linter bites: a heap allocation seeded into
-# ExecBatch must fail the vettool build.
+# ExecBatch must fail the vettool build, and an unused export seeded into
+# internal/openflow must fail the repository-wide exports test.
 lint-negative:
 	./scripts/simlint_negative.sh
 

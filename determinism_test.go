@@ -75,7 +75,7 @@ func ring20SweepFingerprint(extra ...Option) string {
 
 	fmt.Fprintf(&b, "simtime=%d\n", int64(d.Net.Sim.Now()))
 
-	msgs, bytes := d.Net.InBandMsgs(), d.Net.InBandBytes()
+	msgs, bytes := d.Net.InBand()
 	eths := make([]int, 0, len(msgs))
 	for eth := range msgs {
 		eths = append(eths, int(eth))

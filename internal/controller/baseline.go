@@ -125,6 +125,8 @@ func (tc *TopologyCollector) add(e topo.Edge) {
 }
 
 // Edges returns the discovered links.
+//
+//simlint:testapi the LLDP baseline benchmark and tests check that discovery is complete
 func (tc *TopologyCollector) Edges() []topo.Edge {
 	out := make([]topo.Edge, 0, len(tc.seen))
 	for _, e := range tc.seen {
@@ -163,18 +165,9 @@ func (c *Controller) ProbeLinks(start network.Time) *ProbeCollector {
 }
 
 // ProbeCollector tracks outstanding probes; after the network has run,
-// Missing lists the directed ports whose probes vanished.
+// the ones left name the directed ports whose probes vanished.
 type ProbeCollector struct {
 	expected map[[2]int]bool
-}
-
-// Missing returns (switch, port) pairs whose probe never came back.
-func (pc *ProbeCollector) Missing() [][2]int {
-	var out [][2]int
-	for k := range pc.expected {
-		out = append(out, k)
-	}
-	return out
 }
 
 // ReactiveAnycast is the controller-centric alternative to the in-band

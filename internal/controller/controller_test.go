@@ -112,7 +112,10 @@ func TestProbeLinksLocatesBlackhole(t *testing.T) {
 
 	pc := c.ProbeLinks(0)
 	net.Run()
-	missing := pc.Missing()
+	var missing [][2]int // (switch, port) pairs whose probe never came back
+	for k := range pc.expected {
+		missing = append(missing, k)
+	}
 	if len(missing) != 1 {
 		t.Fatalf("missing = %v, want exactly one", missing)
 	}

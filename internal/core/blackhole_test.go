@@ -186,7 +186,7 @@ func TestBlackholeCounterHealthy(t *testing.T) {
 	// the dance leaves healthy ports at 2..4).
 	for i := 0; i < g.NumNodes(); i++ {
 		for p := 1; p <= g.Degree(i); p++ {
-			if v := b.Counters[i][p-1].Value(c); v < 2 {
+			if v := c.GroupCounter(i, b.Counters[i][p-1].GroupID); v < 2 {
 				t.Errorf("counter (%d,%d) = %d, want >= 2 after a healthy round", i, p, v)
 			}
 		}
@@ -338,14 +338,26 @@ func TestSmartCounterPrimitive(t *testing.T) {
 	c := controller.New(net)
 	l := NewLayout(g)
 	f := l.Alloc("ctr", 3)
-	sc, err := InstallSmartCounter(c, 0, 99, f, 5)
+	// install compiles one counter into a transient program and installs
+	// it; installing it again is the out-of-band reset (a group-mod resets
+	// bucket state).
+	install := func(gid uint32, modulus int) (*SmartCounter, error) {
+		p := openflow.NewProgram("smart-counter", 0)
+		p.Transient = true
+		sc, err := CompileSmartCounter(p, 0, 0, gid, f, modulus)
+		if err == nil {
+			c.InstallProgram(p)
+		}
+		return sc, err
+	}
+	sc, err := install(99, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := InstallSmartCounter(c, 0, 98, f, 2000); err == nil {
+	if _, err := install(98, 2000); err == nil {
 		t.Error("oversized modulus accepted")
 	}
-	if _, err := InstallSmartCounter(c, 0, 97, f, 1); err == nil {
+	if _, err := install(97, 1); err == nil {
 		t.Error("modulus 1 accepted")
 	}
 	// Drive the counter through the pipeline: each fetch writes the
@@ -353,7 +365,7 @@ func TestSmartCounterPrimitive(t *testing.T) {
 	sw := net.Switch(0)
 	for want := 0; want < 12; want++ {
 		pkt := l.NewPacket(0x9999)
-		res := sw.Execute(pkt, []openflow.Action{sc.FetchInc(), openflow.Output{Port: openflow.PortSelf}})
+		res := sw.Execute(pkt, []openflow.Action{openflow.Group{ID: sc.GroupID}, openflow.Output{Port: openflow.PortSelf}})
 		if len(res.Emissions) != 1 {
 			t.Fatal("no emission")
 		}
@@ -361,11 +373,13 @@ func TestSmartCounterPrimitive(t *testing.T) {
 			t.Fatalf("fetch %d read %d, want %d", want, got, want%5)
 		}
 	}
-	if sc.Value(c) != 12%5 {
-		t.Errorf("stored counter = %d, want %d", sc.Value(c), 12%5)
+	if v := c.GroupCounter(0, 99); v != 12%5 {
+		t.Errorf("stored counter = %d, want %d", v, 12%5)
 	}
-	sc.Reset(c)
-	if sc.Value(c) != 0 {
+	if _, err := install(99, 5); err != nil {
+		t.Fatal(err)
+	}
+	if c.GroupCounter(0, 99) != 0 {
 		t.Error("reset failed")
 	}
 }

@@ -56,7 +56,8 @@ func TestLoadMapMatchesGroundTruth(t *testing.T) {
 		totalInferred += v
 	}
 	totalData := 0
-	for _, l := range net.Links() {
+	for _, e := range g.Edges() {
+		l := net.LinkBetween(e.U, e.V)
 		totalData += l.StatsAB.Delivered + l.StatsBA.Delivered
 	}
 	// Subtract monitor crossings (EthLoadMap) from the link ground truth:

@@ -36,10 +36,10 @@ func TestPktLossDataForwardingAndCounting(t *testing.T) {
 	// port toward 0, and node 0's egress.
 	p01 := g.PortTo(0, 1)
 	p10 := g.PortTo(1, 0)
-	if v := pl.COut[0][p01-1][0].Value(pl.ctl); v != 3 {
+	if v := pl.ctl.GroupCounter(0, pl.COut[0][p01-1][0].GroupID); v != 3 {
 		t.Errorf("egress counter at 0 = %d, want 3", v)
 	}
-	if v := pl.CIn[1][p10-1][0].Value(pl.ctl); v != 3 {
+	if v := pl.ctl.GroupCounter(1, pl.CIn[1][p10-1][0].GroupID); v != 3 {
 		t.Errorf("ingress counter at 1 = %d, want 3", v)
 	}
 }

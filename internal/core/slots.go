@@ -37,18 +37,6 @@ func SlotGroups(slot int) (lo, hi uint32) {
 	return uint32(slot) << GroupBitsPerSlot, uint32(slot+1) << GroupBitsPerSlot
 }
 
-// SlotOfTable returns the slot owning a table ID, or -1 for the shared
-// table 0 (and any ID below the slot region).
-func SlotOfTable(table int) int {
-	if table < SlotTableBase {
-		return -1
-	}
-	return (table - SlotTableBase) / TablesPerSlot
-}
-
-// SlotOfGroup returns the slot owning a group ID.
-func SlotOfGroup(id uint32) int { return int(id >> GroupBitsPerSlot) }
-
 // SlotAllocator hands out service slots sequentially. It replaces the
 // ad-hoc nextSlot counters the deployment facades used to keep: services
 // that span several slots (chaincast: one per chain stage; monitor: the
@@ -75,9 +63,6 @@ func (a *SlotAllocator) Reserve(n int) int {
 	a.next += n
 	return s
 }
-
-// Peek returns the next slot without reserving it.
-func (a *SlotAllocator) Peek() int { return a.next }
 
 // SlotSpan reports how many slots a compiled program occupies, for
 // allocators replaying a retained program set.

@@ -16,18 +16,6 @@ func TestSlotLayoutConstants(t *testing.T) {
 		if gLo != gBase || gHi != uint32(slot+1)<<GroupBitsPerSlot {
 			t.Fatalf("SlotGroups(%d) = [%d,%d)", slot, gLo, gHi)
 		}
-		// Round trips.
-		for tb := tLo; tb < tHi; tb++ {
-			if SlotOfTable(tb) != slot {
-				t.Fatalf("SlotOfTable(%d) = %d, want %d", tb, SlotOfTable(tb), slot)
-			}
-		}
-		if SlotOfGroup(gLo) != slot || SlotOfGroup(gHi-1) != slot {
-			t.Fatalf("SlotOfGroup round trip broken for slot %d", slot)
-		}
-	}
-	if SlotOfTable(0) != -1 {
-		t.Fatal("table 0 is shared, not owned by a slot")
 	}
 }
 
@@ -38,9 +26,6 @@ func TestSlotAllocator(t *testing.T) {
 	}
 	if base := a.Reserve(3); base != 2 {
 		t.Fatalf("Reserve(3) = %d, want 2", base)
-	}
-	if a.Peek() != 5 {
-		t.Fatalf("Peek = %d, want 5 after reserving through slot 4", a.Peek())
 	}
 	if a.Reserve(0) != 5 || a.Next() != 6 {
 		t.Fatal("Reserve(<1) must consume one slot")

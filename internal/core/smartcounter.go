@@ -39,19 +39,6 @@ func CompileSmartCounter(p *Program, sw, numPorts int, groupID uint32, field ope
 	return sc, nil
 }
 
-// InstallSmartCounter compiles a standalone smart counter into a transient
-// single-group program and installs it.
-func InstallSmartCounter(c ControlPlane, sw int, groupID uint32, field openflow.Field, modulus int) (*SmartCounter, error) {
-	p := openflow.NewProgram("smart-counter", int(groupID>>20))
-	p.Transient = true
-	sc, err := CompileSmartCounter(p, sw, 0, groupID, field, modulus)
-	if err != nil {
-		return nil, err
-	}
-	c.InstallProgram(p)
-	return sc, nil
-}
-
 // groupEntry builds the counter's round-robin SELECT group: bucket j
 // writes j into the field.
 func (sc *SmartCounter) groupEntry() *openflow.GroupEntry {
@@ -62,25 +49,4 @@ func (sc *SmartCounter) groupEntry() *openflow.GroupEntry {
 		}}
 	}
 	return &openflow.GroupEntry{ID: sc.GroupID, Type: openflow.GroupSelectRR, Buckets: buckets}
-}
-
-// FetchInc returns the action that performs the fetch-and-increment.
-func (sc *SmartCounter) FetchInc() openflow.Action { return openflow.Group{ID: sc.GroupID} }
-
-// Value reads the counter out of band (tests and controller resets only —
-// the data plane can only learn it through the fetched field). It returns
-// -1 when the control plane cannot read group state.
-func (sc *SmartCounter) Value(c ControlPlane) int {
-	return c.GroupCounter(sc.Switch, sc.GroupID)
-}
-
-// Reset sets the counter to zero by re-sending the group in a transient
-// program: a real controller would send OFPGC_MODIFY, which resets bucket
-// state.
-func (sc *SmartCounter) Reset(c ControlPlane) {
-	p := openflow.NewProgram("smart-counter-reset", int(sc.GroupID>>20))
-	p.Transient = true
-	p.Ensure(sc.Switch, 0)
-	p.AddGroup(sc.Switch, sc.groupEntry())
-	c.InstallProgram(p)
 }

@@ -70,6 +70,8 @@ func InstallSnapshot(c ControlPlane, g *topo.Graph, slot int, opts ...InstallOpt
 // in-band to any server connected to the first node of the traversal,
 // thereby allowing complete in-band monitoring". Capture the report via
 // Network.OnSelf and decode its labels with DecodeRecords.
+//
+//simlint:testapi reproduces the paper's remark that reports can go fully in-band; the facade sends them out of band
 func InstallSnapshotLocal(c ControlPlane, g *topo.Graph, slot int, opts ...InstallOption) (*Snapshot, error) {
 	return installSnapshot(c, g, slot, openflow.PortSelf, opts)
 }

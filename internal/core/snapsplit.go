@@ -254,7 +254,3 @@ func (s *SnapshotSplit) Collect() (res *Result, fragments int, err error) {
 	res, err = DecodeRecords(labels)
 	return res, fragments, err
 }
-
-// MaxFragmentRecords returns the largest label count any fragment may
-// carry (budget plus the OUT/UP records in flight).
-func (s *SnapshotSplit) MaxFragmentRecords() int { return s.Budget + 2 }

@@ -21,11 +21,12 @@ func runSplitSnapshot(t *testing.T, g *topo.Graph, root, budget int) (*Result, i
 	if _, err := net.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	// Per-fragment size bound.
+	// Per-fragment size bound: the budget plus the OUT/UP records in
+	// flight.
 	for _, pi := range c.Inbox() {
-		if pi.Pkt.EthType == EthSnapSplit && len(pi.Pkt.Labels) > s.MaxFragmentRecords() {
+		if pi.Pkt.EthType == EthSnapSplit && len(pi.Pkt.Labels) > s.Budget+2 {
 			t.Fatalf("fragment carries %d labels, budget allows %d",
-				len(pi.Pkt.Labels), s.MaxFragmentRecords())
+				len(pi.Pkt.Labels), s.Budget+2)
 		}
 	}
 	res, frags, err := s.Collect()

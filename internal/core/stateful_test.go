@@ -383,7 +383,7 @@ func TestStatefulLoadMapParity(t *testing.T) {
 // the advance-group buckets) while sending zero group-mods.
 func TestStatefulTagBitsCollapse(t *testing.T) {
 	g := topo.Ring(20)
-	if of13, st := NewLayout(g).TagBits(), NewStatefulLayout(g).TagBits(); st >= of13 {
+	if of13, st := NewLayout(g).nextBit, NewStatefulLayout(g).nextBit; st >= of13 {
 		t.Errorf("stateful layout uses %d tag bits, of13 %d — want a collapse", st, of13)
 	}
 

@@ -73,14 +73,6 @@ func (s Supervisor) SnapshotWithRetry(snap *Snapshot, root int) (*Result, int, e
 	return res, attempts, err
 }
 
-// TraversalWithRetry drives the bare traversal until completion.
-func (s Supervisor) TraversalWithRetry(tr *Traversal, root int) (int, error) {
-	return s.run(tr.ctl, func(at network.Time) {
-		tr.ctl.ClearInbox()
-		tr.Trigger(root, at)
-	}, tr.Completed, "traversal")
-}
-
 // CriticalWithRetry drives a criticality check until a verdict arrives.
 func (s Supervisor) CriticalWithRetry(cr *Critical, node int) (critical bool, attempts int, err error) {
 	attempts, err = s.run(cr.ctl, func(at network.Time) {

@@ -66,6 +66,14 @@ func TestSupervisorRecoversFromMidTraversalFailure(t *testing.T) {
 	}
 }
 
+// traverseWithRetry drives the bare traversal under s until completion.
+func traverseWithRetry(s Supervisor, tr *Traversal, root int) (int, error) {
+	return s.run(tr.ctl, func(at network.Time) {
+		tr.ctl.ClearInbox()
+		tr.Trigger(root, at)
+	}, tr.Completed, "traversal")
+}
+
 func TestSupervisorTraversalAndCritical(t *testing.T) {
 	g := topo.Grid(3, 3)
 	net := network.New(g, network.Options{})
@@ -78,7 +86,7 @@ func TestSupervisorTraversalAndCritical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if attempts, err := (Supervisor{}).TraversalWithRetry(tr, 0); err != nil || attempts != 1 {
+	if attempts, err := traverseWithRetry(Supervisor{}, tr, 0); err != nil || attempts != 1 {
 		t.Fatalf("healthy traversal: attempts=%d err=%v", attempts, err)
 	}
 	crit, attempts, err := Supervisor{}.CriticalWithRetry(cr, 4)
@@ -103,7 +111,7 @@ func TestSupervisorGivesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := Supervisor{MaxAttempts: 3}
-	attempts, err := s.TraversalWithRetry(tr, 0)
+	attempts, err := traverseWithRetry(s, tr, 0)
 	if err == nil {
 		t.Fatal("expected failure")
 	}

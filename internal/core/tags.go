@@ -95,9 +95,6 @@ func (l *Layout) Alloc(name string, bits int) openflow.Field {
 	return f
 }
 
-// TagBits returns the allocated tag size in bits.
-func (l *Layout) TagBits() int { return l.nextBit }
-
 // TagBytes returns the tag size in bytes, rounded up.
 func (l *Layout) TagBytes() int { return (l.nextBit + 7) / 8 }
 

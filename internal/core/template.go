@@ -204,18 +204,6 @@ func (t *Template) validate() error {
 	return nil
 }
 
-// Install compiles the template into a standalone program and hands it to
-// the control plane in one batch. Services that add their own rules
-// compose Compile into a shared service program instead.
-func (t *Template) Install(c ControlPlane) error {
-	p := openflow.NewProgram(fmt.Sprintf("svc%04x", t.Eth), (t.T0-1)/10)
-	if err := t.Compile(p); err != nil {
-		return err
-	}
-	c.InstallProgram(p)
-	return nil
-}
-
 // emit adds an OF13 base rule plus its variants (see expand) to the
 // current node.
 func (c *lowering) emit(table, prio int, m openflow.Match, cont openflow.Action,

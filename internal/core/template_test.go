@@ -263,7 +263,7 @@ func TestLayoutAllocations(t *testing.T) {
 		t.Errorf("leaf par %d bits, want 1", l.Par[1].Bits)
 	}
 	f := l.Alloc("gid", 16)
-	if f.Bits != 16 || f.Off != l.TagBits()-16 {
+	if f.Bits != 16 || f.Off != l.nextBit-16 {
 		t.Error("alloc placement")
 	}
 	// Fields must not overlap: set every field to its max and read back.
@@ -289,15 +289,13 @@ func TestSlotAssignments(t *testing.T) {
 
 func TestTemplateValidation(t *testing.T) {
 	g := topo.Line(2)
-	net := network.New(g, network.Options{})
-	c := controller.New(net)
 	bad := &Template{G: g, L: NewLayout(g), Eth: 1, T0: 0, TFin: 1}
-	if err := bad.Install(c); err == nil {
+	if err := bad.Compile(openflow.NewProgram("bad", 0)); err == nil {
 		t.Error("T0=0 accepted")
 	}
 	other := topo.Line(3)
 	bad2 := &Template{G: g, L: NewLayout(other), Eth: 1, T0: 1, TFin: 2}
-	if err := bad2.Install(c); err == nil {
+	if err := bad2.Compile(openflow.NewProgram("bad2", 0)); err == nil {
 		t.Error("foreign layout accepted")
 	}
 }

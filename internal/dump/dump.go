@@ -6,7 +6,6 @@ package dump
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"smartsouth/internal/metrics"
@@ -46,51 +45,6 @@ func Switch(sw *openflow.Switch) string {
 				}
 				fmt.Fprintf(&b, "      bucket %d (watch %s): %s\n", i, watch, actionsString(bk.Actions))
 			}
-		}
-	}
-	return b.String()
-}
-
-// Summary renders a one-line-per-switch overview of many switches.
-func Summary(switches []*openflow.Switch) string {
-	var b strings.Builder
-	type row struct {
-		id, flows, groups, bytes int
-	}
-	rows := make([]row, 0, len(switches))
-	for _, sw := range switches {
-		rows = append(rows, row{sw.ID, sw.FlowEntryCount(), sw.GroupCount(), sw.ConfigBytes()})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
-	for _, r := range rows {
-		fmt.Fprintf(&b, "switch %3d: %4d flows, %4d groups, %7d bytes\n", r.id, r.flows, r.groups, r.bytes)
-	}
-	return b.String()
-}
-
-// Program renders a compiled (not necessarily installed) program: the
-// declarative IR a service compiler emits before installation. The same
-// inspectability argument applies one stage earlier — the program is the
-// complete specification of what installing it will do.
-func Program(p *openflow.Program) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "program %q slot %d (%d switches, %d flows, %d groups, ~%d config bytes)\n",
-		p.Service, p.Slot, len(p.SwitchIDs()), p.FlowCount(), p.GroupCount(), p.Bytes())
-	for _, id := range p.SwitchIDs() {
-		sp := p.At(id)
-		fmt.Fprintf(&b, "  switch %d (%d ports): %d flows, %d groups\n",
-			id, sp.NumPorts, len(sp.Flows), len(sp.Groups))
-		for _, fr := range sp.Flows {
-			e := fr.Entry
-			gotoStr := ""
-			if e.Goto != openflow.NoGoto {
-				gotoStr = fmt.Sprintf(" goto:%d", e.Goto)
-			}
-			fmt.Fprintf(&b, "    t%-2d [%5d] %s -> %s%s  #%s\n",
-				fr.Table, e.Priority, e.Match, actionsString(e.Actions), gotoStr, e.Cookie)
-		}
-		for _, g := range sp.Groups {
-			fmt.Fprintf(&b, "    group %d type=%s (%d buckets)\n", g.ID, g.Type, len(g.Buckets))
 		}
 	}
 	return b.String()

@@ -205,24 +205,6 @@ func groupTypeFromName(s string) (openflow.GroupType, error) {
 	return 0, fmt.Errorf("dump: unknown group type %q", s)
 }
 
-// MarshalProgram encodes one compiled program as JSON.
-func MarshalProgram(p *openflow.Program) ([]byte, error) {
-	pj, err := encodeProgram(p)
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(pj, "", "  ")
-}
-
-// UnmarshalProgram decodes one compiled program from JSON.
-func UnmarshalProgram(data []byte) (*openflow.Program, error) {
-	var pj programJSON
-	if err := json.Unmarshal(data, &pj); err != nil {
-		return nil, err
-	}
-	return decodeProgram(pj)
-}
-
 // MarshalPrograms encodes a whole deployment — the retained programs of
 // a control plane — as one JSON document.
 func MarshalPrograms(progs []*openflow.Program) ([]byte, error) {

@@ -1,6 +1,7 @@
 package dump
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -89,13 +90,32 @@ func buildRichProgram() *openflow.Program {
 	return p
 }
 
+// marshalProgram encodes one program as a single JSON object, the shape
+// UnmarshalPrograms accepts beside the deployment array.
+func marshalProgram(p *openflow.Program) ([]byte, error) {
+	pj, err := encodeProgram(p)
+	if err != nil {
+		return nil, err
+	}
+	return json.MarshalIndent(pj, "", "  ")
+}
+
+// unmarshalProgram decodes one program object.
+func unmarshalProgram(data []byte) (*openflow.Program, error) {
+	var pj programJSON
+	if err := json.Unmarshal(data, &pj); err != nil {
+		return nil, err
+	}
+	return decodeProgram(pj)
+}
+
 func TestProgramJSONRoundTrip(t *testing.T) {
 	p := buildRichProgram()
-	raw, err := MarshalProgram(p)
+	raw, err := marshalProgram(p)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	q, err := UnmarshalProgram(raw)
+	q, err := unmarshalProgram(raw)
 	if err != nil {
 		t.Fatalf("unmarshal: %v\n%s", err, raw)
 	}
@@ -132,7 +152,7 @@ func TestProgramJSONRoundTrip(t *testing.T) {
 	}
 
 	// A second trip must be byte-identical: the encoding is canonical.
-	raw2, err := MarshalProgram(q)
+	raw2, err := marshalProgram(q)
 	if err != nil {
 		t.Fatalf("re-marshal: %v", err)
 	}
@@ -155,7 +175,7 @@ func TestProgramsJSONListAndSingle(t *testing.T) {
 		t.Fatalf("list decoded to %d programs", len(progs))
 	}
 
-	single, err := MarshalProgram(p)
+	single, err := marshalProgram(p)
 	if err != nil {
 		t.Fatalf("marshal single: %v", err)
 	}
@@ -175,7 +195,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		"bad group type": `{"service":"x","slot":0,"slots":1,"switches":[{"switch":0,"num_ports":1,"groups":[{"id":1,"type":"mystery","buckets":[]}]}]}`,
 	}
 	for name, raw := range cases {
-		if _, err := UnmarshalProgram([]byte(raw)); err == nil {
+		if _, err := unmarshalProgram([]byte(raw)); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
@@ -185,26 +205,26 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 // canonicalization fixpoint on arbitrary input: whatever the decoder
 // accepts, a second trip through it must reproduce byte-identically.
 func FuzzProgramJSONRoundTrip(f *testing.F) {
-	seed, err := MarshalProgram(buildRichProgram())
+	seed, err := marshalProgram(buildRichProgram())
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(string(seed))
 	f.Add(`{"service":"x","slot":0,"slots":1,"switches":[{"switch":0,"num_ports":1,"state_tables":[{"table":3,"entries":[{"priority":1,"any_state":true,"match":{"in_port":-1,"eth_type":-1,"ttl":-1},"set_state":7}]}]}]}`)
 	f.Fuzz(func(t *testing.T, raw string) {
-		p, err := UnmarshalProgram([]byte(raw))
+		p, err := unmarshalProgram([]byte(raw))
 		if err != nil {
 			t.Skip()
 		}
-		enc, err := MarshalProgram(p)
+		enc, err := marshalProgram(p)
 		if err != nil {
 			t.Fatalf("re-encode of accepted input failed: %v", err)
 		}
-		q, err := UnmarshalProgram(enc)
+		q, err := unmarshalProgram(enc)
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v\n%s", err, enc)
 		}
-		enc2, err := MarshalProgram(q)
+		enc2, err := marshalProgram(q)
 		if err != nil {
 			t.Fatalf("second re-encode failed: %v", err)
 		}
@@ -216,7 +236,7 @@ func FuzzProgramJSONRoundTrip(f *testing.F) {
 
 func TestOmittedGotoIsNoGoto(t *testing.T) {
 	raw := `{"service":"x","slot":0,"slots":1,"switches":[{"switch":0,"num_ports":1,"flows":[{"table":0,"priority":1,"match":{"in_port":-1,"eth_type":-1,"ttl":-1}}]}]}`
-	p, err := UnmarshalProgram([]byte(raw))
+	p, err := unmarshalProgram([]byte(raw))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,19 +169,6 @@ func (r *Registry) Release(slot int) {
 	}
 }
 
-// ByEth returns a snapshot of the installed service claiming the
-// EtherType, or nil.
-func (r *Registry) ByEth(eth uint16) *ServiceMetrics {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.byEth[eth]
-	if m == nil {
-		return nil
-	}
-	c := r.view(m)
-	return &c
-}
-
 // view copies m with every counter read off the network (or off what
 // Release froze) against m's baselines.
 func (r *Registry) view(m *ServiceMetrics) ServiceMetrics {
@@ -230,6 +217,8 @@ func (r *Registry) Snapshot() []ServiceMetrics {
 // baselines move to what the network (or, once uninstalled, Release)
 // reads now. Install counters survive, mirroring ResetRuntimeStats on
 // the controller.
+//
+//simlint:testapi phase reset for facade users through Deployment.Metrics(); TestRegistryReset and the metrics join tests pin it
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()

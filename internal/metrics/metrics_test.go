@@ -66,7 +66,7 @@ func TestRegistryAttribution(t *testing.T) {
 
 	// EtherType ownership: first registrant wins.
 	r.Register("imposter", 2, 1, punted)
-	if m := r.ByEth(punted); m == nil || m.Service != a.Service {
+	if m := r.byEth[punted]; m == nil || m.Service != a.Service {
 		t.Fatal("first EtherType registrant must win")
 	}
 

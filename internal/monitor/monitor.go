@@ -255,9 +255,6 @@ func (m *Monitor) diff(cur *core.Result) []Event {
 	return events
 }
 
-// Topology returns the latest snapshot (nil before the first round).
-func (m *Monitor) Topology() *core.Result { return m.prev }
-
 // OutBandPerRound reports the constant control-plane price of one round.
 func (m *Monitor) OutBandPerRound() string {
 	if m.Watchdog {

@@ -39,7 +39,7 @@ func TestMonitorQuietNetworkNoEvents(t *testing.T) {
 			t.Fatalf("round %d: spurious events %v", i, events)
 		}
 	}
-	if topoRes := m.Topology(); topoRes == nil || len(topoRes.Edges) != g.NumEdges() {
+	if topoRes := m.prev; topoRes == nil || len(topoRes.Edges) != g.NumEdges() {
 		t.Error("topology view incomplete")
 	}
 }

@@ -1,9 +1,12 @@
 package network
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"smartsouth/internal/openflow"
+	"smartsouth/internal/telemetry"
 	"smartsouth/internal/topo"
 )
 
@@ -20,8 +23,8 @@ func TestLinkModeStrings(t *testing.T) {
 func TestLinksAccessorAndErrors(t *testing.T) {
 	g := topo.Ring(4)
 	n := New(g, Options{})
-	if len(n.Links()) != 4 {
-		t.Errorf("links = %d", len(n.Links()))
+	if len(n.links) != 4 {
+		t.Errorf("links = %d", len(n.links))
 	}
 	if err := n.SetLinkDown(0, 2, true); err == nil {
 		t.Error("non-adjacent SetLinkDown accepted")
@@ -110,6 +113,72 @@ func TestEdgeCountsPublishedAtFold(t *testing.T) {
 		}
 		if s := n.InBandStat(eth); s.First >= 0 || s.PacketIns != 3 {
 			t.Errorf("%+v: after MarkInBand: %+v", opts, s)
+		}
+	}
+}
+
+// TestTelemetryHopsAndPacketInsAtEveryFold: the telemetry's hop and
+// packet-in totals, which Run derives from the lanes' per-EtherType
+// counters, read what a hop observer and the packet-in hook saw, at every
+// fold and across ResetAccounting, on one shard and on two; so do the
+// /metrics series rendered from them.
+func TestTelemetryHopsAndPacketInsAtEveryFold(t *testing.T) {
+	const eth = 0x0901
+	for _, shards := range []int{1, 2} {
+		g := topo.Ring(6)
+		n := New(g, Options{Shards: shards})
+		var hops, drops, ins int64
+		n.ObserveHops(func(_ Hop, _ *openflow.Packet, delivered bool) {
+			hops++
+			if !delivered {
+				drops++
+			}
+		})
+		n.OnPacketIn = func(int, *openflow.Packet) { ins++ }
+		// 0 -> 1 -> 2 -> 3 punts to the controller; 4 forwards onto the
+		// down 4-5 link.
+		for sw := 0; sw <= 4; sw++ {
+			out := g.PortTo(sw, sw+1)
+			if sw == 3 {
+				out = openflow.PortController
+			}
+			n.Switch(sw).AddFlow(0, &openflow.FlowEntry{Priority: 1, Match: openflow.MatchEth(eth),
+				Goto: openflow.NoGoto, Actions: []openflow.Action{openflow.Output{Port: out}}})
+			n.Switch(sw).CompileDispatch()
+		}
+		if err := n.SetLinkDown(4, 5, true); err != nil {
+			t.Fatal(err)
+		}
+		for round := 1; round <= 3; round++ {
+			at := n.Sim.Now() + 1
+			for i := 0; i < round; i++ {
+				n.Inject(0, openflow.PortController, openflow.NewPacket(eth, 4), at, PacketOut)
+				n.Inject(4, openflow.PortController, openflow.NewPacket(eth, 4), at, PacketOut)
+			}
+			if round == 2 {
+				n.ResetAccounting()
+			}
+			if _, err := n.Run(); err != nil {
+				t.Fatal(err)
+			}
+			s := n.Telemetry()
+			if s.Hops != hops || s.HopsDropped != drops || s.PacketIns != ins {
+				t.Errorf("%d shards, round %d: telemetry hops=%d dropped=%d packet-ins=%d, observed %d/%d/%d",
+					shards, round, s.Hops, s.HopsDropped, s.PacketIns, hops, drops, ins)
+			}
+			var prom strings.Builder
+			telemetry.WriteProm(&prom, &s)
+			for _, want := range []string{
+				fmt.Sprintf("smartsouth_hops_total %d\n", hops),
+				fmt.Sprintf("smartsouth_packet_ins_total %d\n", ins),
+			} {
+				if !strings.Contains(prom.String(), want) {
+					t.Errorf("%d shards, round %d: /metrics lacks %q", shards, round, want)
+				}
+			}
+		}
+		if hops != 4*6 || ins != 6 {
+			t.Fatalf("%d shards: observed %d hops and %d packet-ins, want 24 and 6", shards, hops, ins)
 		}
 	}
 }

@@ -147,8 +147,9 @@ type Network struct {
 
 	// Per-EtherType tag decoders (telemetry.go), shared read-only by all
 	// lanes; each lane keeps its own flight ring and decoder cache. The
-	// prev* fields remember the switches' cumulative scan stats at the
-	// last flush so Run can publish deltas.
+	// prev* fields remember the switches' cumulative scan stats and the
+	// lanes' hop and packet-in totals at the last flush so Run can
+	// publish deltas.
 	tagDec []*TagDecoder
 
 	prevMatcher    uint64
@@ -156,6 +157,8 @@ type Network struct {
 	prevScanned    uint64
 	prevCommits    uint64
 	prevFlightRecs uint64
+	prevHops       uint64
+	prevPacketIns  uint64
 
 	// mu guards the network's read side. tel, the telemetry totals, and
 	// inband, a copy of every lane's per-EtherType counters (InBandStat),
@@ -304,6 +307,8 @@ func (n *Network) ObserveHops(fn HopObserver) {
 }
 
 // Observers returns how many hop and exec observers are registered.
+//
+//simlint:testapi TestFacadeAddsNoObservers checks that the facade registers none
 func (n *Network) Observers() (hops, execs int) { return len(n.hopObs), len(n.execObs) }
 
 // Switch returns the switch for node id.
@@ -334,9 +339,6 @@ func (n *Network) LinkBetween(u, v int) *Link {
 	}
 	return n.linkAt(u, p)
 }
-
-// Links returns all links, indexed like Graph.Edges().
-func (n *Network) Links() []*Link { return n.links }
 
 // refreshLiveness recomputes the port liveness of both link endpoints.
 func (n *Network) refreshLiveness(l *Link) {
@@ -406,6 +408,8 @@ func (n *Network) ScheduleLinkDown(u, v int, down bool, at Time) error {
 
 // SetLoss makes both directions of the u-v link drop packets independently
 // with probability p.
+//
+//simlint:testapi scenario setup for the Table-2 loss benchmarks and the pktloss tests
 func (n *Network) SetLoss(u, v int, p float64) error {
 	l := n.LinkBetween(u, v)
 	if l == nil {
@@ -507,37 +511,23 @@ func (n *Network) DrainSpans(dst []telemetry.SpanRecord) []telemetry.SpanRecord 
 	return dst
 }
 
-// InBandMsgs returns the per-EtherType link-transmission counts as a map,
-// rebuilt from the interned per-lane counters on every call. Use
-// InBandCount for a single EtherType on a hot path.
+// InBand returns the per-EtherType link-transmission counts and bytes
+// as maps, rebuilt from the interned per-lane counters on every call. Use
+// InBandCount for a single EtherType.
 //
 //simlint:barrier post-run aggregation across parked lanes
-func (n *Network) InBandMsgs() map[uint16]int {
-	out := make(map[uint16]int)
+//simlint:testapi the determinism and shard-invariance tests print the whole per-EtherType table
+func (n *Network) InBand() (msgs, bytes map[uint16]int) {
+	msgs, bytes = make(map[uint16]int), make(map[uint16]int)
 	for _, l := range n.lanes {
 		for _, c := range l.counters {
 			if c.msgs > 0 {
-				out[c.eth] += c.msgs
+				msgs[c.eth] += c.msgs
+				bytes[c.eth] += c.bytes
 			}
 		}
 	}
-	return out
-}
-
-// InBandBytes returns the per-EtherType transmitted byte counts as a map,
-// rebuilt on every call. Use InBandSize for a single EtherType.
-//
-//simlint:barrier post-run aggregation across parked lanes
-func (n *Network) InBandBytes() map[uint16]int {
-	out := make(map[uint16]int)
-	for _, l := range n.lanes {
-		for _, c := range l.counters {
-			if c.msgs > 0 {
-				out[c.eth] += c.bytes
-			}
-		}
-	}
-	return out
+	return msgs, bytes
 }
 
 // InBandCount returns the transmission count of one EtherType.
@@ -548,19 +538,6 @@ func (n *Network) InBandCount(eth uint16) int {
 	for _, l := range n.lanes {
 		if idx, ok := l.ethIdx[eth]; ok {
 			total += l.counters[idx].msgs
-		}
-	}
-	return total
-}
-
-// InBandSize returns the transmitted bytes of one EtherType.
-//
-//simlint:barrier post-run aggregation across parked lanes
-func (n *Network) InBandSize(eth uint16) int {
-	total := 0
-	for _, l := range n.lanes {
-		if idx, ok := l.ethIdx[eth]; ok {
-			total += l.counters[idx].bytes
 		}
 	}
 	return total
@@ -690,6 +667,7 @@ func (n *Network) InstallCost(slot, slots int) InstallCost {
 // survive — only the counts reset.
 //
 //simlint:barrier called between runs; no worker window is active
+//simlint:testapi phase setup for the Table-2 benchmarks and the accounting tests
 func (n *Network) ResetAccounting() {
 	for _, l := range n.lanes {
 		for i := range l.counters {

@@ -367,8 +367,9 @@ func (l *lane) send(sw, port int, pkt *openflow.Packet) {
 	}
 	l.countInBand(pkt.EthType, pkt.Size())
 	to, toPort, delivered := link.transmit(sw)
+	// countInBand is the one hop count: Run derives the telemetry total
+	// from it.
 	if st := l.sim.stats; st != nil {
-		st.Hops++
 		if !delivered {
 			st.HopsDropped++
 			// Only failed transmissions earn a ring entry: a delivered

@@ -33,8 +33,9 @@ func lineRun(t *testing.T, nodes, shards, packets int) string {
 	if _, err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
+	_, bytes := n.InBand()
 	return fmt.Sprintf("deliv=%v msgs=%d bytes=%d total=%d end=%d",
-		deliveries, n.InBandCount(testEth), n.InBandSize(testEth), n.TotalInBand(), n.Sim.Now())
+		deliveries, n.InBandCount(testEth), bytes[testEth], n.TotalInBand(), n.Sim.Now())
 }
 
 // TestShardedLineMatchesSingle pins the sharded engine's observable

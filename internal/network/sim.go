@@ -167,9 +167,6 @@ func (s *Sim) At(t Time, fn func()) {
 	s.schedule(t, event{kind: evFunc, fn: fn})
 }
 
-// After schedules fn to run d nanoseconds from now.
-func (s *Sim) After(d Time, fn func()) { s.At(s.now+d, fn) }
-
 // ErrEventLimit is returned by Run when the step budget is exhausted,
 // which almost always means an installed rule set loops packets forever.
 type ErrEventLimit struct{ Steps int }
@@ -267,10 +264,7 @@ func (l *lane) step(budget int) int {
 		}
 		consumed = len(b)
 	case evPacketIn:
-		if st != nil {
-			st.PacketIns++
-		}
-		l.countPacketIn(e.pkt)
+		l.countPacketIn(e.pkt) // Run derives the telemetry total from it
 		if n := l.net; n.OnPacketIn != nil {
 			n.OnPacketIn(e.sw, e.pkt)
 		}

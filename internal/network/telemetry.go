@@ -249,6 +249,19 @@ func (n *Network) Run() (int, error) {
 	st.StateCommits += cm - n.prevCommits
 	n.prevMatcher, n.prevFallback = agg.MatcherLookups, agg.FallbackLookups
 	n.prevScanned, n.prevCommits = agg.Scanned, cm
+	// Hops and packet-ins are what the lanes' per-EtherType counters
+	// recorded since the last fold: the hop path counts each one once.
+	var hops, ins uint64
+	for _, l := range n.lanes {
+		for i := range l.counters {
+			c := &l.counters[i]
+			hops += uint64(c.pastMsgs + c.msgs)
+			ins += uint64(c.packetIns)
+		}
+	}
+	st.Hops += hops - n.prevHops
+	st.PacketIns += ins - n.prevPacketIns
+	n.prevHops, n.prevPacketIns = hops, ins
 	if n.flightOn() {
 		// Record counts are derived from the rings' running totals here,
 		// once per Run, so the record paths don't pay a counter bump. (The

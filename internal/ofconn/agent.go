@@ -158,7 +158,7 @@ func (a *Agent) handle(conn *Conn, h ofwire.Header, body []byte) error {
 			a.SW.Table(table).Each(func(e *openflow.FlowEntry, hits uint64) bool {
 				stats = append(stats, ofwire.FlowStat{
 					Priority: e.Priority,
-					Cookie:   ofwire.CookieHash(e.Cookie),
+					Cookie:   openflow.CookieHash(e.Cookie),
 					Packets:  hits,
 				})
 				return true

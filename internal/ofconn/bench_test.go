@@ -21,7 +21,7 @@ func BenchmarkInstallThroughput(b *testing.B) {
 		}
 		_ = ag.Serve(c)
 	}()
-	cl, err := Dial(addr)
+	cl, err := dial(addr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func BenchmarkInstallThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cl.InstallFlow(1, e); err != nil {
+		if err := installFlow(cl, 1, e); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -62,7 +62,7 @@ func BenchmarkBarrierRoundTrip(b *testing.B) {
 		}
 		_ = ag.Serve(c)
 	}()
-	cl, err := Dial(addr)
+	cl, err := dial(addr)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -45,20 +45,6 @@ func NewClient(c net.Conn) *Client {
 	}
 }
 
-// Dial connects to a switch agent over TCP and starts the session.
-func Dial(addr string) (*Client, error) {
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("ofconn: dial %s: %w", addr, err)
-	}
-	cl := NewClient(c)
-	if err := cl.Start(); err != nil {
-		c.Close()
-		return nil, err
-	}
-	return cl, nil
-}
-
 // Start performs the handshake, requests switch features and launches the
 // receive loop.
 func (cl *Client) Start() error {
@@ -82,14 +68,6 @@ func (cl *Client) Start() error {
 	cl.features = &f
 	go cl.readLoop()
 	return nil
-}
-
-// Features returns the switch's advertised features (after Start).
-func (cl *Client) Features() ofwire.Features {
-	if cl.features == nil {
-		return ofwire.Features{}
-	}
-	return *cl.features
 }
 
 // PacketIns returns the channel of packet-ins; it is closed when the
@@ -173,24 +151,6 @@ func (cl *Client) Err() error {
 	return cl.readErr
 }
 
-// InstallFlow sends a FLOW_MOD adding e to the table.
-func (cl *Client) InstallFlow(table int, e *openflow.FlowEntry) error {
-	msg, err := ofwire.MarshalFlowMod(cl.conn.NextXID(), table, e)
-	if err != nil {
-		return err
-	}
-	return cl.conn.Send(msg)
-}
-
-// InstallGroup sends a GROUP_MOD adding g.
-func (cl *Client) InstallGroup(g *openflow.GroupEntry) error {
-	msg, err := ofwire.MarshalGroupMod(cl.conn.NextXID(), g)
-	if err != nil {
-		return err
-	}
-	return cl.conn.Send(msg)
-}
-
 // InstallBatch sends one switch's share of a compiled program — groups
 // first (flow rules may reference them), then flow rules — framed into as
 // few TypeBatch messages as the size cap allows. It returns the number of
@@ -253,6 +213,8 @@ func (cl *Client) GroupStats(groupID uint32) (ofwire.GroupStats, error) {
 
 // FlowStats requests the statistics of every entry of one table and
 // blocks for the reply.
+//
+//simlint:testapi the flow-stats round trip an outside controller reads rule hits with; the fabric reads them off the switches
 func (cl *Client) FlowStats(table int) ([]ofwire.FlowStat, error) {
 	xid := cl.conn.NextXID()
 	ch := make(chan []ofwire.FlowStat, 1)
@@ -269,10 +231,6 @@ func (cl *Client) FlowStats(table int) ([]ofwire.FlowStat, error) {
 		return nil, fmt.Errorf("ofconn: session closed awaiting flow stats: %w", cl.Err())
 	}
 }
-
-// SendRaw pushes a pre-encoded message down the channel (testing and
-// extensions).
-func (cl *Client) SendRaw(msg []byte) error { return cl.conn.Send(msg) }
 
 // Barrier sends a BARRIER_REQUEST and blocks until the reply arrives —
 // the guarantee that everything sent before it has been applied.

@@ -45,6 +45,46 @@ func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 	return a, r.c
 }
 
+// dial connects to a switch agent over TCP and starts the session.
+func dial(addr string) (*Client, error) {
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	cl := NewClient(c)
+	if err := cl.Start(); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return cl, nil
+}
+
+// installFlow and installGroup send one FLOW_MOD or GROUP_MOD, as an
+// outside controller does; the fabric sends batches (InstallBatch).
+func installFlow(cl *Client, table int, e *openflow.FlowEntry) error {
+	msg, err := ofwire.MarshalFlowMod(cl.conn.NextXID(), table, e)
+	if err != nil {
+		return err
+	}
+	return cl.conn.Send(msg)
+}
+
+func installGroup(cl *Client, g *openflow.GroupEntry) error {
+	msg, err := ofwire.MarshalGroupMod(cl.conn.NextXID(), g)
+	if err != nil {
+		return err
+	}
+	return cl.conn.Send(msg)
+}
+
+// echoRequest builds an OFPT_ECHO_REQUEST: an echo reply with the
+// header's type byte set to the request.
+func echoRequest(xid uint32, payload []byte) []byte {
+	msg := ofwire.EchoReply(xid, payload)
+	msg[1] = ofwire.TypeEchoRequest
+	return msg
+}
+
 func TestHandshakeAndEcho(t *testing.T) {
 	a, b := tcpPair(t)
 
@@ -72,7 +112,7 @@ func TestHandshakeAndEcho(t *testing.T) {
 	if err := cb.Handshake(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cb.Send(ofwire.EchoRequest(cb.NextXID(), []byte("hi"))); err != nil {
+	if err := cb.Send(echoRequest(cb.NextXID(), []byte("hi"))); err != nil {
 		t.Fatal(err)
 	}
 	h, body, err := cb.Recv()
@@ -129,13 +169,13 @@ func TestAgentInstallsAndFeatures(t *testing.T) {
 	addr, stop := agentRig(t, ag)
 	defer stop()
 
-	cl, err := Dial(addr)
+	cl, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if cl.Features().DatapathID != 7 {
-		t.Errorf("datapath id = %d", cl.Features().DatapathID)
+	if cl.features.DatapathID != 7 {
+		t.Errorf("datapath id = %d", cl.features.DatapathID)
 	}
 
 	f := openflow.Field{Off: 3, Bits: 5}
@@ -145,10 +185,10 @@ func TestAgentInstallsAndFeatures(t *testing.T) {
 		Actions:  []openflow.Action{openflow.SetField{F: f, Value: 3}, openflow.Output{Port: 1}},
 		Goto:     5, Cookie: "tcp-rule",
 	}
-	if err := cl.InstallFlow(1, e); err != nil {
+	if err := installFlow(cl, 1, e); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.InstallGroup(&openflow.GroupEntry{ID: 3, Type: openflow.GroupFF,
+	if err := installGroup(cl, &openflow.GroupEntry{ID: 3, Type: openflow.GroupFF,
 		Buckets: []openflow.Bucket{{WatchPort: 1, Actions: []openflow.Action{openflow.Output{Port: 1}}}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +212,7 @@ func TestLoneFlowModIsServedByTheMatcher(t *testing.T) {
 	sw := openflow.NewSwitch(1, 2)
 	addr, stop := agentRig(t, &Agent{SW: sw})
 	defer stop()
-	cl, err := Dial(addr)
+	cl, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +220,7 @@ func TestLoneFlowModIsServedByTheMatcher(t *testing.T) {
 
 	e := &openflow.FlowEntry{Priority: 5, Match: openflow.MatchEth(0x8801),
 		Actions: []openflow.Action{openflow.Output{Port: 2}}, Goto: openflow.NoGoto, Cookie: "lone"}
-	if err := cl.InstallFlow(0, e); err != nil {
+	if err := installFlow(cl, 0, e); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.Barrier(); err != nil {
@@ -212,7 +252,7 @@ func TestAgentPacketOutAndPacketIn(t *testing.T) {
 	addr, stop := agentRig(t, ag)
 	defer stop()
 
-	cl, err := Dial(addr)
+	cl, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +295,7 @@ func TestAgentSurvivesMalformedMessage(t *testing.T) {
 	ag := &Agent{SW: sw}
 	addr, stop := agentRig(t, ag)
 	defer stop()
-	cl, err := Dial(addr)
+	cl, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,10 +307,10 @@ func TestAgentSurvivesMalformedMessage(t *testing.T) {
 	e := &openflow.FlowEntry{Priority: 1, Match: openflow.MatchAll(), Goto: openflow.NoGoto}
 	bad, _ := ofwire.MarshalFlowMod(2, 0, e)
 	bad[ofwire.HeaderLen+17] = 3 // OFPFC_DELETE
-	if err := cl.SendRaw(bad); err != nil {
+	if err := cl.conn.Send(bad); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.InstallFlow(0, e); err != nil {
+	if err := installFlow(cl, 0, e); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.Barrier(); err != nil {
@@ -303,7 +343,7 @@ func TestFlowStatsOverTCP(t *testing.T) {
 	ag := &Agent{SW: sw}
 	addr, stop := agentRig(t, ag)
 	defer stop()
-	cl, err := Dial(addr)
+	cl, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +354,7 @@ func TestFlowStatsOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(stats) != 1 || stats[0].Packets != 4 || stats[0].Priority != 7 ||
-		stats[0].Cookie != ofwire.CookieHash("hot") {
+		stats[0].Cookie != openflow.CookieHash("hot") {
 		t.Fatalf("stats = %+v", stats)
 	}
 	// Empty table: empty stats, no error.
@@ -373,7 +413,7 @@ func TestSmartSouthOverTCP(t *testing.T) {
 		}
 		addr, stop := agentRig(t, agents[i])
 		stops = append(stops, stop)
-		cl, err := Dial(addr)
+		cl, err := dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -393,13 +433,13 @@ func TestSmartSouthOverTCP(t *testing.T) {
 		src := refNet.Switch(i)
 		for _, tid := range src.TableIDs() {
 			for _, e := range src.Table(tid).Entries() {
-				if err := clients[i].InstallFlow(tid, e); err != nil {
+				if err := installFlow(clients[i], tid, e); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		for _, grp := range src.Groups() {
-			if err := clients[i].InstallGroup(grp); err != nil {
+			if err := installGroup(clients[i], grp); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -3,7 +3,6 @@ package ofwire
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
 	"smartsouth/internal/openflow"
 )
@@ -20,28 +19,13 @@ type FlowMod struct {
 	Entry *openflow.FlowEntry
 }
 
-// CookieHash maps the human-readable cookie string to its numeric wire
-// form (FNV-64a). Entries decoded from the wire carry synthetic
-// "wire-%016x" cookies embedding the original number; CookieHash
-// recovers it, so stats report the same cookie whether the entry was
-// installed locally or over the wire.
-func CookieHash(cookie string) uint64 {
-	var v uint64
-	if n, err := fmt.Sscanf(cookie, "wire-%016x", &v); n == 1 && err == nil {
-		return v
-	}
-	h := fnv.New64a()
-	h.Write([]byte(cookie))
-	return h.Sum64()
-}
-
 // MarshalFlowMod encodes an OFPT_FLOW_MOD (command ADD) installing e into
 // the given table. The human-readable cookie string travels as its FNV-64
 // hash (the wire cookie is numeric); decoded entries carry a synthetic
 // cookie.
 func MarshalFlowMod(xid uint32, table int, e *openflow.FlowEntry) ([]byte, error) {
 	body := make([]byte, 40)
-	binary.BigEndian.PutUint64(body[0:], CookieHash(e.Cookie)) // cookie
+	binary.BigEndian.PutUint64(body[0:], openflow.CookieHash(e.Cookie)) // cookie
 	// cookie_mask zero.
 	body[16] = uint8(table)
 	body[17] = 0 // OFPFC_ADD

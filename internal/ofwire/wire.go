@@ -98,11 +98,6 @@ func message(typ uint8, xid uint32, body []byte) []byte {
 // Hello returns an OFPT_HELLO.
 func Hello(xid uint32) []byte { return message(TypeHello, xid, nil) }
 
-// EchoRequest returns an OFPT_ECHO_REQUEST carrying payload.
-func EchoRequest(xid uint32, payload []byte) []byte {
-	return message(TypeEchoRequest, xid, payload)
-}
-
 // EchoReply returns the matching OFPT_ECHO_REPLY.
 func EchoReply(xid uint32, payload []byte) []byte {
 	return message(TypeEchoReply, xid, payload)

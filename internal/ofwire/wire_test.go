@@ -25,7 +25,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 }
 
 func TestEchoAndFeatures(t *testing.T) {
-	e := EchoRequest(7, []byte("ping"))
+	e := message(TypeEchoRequest, 7, []byte("ping"))
 	h, _ := ParseHeader(e)
 	if h.Type != TypeEchoRequest || !bytes.Equal(e[HeaderLen:], []byte("ping")) {
 		t.Error("echo encoding")
@@ -271,8 +271,8 @@ func TestPacketOutInRoundTrip(t *testing.T) {
 
 func TestFlowAndGroupStatsRoundTrip(t *testing.T) {
 	stats := []FlowStat{
-		{Priority: 9000, Cookie: CookieHash("a"), Packets: 3},
-		{Priority: 5, Cookie: CookieHash("b"), Packets: 0},
+		{Priority: 9000, Cookie: openflow.CookieHash("a"), Packets: 3},
+		{Priority: 5, Cookie: openflow.CookieHash("b"), Packets: 0},
 	}
 	msg := MarshalFlowStatsReply(4, stats)
 	got, err := ParseFlowStatsReply(msg[HeaderLen:])

@@ -221,14 +221,14 @@ func TestFirstAddWinsWithoutSequenceNumbers(t *testing.T) {
 	if got, want := cookies(ft), []string{"other", "resid-first", "keyed-second", "keyed-third", "low"}; !slices.Equal(got, want) {
 		t.Fatalf("match order %v, want %v", got, want)
 	}
-	ft.RemoveByCookiePrefix("other")
+	ft.RemoveIf(func(e *FlowEntry) bool { return e.Cookie == "other" })
 	ft.Compile()
 	p := NewPacket(0x8801, 1)
 	p.Store(f, 3)
 	if e := ft.Lookup(p); e == nil || e.Cookie != "resid-first" {
 		t.Errorf("Lookup = %v, want the first-added of the priority-5 entries", e)
 	}
-	ft.RemoveByCookiePrefix("resid")
+	ft.RemoveIf(func(e *FlowEntry) bool { return e.Cookie == "resid-first" })
 	if e := ft.Lookup(p); e == nil || e.Cookie != "keyed-second" {
 		t.Errorf("Lookup = %v, want keyed-second", e)
 	}

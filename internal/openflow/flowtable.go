@@ -1,9 +1,6 @@
 package openflow
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // NoGoto marks a flow entry that ends pipeline processing at this table.
 const NoGoto = -1
@@ -128,9 +125,6 @@ type ScanStats struct {
 	Scanned         uint64
 }
 
-// Lookups returns the total Lookup calls.
-func (s ScanStats) Lookups() uint64 { return s.MatcherLookups + s.FallbackLookups }
-
 // Merge accumulates o into s.
 func (s *ScanStats) Merge(o ScanStats) {
 	s.MatcherLookups += o.MatcherLookups
@@ -141,15 +135,6 @@ func (s *ScanStats) Merge(o ScanStats) {
 // ScanStats returns the table's cumulative dispatch counters.
 func (t *FlowTable) ScanStats() ScanStats {
 	return ScanStats{MatcherLookups: t.mlookups, FallbackLookups: t.flookups, Scanned: t.scanned}
-}
-
-// RemoveByCookiePrefix deletes every entry whose cookie starts with
-// prefix (the OFPFC_DELETE-by-cookie-mask idiom), returning how many were
-// removed.
-func (t *FlowTable) RemoveByCookiePrefix(prefix string) int {
-	return t.RemoveIf(func(e *FlowEntry) bool {
-		return strings.HasPrefix(e.Cookie, prefix)
-	})
 }
 
 // RemoveIf deletes every entry the predicate selects, returning the

@@ -54,43 +54,13 @@ func TestEntriesReturnsDefensiveCopy(t *testing.T) {
 	}
 }
 
-func TestRemoveByCookiePrefixEdgeCases(t *testing.T) {
-	fill := func() *FlowTable {
-		ft := &FlowTable{ID: 0}
-		ft.Add(entry(3, "svc/a"))
-		ft.Add(entry(2, "svc/b"))
-		ft.Add(entry(1, "other"))
-		return ft
-	}
-
-	ft := fill()
-	if n := ft.RemoveByCookiePrefix("svc/"); n != 2 || ft.Len() != 1 {
-		t.Fatalf("RemoveByCookiePrefix(svc/) = %d, len %d; want 2, 1", n, ft.Len())
-	}
-
-	// Empty prefix matches every cookie (delete-all).
-	ft = fill()
-	if n := ft.RemoveByCookiePrefix(""); n != 3 || ft.Len() != 0 {
-		t.Fatalf("RemoveByCookiePrefix(\"\") = %d, len %d; want 3, 0", n, ft.Len())
-	}
-
-	// Prefix longer than any cookie matches nothing.
-	ft = fill()
-	if n := ft.RemoveByCookiePrefix("svc/a/deeper/than/any"); n != 0 || ft.Len() != 3 {
-		t.Fatalf("long prefix removed %d entries, want 0", n)
-	}
-
-	// Removing from an empty table is a no-op.
-	ft = &FlowTable{ID: 0}
-	if n := ft.RemoveByCookiePrefix("svc/"); n != 0 {
-		t.Fatalf("remove on empty table = %d, want 0", n)
-	}
-}
-
 func TestRemoveIf(t *testing.T) {
 	ft := &FlowTable{ID: 0}
 	for i := 0; i < 6; i++ {
 		ft.Add(entry(i, fmt.Sprintf("e%d", i)))
+	}
+	if n := (&FlowTable{}).RemoveIf(func(*FlowEntry) bool { return true }); n != 0 {
+		t.Fatalf("RemoveIf on an empty table = %d, want 0", n)
 	}
 	n := ft.RemoveIf(func(e *FlowEntry) bool { return e.Priority%2 == 0 })
 	if n != 3 || ft.Len() != 3 {

@@ -12,12 +12,6 @@ package openflow
 // width when Mask is zero).
 func (m FieldMatch) AcceptedMask() uint64 { return m.mask() }
 
-// Accepts reports whether a field value satisfies the criterion.
-func (m FieldMatch) Accepts(v uint64) bool {
-	k := m.mask()
-	return v&k == m.Value&k
-}
-
 // SameField reports whether two criteria constrain the same bit range of
 // the tag. The diagnostic Name is ignored: matching operates on bits.
 func (m FieldMatch) SameField(o FieldMatch) bool {
@@ -144,58 +138,3 @@ func (m Match) SameFootprint(b Match) bool {
 // Equal reports whether the two matches accept exactly the same packets:
 // they cover each other.
 func (m Match) Equal(b Match) bool { return m.Covers(b) && b.Covers(m) }
-
-// OutputPorts returns every port an Output action in the list emits on,
-// in action order (including reserved ports).
-func OutputPorts(acts []Action) []int {
-	var out []int
-	for _, a := range acts {
-		if o, ok := a.(Output); ok {
-			out = append(out, o.Port)
-		}
-	}
-	return out
-}
-
-// GroupRefs returns every group ID referenced by a Group action in the
-// list, in action order.
-func GroupRefs(acts []Action) []uint32 {
-	var out []uint32
-	for _, a := range acts {
-		if g, ok := a.(Group); ok {
-			out = append(out, g.ID)
-		}
-	}
-	return out
-}
-
-// SetFieldTargets returns the fields written by SetField actions in the
-// list, in action order.
-func SetFieldTargets(acts []Action) []Field {
-	var out []Field
-	for _, a := range acts {
-		if sf, ok := a.(SetField); ok {
-			out = append(out, sf.F)
-		}
-	}
-	return out
-}
-
-// DispatchEthTypes collects the exact EtherTypes a set of flow rules
-// demultiplexes on: every non-wildcard EthType appearing in a match. The
-// deployment analyzer uses it to decide which symbolic packets to inject.
-func DispatchEthTypes(entries []*FlowEntry) []uint16 {
-	seen := map[uint16]bool{}
-	var out []uint16
-	for _, e := range entries {
-		if e.Match.EthType == AnyEthType {
-			continue
-		}
-		et := uint16(e.Match.EthType)
-		if !seen[et] {
-			seen[et] = true
-			out = append(out, et)
-		}
-	}
-	return out
-}

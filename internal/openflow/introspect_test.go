@@ -74,35 +74,3 @@ func TestMatchSameFootprintAndEqual(t *testing.T) {
 		t.Error("broader vs narrower: want !Equal")
 	}
 }
-
-func TestActionIntrospection(t *testing.T) {
-	acts := []Action{
-		SetField{F: fA, Value: 3},
-		Output{Port: 2},
-		Group{ID: 7},
-		Output{Port: PortController},
-		SetField{F: fB, Value: 1},
-	}
-	if got := OutputPorts(acts); len(got) != 2 || got[0] != 2 || got[1] != PortController {
-		t.Errorf("OutputPorts = %v", got)
-	}
-	if got := GroupRefs(acts); len(got) != 1 || got[0] != 7 {
-		t.Errorf("GroupRefs = %v", got)
-	}
-	if got := SetFieldTargets(acts); len(got) != 2 || got[0] != fA || got[1] != fB {
-		t.Errorf("SetFieldTargets = %v", got)
-	}
-}
-
-func TestDispatchEthTypes(t *testing.T) {
-	entries := []*FlowEntry{
-		{Match: MatchEth(0x8801)},
-		{Match: MatchEth(0x8802)},
-		{Match: MatchEth(0x8801)},
-		{Match: MatchAll()},
-	}
-	got := DispatchEthTypes(entries)
-	if len(got) != 2 || got[0] != 0x8801 || got[1] != 0x8802 {
-		t.Errorf("DispatchEthTypes = %v", got)
-	}
-}

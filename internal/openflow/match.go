@@ -89,6 +89,8 @@ func (m Match) WithField(f Field, v uint64) Match {
 }
 
 // WithMasked returns a copy of m additionally requiring f & mask == v & mask.
+//
+//simlint:testapi builds masked matches for the matcher, cover and checker tests; the compilers write FieldMatch.Mask directly
 func (m Match) WithMasked(f Field, v, mask uint64) Match {
 	fields := make([]FieldMatch, 0, len(m.Fields)+1)
 	fields = append(fields, m.Fields...)

@@ -263,10 +263,10 @@ type GroupHit struct {
 
 // HitCounters reads the live rule-hit and group-bucket counters of every
 // rule this program installed, via the lookup function (switch id -> live
-// switch). Rules are correlated by (table, cookie) and groups by ID —
-// exactly what an OFPMP_FLOW / OFPMP_GROUP multipart request returns in a
-// real deployment — so each live table is indexed once, not scanned per
-// rule. Rules whose live entry is gone (e.g. uninstalled) are skipped;
+// switch). Rules are correlated by (table, CookieHash(cookie)) and groups
+// by ID — exactly what an OFPMP_FLOW / OFPMP_GROUP multipart request
+// returns in a real deployment, so rules installed over the wire are
+// found too — and each live table is indexed once, not scanned per rule. Rules whose live entry is gone (e.g. uninstalled) are skipped;
 // zero-hit rules and buckets are included.
 func (p *Program) HitCounters(lookup func(sw int) *Switch) ([]RuleHit, []GroupHit) {
 	var rules []RuleHit
@@ -277,14 +277,14 @@ func (p *Program) HitCounters(lookup func(sw int) *Switch) ([]RuleHit, []GroupHi
 			continue
 		}
 		sp := p.switches[id]
-		report := func(table int, cookie string, idx map[string]liveRule) {
-			if live, ok := idx[cookie]; ok {
+		report := func(table int, cookie string, idx map[uint64]liveRule) {
+			if live, ok := idx[CookieHash(cookie)]; ok {
 				rules = append(rules, RuleHit{
 					Switch: id, Table: table, Priority: live.priority, Cookie: cookie, Packets: live.hits,
 				})
 			}
 		}
-		flowIdx := map[int]map[string]liveRule{} // per live flow table
+		flowIdx := map[int]map[uint64]liveRule{} // per live flow table
 		for _, fr := range sp.Flows {
 			idx, ok := flowIdx[fr.Table]
 			if t := sw.tables[fr.Table]; !ok && t != nil {

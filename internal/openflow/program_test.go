@@ -75,11 +75,11 @@ func TestStateTableAddBatchMatchesSequentialAdd(t *testing.T) {
 		one, batch := NewStateTable(1, nil), NewStateTable(1, nil)
 		es := entries()
 		for _, e := range es {
-			one.Add(e)
+			one.add(e)
 		}
 		es = entries()
 		for _, e := range es[:held] {
-			batch.Add(e)
+			batch.add(e)
 		}
 		batch.AddBatch(es[held:])
 		if got, want := order(batch), order(one); got != want {

@@ -3,6 +3,8 @@ package openflow
 import (
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // rule is what a table needs to know of an entry to keep it in place.
@@ -106,14 +108,35 @@ type liveRule struct {
 	hits     uint64
 }
 
-// byCookie indexes the list for a statistics read: cookie → the first
-// entry in match order that carries it.
-func (l *ruleList[E]) byCookie() map[string]liveRule {
-	idx := make(map[string]liveRule, len(l.entries))
+// byCookie indexes the list for a statistics read: CookieHash(cookie) →
+// the first entry in match order that carries it. Keying on the numeric
+// cookie finds a rule installed over the wire, whose entry holds the
+// synthetic "wire-…" cookie, under its program cookie.
+func (l *ruleList[E]) byCookie() map[uint64]liveRule {
+	idx := make(map[uint64]liveRule, len(l.entries))
 	for i, e := range l.entries {
-		if _, dup := idx[e.cookie()]; !dup {
-			idx[e.cookie()] = liveRule{e.priority(), l.hits[i]}
+		k := CookieHash(e.cookie())
+		if _, dup := idx[k]; !dup {
+			idx[k] = liveRule{e.priority(), l.hits[i]}
 		}
 	}
 	return idx
+}
+
+// CookieHash maps a rule's cookie string to its numeric OpenFlow form
+// (FNV-64a). Entries decoded from the wire carry synthetic
+// "wire-%016x" cookies embedding that number; CookieHash recovers it, so
+// a rule keys the same whether it was installed locally or over the wire.
+func CookieHash(cookie string) uint64 {
+	if len(cookie) == len("wire-")+16 && strings.HasPrefix(cookie, "wire-") {
+		if v, err := strconv.ParseUint(cookie[len("wire-"):], 16, 64); err == nil {
+			return v
+		}
+	}
+	h := uint64(14695981039346656037) // FNV-64a offset basis
+	for i := 0; i < len(cookie); i++ {
+		h ^= uint64(cookie[i])
+		h *= 1099511628211 // FNV-64 prime
+	}
+	return h
 }

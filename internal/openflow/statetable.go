@@ -115,9 +115,6 @@ func NewStateTable(id int, key []Field) *StateTable {
 	return &StateTable{ID: id, Key: key, state: make(map[uint64]uint64)}
 }
 
-// Add inserts a transition entry in match order (like FlowTable.Add).
-func (t *StateTable) Add(e *StateEntry) { t.add(e) }
-
 // AddBatch inserts a batch of transitions as one mutation (the
 // state-table counterpart of FlowTable.AddBatch).
 func (t *StateTable) AddBatch(es []*StateEntry) { t.addBatch(es) }

@@ -103,23 +103,19 @@ func TestRecordedStepsNameRulesAndBuckets(t *testing.T) {
 	}
 }
 
-func TestSetCounterAndGroupBytes(t *testing.T) {
+func TestCounterValueAndGroupBytes(t *testing.T) {
 	g := &GroupEntry{ID: 1, Type: GroupSelectRR, Buckets: []Bucket{
 		{Actions: []Action{SetField{F: Field{Off: 0, Bits: 2}, Value: 0}}},
 		{Actions: []Action{SetField{F: Field{Off: 0, Bits: 2}, Value: 1}}},
 	}}
 	sw := NewSwitch(1, 2)
 	sw.AddGroup(g)
-	sw.SetCounter(1, 5)
-	if v, ok := sw.CounterValue(1); !ok || v != 1 { // 5 mod 2
-		t.Errorf("counter = %d (installed %v)", v, ok)
+	if v, ok := sw.CounterValue(1); !ok || v != 0 {
+		t.Errorf("counter = %d (installed %v), want 0 on a fresh group", v, ok)
 	}
 	if got, want := g.Bytes(), 16+2*(16+8); got != want {
 		t.Errorf("Bytes = %d, want %d", got, want)
 	}
-	sw.AddGroup(&GroupEntry{ID: 2})
-	sw.SetCounter(2, 3) // no buckets: must not panic
-	sw.SetCounter(3, 3) // not installed: ignored
 	if _, ok := sw.CounterValue(3); ok {
 		t.Error("CounterValue reports a group that is not installed")
 	}

@@ -312,18 +312,6 @@ func (sw *Switch) StateTab(id int) *StateTable {
 // creating it, or nil.
 func (sw *Switch) StateTableByID(id int) *StateTable { return sw.stateTables[id] }
 
-// StateTableIDs returns the IDs of all non-empty state tables, ascending.
-func (sw *Switch) StateTableIDs() []int {
-	var ids []int
-	for id, t := range sw.stateTables {
-		if t.Len() > 0 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // AddStateEntries installs the transitions of one transaction into state
 // table id as one batch (see StateTable.AddBatch), setting the table's
 // flow key on first use. Neither es nor the entries are written to.
@@ -469,24 +457,6 @@ func (sw *Switch) CounterValue(id uint32) (v int, ok bool) {
 	return 0, false
 }
 
-// SetCounter overwrites the round-robin pointer of group id. The
-// controller can do this out of band (a group-mod resets bucket state);
-// tests use it too. Missing and bucketless groups are left alone.
-func (sw *Switch) SetCounter(id uint32, v int) {
-	if i, found := sw.groupPos(id); found && len(sw.gslots[i].hits) > 0 {
-		sw.gslots[i].rr = int32(v % len(sw.gslots[i].hits))
-	}
-}
-
-// RemoveGroup deletes a group entry (group-mod DELETE); missing groups
-// are ignored, like OFPGC_DELETE.
-func (sw *Switch) RemoveGroup(id uint32) {
-	if i, found := sw.groupPos(id); found {
-		sw.gids = slices.Delete(sw.gids, i, i+1)
-		sw.gslots = slices.Delete(sw.gslots, i, i+1)
-	}
-}
-
 // RemoveGroupRange deletes every group with lo <= ID < hi, returning the
 // count.
 func (sw *Switch) RemoveGroupRange(lo, hi uint32) int {
@@ -575,8 +545,10 @@ func (sw *Switch) applyGroup(x *ExecContext, id uint32, p *Packet) {
 // inPort is the ingress physical port (or PortController for a packet-out
 // that requests pipeline processing). The returned Result is fresh and
 // belongs to the caller. Receive is the thin single-packet wrapper over
-// ExecBatch kept for tests and direct API use; the network's event loop
-// batches executions per switch instead.
+// ExecBatch; the network's event loop batches executions per switch
+// instead.
+//
+//simlint:testapi the pipeline tests drive one packet at a time through it
 func (sw *Switch) Receive(pkt *Packet, inPort int) Result {
 	p := pkt.ClonePooled()
 	p.InPort = inPort

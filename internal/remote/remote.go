@@ -173,13 +173,6 @@ func (f *Fabric) fail(err error) {
 	f.mu.Unlock()
 }
 
-// Err returns the first asynchronous fabric error.
-func (f *Fabric) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.firstErr
-}
-
 // InstallProgram flushes a compiled program over the wire, batched: each
 // switch's rules and groups travel in as few TypeBatch messages as the
 // size cap allows, instead of one flow-mod/group-mod message per rule.
@@ -380,11 +373,6 @@ func (f *Fabric) GroupCounter(sw int, id uint32) int {
 		return -1
 	}
 	return gs.Value()
-}
-
-// FlowStats reads one table's rule-hit statistics over the wire.
-func (f *Fabric) FlowStats(sw, table int) ([]ofwire.FlowStat, error) {
-	return f.clients[sw].FlowStats(table)
 }
 
 // Close tears down all sessions and listeners.

@@ -8,7 +8,6 @@ import (
 	"smartsouth/internal/core"
 	"smartsouth/internal/monitor"
 	"smartsouth/internal/network"
-	"smartsouth/internal/ofwire"
 	"smartsouth/internal/openflow"
 	"smartsouth/internal/topo"
 )
@@ -80,9 +79,16 @@ func TestSnapshotOverWire(t *testing.T) {
 	if f.Stats.FlowMods == 0 || f.Stats.GroupMods == 0 {
 		t.Error("offline installation not counted")
 	}
-	if err := f.Err(); err != nil {
+	if err := asyncErr(f); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// asyncErr returns the first asynchronous fabric error.
+func asyncErr(f *Fabric) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.firstErr
 }
 
 func TestCriticalOverWire(t *testing.T) {
@@ -244,16 +250,18 @@ func TestGroupStatsOverWire(t *testing.T) {
 	f, nw := fabricRig(t, g)
 	l := core.NewLayout(g)
 	field := l.Alloc("ctr", 3)
-	sc, err := core.InstallSmartCounter(f, 0, 77, field, 5)
-	if err != nil {
+	ctr := openflow.NewProgram("smart-counter", 0)
+	ctr.Transient = true
+	if _, err := core.CompileSmartCounter(ctr, 0, 0, 77, field, 5); err != nil {
 		t.Fatal(err)
 	}
+	f.InstallProgram(ctr)
 	// Drive 7 fetch-and-increments through the pipeline locally.
 	drive := openflow.NewProgram("drive", 0)
 	drive.Ensure(0, g.Degree(0))
 	drive.AddFlow(0, 0, &openflow.FlowEntry{
 		Priority: 1, Match: openflow.MatchAll(),
-		Actions: []openflow.Action{sc.FetchInc(), openflow.Output{Port: openflow.PortSelf}},
+		Actions: []openflow.Action{openflow.Group{ID: 77}, openflow.Output{Port: openflow.PortSelf}},
 		Goto:    openflow.NoGoto, Cookie: "drive",
 	})
 	f.InstallProgram(drive)
@@ -263,7 +271,7 @@ func TestGroupStatsOverWire(t *testing.T) {
 	if _, err := f.RunNetwork(); err != nil {
 		t.Fatal(err)
 	}
-	if v := sc.Value(f); v != 7%5 {
+	if v := f.GroupCounter(0, 77); v != 7%5 {
 		t.Errorf("wire-read counter = %d, want %d", v, 7%5)
 	}
 }
@@ -337,7 +345,7 @@ func TestRemainingServicesOverWire(t *testing.T) {
 	if total == 0 {
 		t.Error("no load inferred over wire")
 	}
-	if err := f.Err(); err != nil {
+	if err := asyncErr(f); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -355,11 +363,11 @@ func TestFlowStatsOverWireProfile(t *testing.T) {
 	if _, err := f.RunNetwork(); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := f.FlowStats(0, 1) // root's entry table
+	stats, err := f.clients[0].FlowStats(1) // root's entry table
 	if err != nil {
 		t.Fatal(err)
 	}
-	startCookie := ofwire.CookieHash(fmt.Sprintf("svc%04x/n%d/start", core.EthTraversal, 0))
+	startCookie := openflow.CookieHash(fmt.Sprintf("svc%04x/n%d/start", core.EthTraversal, 0))
 	found := false
 	for _, s := range stats {
 		if s.Cookie == startCookie {

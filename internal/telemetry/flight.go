@@ -18,15 +18,11 @@ const (
 	// visible as the receiving switch's FlightExec record, so spending
 	// ring entries on them would only halve the retained history.
 	FlightSend
-	// FlightPacketIn is a delivery to the controller attachment.
-	FlightPacketIn
-	// FlightSelf is a delivery to a switch-local host.
-	FlightSelf
 	// FlightNote is a free-form marker (phase boundary, gate rejection).
 	FlightNote
 )
 
-var kindNames = [...]string{"exec", "send", "packet-in", "self", "note"}
+var kindNames = [...]string{"exec", "send", "note"}
 
 func (k FlightKind) String() string {
 	if int(k) < len(kindNames) {
@@ -208,7 +204,7 @@ func (f *Flight) Cap() int { return len(f.buf) }
 // Len returns the number of retained records.
 func (f *Flight) Len() int { return int(min(f.seq, uint64(len(f.buf)))) }
 
-// Total returns the number of records written since creation (or Reset),
+// Total returns the number of records written since creation,
 // including those the ring has evicted.
 func (f *Flight) Total() uint64 { return f.seq }
 
@@ -222,25 +218,12 @@ func (f *Flight) last(n, i int) *FlightRecord {
 	return &f.buf[(f.seq-uint64(n)+uint64(i))&f.mask]
 }
 
-// Snapshot returns the retained records, oldest first.
-func (f *Flight) Snapshot() []FlightRecord {
-	n := f.Len()
-	out := make([]FlightRecord, n)
-	for i := range out {
-		out[i] = *f.last(n, i)
-	}
-	return out
-}
-
 // AppendSpans appends to dst the causal spans among the records claimed
 // after the first since, oldest first: the exec records of traced
 // packets. Records the ring has already evicted are lost. Together with
 // Total this lets a consumer drain the timeline incrementally between
 // runs in O(new records) instead of re-reading the whole ring.
 func (f *Flight) AppendSpans(dst []SpanRecord, since uint64) []SpanRecord {
-	if since > f.seq {
-		since = 0 // the ring was Reset after the cursor was taken
-	}
 	n := int(min(uint64(f.Len()), f.seq-since))
 	for i := 0; i < n; i++ {
 		if r := f.last(n, i); r.Kind == FlightExec && r.Trace != 0 {
@@ -267,15 +250,6 @@ func (f *Flight) RegisterTagNames(names [3]string) uint8 {
 	return uint8(len(f.names) - 1)
 }
 
-// TagNames returns the interned name set for idx (zero strings when idx
-// was never registered).
-func (f *Flight) TagNames(idx uint8) [3]string {
-	if int(idx) < len(f.names) {
-		return f.names[idx]
-	}
-	return [3]string{}
-}
-
 // SetCookie stores s as the cookie of the record claimed as sequence
 // number seq (Total just before its Slot call): inline when it fits the
 // record's fixed bytes, in the overflow array at the record's slot
@@ -298,7 +272,7 @@ func (f *Flight) SetCookie(seq uint64, s string) {
 }
 
 // CookieString resolves a record's cookie text — a record of this ring or
-// a copy of one (Snapshot). An overflow cookie resolves through its
+// a copy of one. An overflow cookie resolves through its
 // record's slot while the ring retains the record; "?" once it is evicted.
 func (f *Flight) CookieString(r *FlightRecord) string {
 	if r.CookieLen == cookieOverflow {
@@ -315,20 +289,14 @@ func (f *Flight) CookieString(r *FlightRecord) string {
 	return string(r.Cookie[:n])
 }
 
-// Record appends r to the ring.
+// Record appends r to the ring. The lanes claim records in place
+// (Slot); Record is the by-value form.
 //
 //simlint:hotpath
+//simlint:testapi BenchmarkFlightRecord, a benchguard-gated row of BENCH_pr10.json, and the ring tests record through it
 func (f *Flight) Record(r FlightRecord) {
 	f.buf[f.seq&f.mask] = r
 	f.seq++
-}
-
-// Reset discards all records and their cookies (tag names survive: they
-// are registration state, not history).
-func (f *Flight) Reset() {
-	f.seq = 0
-	clear(f.buf)
-	clear(f.long)
 }
 
 // dumpLen returns how many records a dump emits now.

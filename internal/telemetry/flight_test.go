@@ -44,6 +44,16 @@ func pointerField(t reflect.Type, path string) string {
 	return ""
 }
 
+// snapshot copies the retained records, oldest first.
+func snapshot(f *Flight) []FlightRecord {
+	n := f.Len()
+	out := make([]FlightRecord, n)
+	for i := range out {
+		out[i] = *f.last(n, i)
+	}
+	return out
+}
+
 func TestFlightRingWraparound(t *testing.T) {
 	f := NewFlight(4, 0)
 	for i := 0; i < 10; i++ {
@@ -52,7 +62,7 @@ func TestFlightRingWraparound(t *testing.T) {
 	if f.Total() != 10 || f.Len() != 4 {
 		t.Fatalf("total=%d len=%d", f.Total(), f.Len())
 	}
-	snap := f.Snapshot()
+	snap := snapshot(f)
 	if len(snap) != 4 {
 		t.Fatalf("snapshot len %d", len(snap))
 	}
@@ -60,10 +70,6 @@ func TestFlightRingWraparound(t *testing.T) {
 		if want := int16(6 + i); r.Sw != want {
 			t.Fatalf("record %d: sw=%d want %d", i, r.Sw, want)
 		}
-	}
-	f.Reset()
-	if f.Len() != 0 || f.Total() != 0 {
-		t.Fatal("reset")
 	}
 }
 
@@ -78,7 +84,7 @@ func TestFlightJSONL(t *testing.T) {
 	}
 	f.SetCookie(seq, "snapshot")
 	f.Record(FlightRecord{At: 1001, Kind: FlightSend, Sw: 3, Port: 1, To: 4, ToPort: 2, Eth: 0x0901})
-	f.Record(FlightRecord{At: 1002, Kind: FlightPacketIn, Sw: 0, Eth: 0x0901})
+	f.Record(FlightRecord{At: 1002, Kind: FlightNote, Sw: 0, Eth: 0x0901})
 
 	var buf bytes.Buffer
 	if err := f.WriteJSONL(&buf); err != nil {
@@ -98,7 +104,7 @@ func TestFlightJSONL(t *testing.T) {
 		}
 		decoded = append(decoded, m)
 	}
-	if decoded[0]["kind"] != "exec" || decoded[1]["kind"] != "send" || decoded[2]["kind"] != "packet-in" {
+	if decoded[0]["kind"] != "exec" || decoded[1]["kind"] != "send" || decoded[2]["kind"] != "note" {
 		t.Fatalf("kinds wrong: %v", decoded)
 	}
 	for i, m := range decoded {
@@ -161,7 +167,7 @@ func TestFlightLongCookieInterning(t *testing.T) {
 	seq := f.Total()
 	f.Slot().Kind = FlightExec
 	f.SetCookie(seq, "svc8802/n7/done-p2")
-	snap := f.Snapshot()
+	snap := snapshot(f)
 	for i := 0; i < 3; i++ {
 		if got := f.CookieString(&snap[i]); got != long {
 			t.Fatalf("note %d: long cookie resolved to %q", i, got)
@@ -201,7 +207,7 @@ func TestFlightLongCookiesStayBounded(t *testing.T) {
 		r.Kind, r.At = FlightExec, int64(i)
 		f.SetCookie(seq, cookie(i))
 	}
-	snap := f.Snapshot()
+	snap := snapshot(f)
 	if len(snap) != f.Cap() {
 		t.Fatalf("retained %d records, want %d", len(snap), f.Cap())
 	}
@@ -251,17 +257,14 @@ func TestFlightTagNameInterning(t *testing.T) {
 	if a == b {
 		t.Fatal("distinct name sets interned to the same index")
 	}
-	if got := f.TagNames(b); got[0] != "x" {
-		t.Fatalf("TagNames(%d) = %v", b, got)
-	}
-	if got := f.TagNames(200); got != ([3]string{}) {
-		t.Fatalf("unregistered index resolved to %v", got)
+	if got := f.names[b]; got[0] != "x" {
+		t.Fatalf("names[%d] = %v", b, got)
 	}
 }
 
 func TestFlightKindString(t *testing.T) {
 	for k, want := range map[FlightKind]string{
-		FlightExec: "exec", FlightSend: "send", FlightPacketIn: "packet-in", FlightSelf: "self", FlightNote: "note",
+		FlightExec: "exec", FlightSend: "send", FlightNote: "note",
 	} {
 		if k.String() != want {
 			t.Errorf("%d: got %q want %q", k, k.String(), want)
@@ -270,7 +273,7 @@ func TestFlightKindString(t *testing.T) {
 }
 
 // The ring's storage discipline: power-of-two capacity, cleared slots on
-// recycle, oldest-first snapshots, Reset.
+// recycle, oldest-first snapshots.
 func TestFlightSlotRing(t *testing.T) {
 	f := NewFlight(10, 0)
 	if f.Cap() != 16 || f.DumpCap() != 16 {
@@ -284,17 +287,13 @@ func TestFlightSlotRing(t *testing.T) {
 	if f.Total() != 20 || f.Len() != 16 {
 		t.Fatalf("Total()=%d Len()=%d, want 20/16", f.Total(), f.Len())
 	}
-	for i, r := range f.Snapshot() {
+	for i, r := range snapshot(f) {
 		if want := int64(i + 4); r.At != want {
-			t.Fatalf("Snapshot()[%d].At = %d, want %d (oldest first)", i, r.At, want)
+			t.Fatalf("snapshot[%d].At = %d, want %d (oldest first)", i, r.At, want)
 		}
 	}
 	if r := f.Slot(); *r != (FlightRecord{}) {
 		t.Fatalf("recycled Slot() not cleared: %+v", *r)
-	}
-	f.Reset()
-	if f.Total() != 0 || f.Len() != 0 {
-		t.Fatalf("after Reset: Total=%d Len=%d, want 0/0", f.Total(), f.Len())
 	}
 }
 
@@ -366,9 +365,5 @@ func TestFlightAppendSpans(t *testing.T) {
 	}
 	if got := f.AppendSpans(nil, 0); len(got) != 0 {
 		t.Fatalf("evicted spans still read: %+v", got)
-	}
-	f.Reset()
-	if got := f.AppendSpans(nil, 12); len(got) != 0 {
-		t.Fatalf("a cursor past a Reset read %+v", got)
 	}
 }

@@ -117,9 +117,6 @@ func (l *LocalHist) Observe(v int64) {
 	}
 }
 
-// Count returns the number of observations.
-func (l *LocalHist) Count() uint64 { return l.count }
-
 // Merge adds o's observations to l; o is left as it was.
 func (l *LocalHist) Merge(o *LocalHist) {
 	if o.count == 0 {

@@ -72,15 +72,15 @@ func TestLocalHistFlush(t *testing.T) {
 	for v := int64(0); v < 100; v++ {
 		l.Observe(v)
 	}
-	if l.Count() != 100 {
+	if l.count != 100 {
 		t.Fatal("local count")
 	}
 	h.Merge(&l)
-	if l.Count() != 100 {
+	if l.count != 100 {
 		t.Fatal("Merge must leave its source as it was")
 	}
 	l.Reset()
-	if l.Count() != 0 || l.Snapshot().Buckets != nil {
+	if l.count != 0 || l.Snapshot().Buckets != nil {
 		t.Fatal("Reset must clear the local histogram")
 	}
 	s := h.Snapshot()
@@ -89,7 +89,7 @@ func TestLocalHistFlush(t *testing.T) {
 	}
 	// Merging an empty local must be a no-op.
 	h.Merge(&l)
-	if h.Count() != 100 {
+	if h.count != 100 {
 		t.Fatal("empty merge changed the histogram")
 	}
 	// Flushing more data accumulates.

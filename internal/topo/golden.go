@@ -139,6 +139,8 @@ func Reachable(g *Graph, root int, portDead PortPredicate) map[int]bool {
 }
 
 // Connected reports whether the whole graph is one component.
+//
+//simlint:testapi reference oracle the generator tests check connectivity against
 func Connected(g *Graph) bool {
 	if g.NumNodes() == 0 {
 		return true

@@ -6,10 +6,7 @@
 //simlint:deterministic
 package topo
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // half is one endpoint's view of an edge: the neighbour node and the
 // neighbour's port for the reverse direction.
@@ -116,15 +113,3 @@ func (g *Graph) PortTo(u, v int) int {
 
 // HasEdge reports adjacency.
 func (g *Graph) HasEdge(u, v int) bool { return g.PortTo(u, v) != 0 }
-
-// DOT renders the graph in Graphviz format with port numbers as edge
-// labels, for visualisation and debugging.
-func (g *Graph) DOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "graph %q {\n  node [shape=circle];\n", name)
-	for _, e := range g.edges {
-		fmt.Fprintf(&b, "  %d -- %d [taillabel=%d, headlabel=%d];\n", e.U, e.V, e.PU, e.PV)
-	}
-	b.WriteString("}\n")
-	return b.String()
-}

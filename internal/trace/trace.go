@@ -206,21 +206,6 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// Len returns the number of retained events.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.ring)
-}
-
-// Total returns the number of executions observed since creation (or the
-// last Reset), including those evicted from the ring.
-func (r *Recorder) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
-
 // Dropped returns how many events were evicted by the ring.
 func (r *Recorder) Dropped() uint64 {
 	r.mu.Lock()

@@ -24,8 +24,8 @@ func TestRingRetainsTail(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		exec(r, i)
 	}
-	if r.Len() != 4 || r.Total() != 10 || r.Dropped() != 6 {
-		t.Fatalf("len=%d total=%d dropped=%d", r.Len(), r.Total(), r.Dropped())
+	if len(r.ring) != 4 || r.seq != 10 || r.Dropped() != 6 {
+		t.Fatalf("len=%d total=%d dropped=%d", len(r.ring), r.seq, r.Dropped())
 	}
 	ev := r.Events()
 	if len(ev) != 4 {
@@ -144,7 +144,7 @@ func TestResetKeepsDecoders(t *testing.T) {
 	nw.RegisterTags(0x8802, "snapshot", [3]string{}, nil)
 	exec(r, 0)
 	r.Reset()
-	if r.Len() != 0 || r.Total() != 0 {
+	if len(r.ring) != 0 || r.seq != 0 {
 		t.Fatal("reset must clear events")
 	}
 	exec(r, 1)

@@ -64,9 +64,6 @@ func (s ValueSet) Contains(v uint64) bool {
 	return i < len(s.vals) && s.vals[i] == v
 }
 
-// Values returns the explicit elements (nil for Top).
-func (s ValueSet) Values() []uint64 { return s.vals }
-
 // Map applies f to every element. Top maps to Top: the image of an
 // unknown value is unknown.
 func (s ValueSet) Map(f func(uint64) uint64) ValueSet {

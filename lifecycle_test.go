@@ -185,6 +185,17 @@ func freezeLists(progs []*Program) *frozenLists {
 	return f
 }
 
+// programJSON fingerprints one compiled program by its JSON encoding,
+// which carries every rule, group and state entry it holds.
+func programJSON(t *testing.T, p *Program) string {
+	t.Helper()
+	js, err := dump.MarshalPrograms([]*Program{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(js)
+}
+
 // rawSweep drives one snapshot traversal and one blackhole detection from
 // root through nothing but the control plane and the programs' layouts —
 // what a deployment that was handed compiled programs, not service
@@ -242,7 +253,7 @@ func TestSharedActionListsAreImmutable(t *testing.T) {
 			}
 			var dumps []string
 			for _, p := range progs {
-				dumps = append(dumps, dump.Program(p))
+				dumps = append(dumps, programJSON(t, p))
 			}
 
 			// The second life of the same programs: installed as they are on
@@ -301,7 +312,7 @@ func TestSharedActionListsAreImmutable(t *testing.T) {
 				}
 			}
 			for i, p := range progs {
-				if dump.Program(p) != dumps[i] {
+				if programJSON(t, p) != dumps[i] {
 					t.Errorf("program %q changed after compile", p.Service)
 				}
 			}

@@ -281,7 +281,8 @@ func TestFunctionalOptionsAndStructCompat(t *testing.T) {
 		if err := d.Run(); err != nil {
 			t.Fatal(err)
 		}
-		js, err := json.Marshal(d.Net.InBandMsgs())
+		msgs, _ := d.Net.InBand()
+		js, err := json.Marshal(msgs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,10 +70,7 @@ func deployEverywhereFingerprint(t *testing.T, g *Graph, backend string) string 
 	deps := []*Deployment{a, bc, mc}
 	for _, d := range deps {
 		for _, p := range d.Programs() {
-			digest("program "+programKey(p), []byte(dump.Program(p)))
-			js, err := dump.MarshalProgram(p)
-			must(err)
-			digest("json "+programKey(p), js)
+			digest("program "+programKey(p), []byte(programJSON(t, p)))
 			for _, is := range verify.CheckProgram(p, verify.Options{}) {
 				fmt.Fprintln(&b, is)
 			}
@@ -109,7 +106,7 @@ func deployEverywhereFingerprint(t *testing.T, g *Graph, backend string) string 
 		s := d.Stats()
 		fmt.Fprintf(&b, "deployment %d: flowmods=%d groupmods=%d installmsgs=%d outs=%d ins=%d outbytes=%d total-inband=%d\n",
 			i, s.FlowMods, s.GroupMods, s.InstallMsgs, s.PacketOuts, s.PacketIns, s.OutBandBytes, d.Net.TotalInBand())
-		msgs, bytes := d.Net.InBandMsgs(), d.Net.InBandBytes()
+		msgs, bytes := d.Net.InBand()
 		eths := make([]int, 0, len(msgs))
 		for eth := range msgs {
 			eths = append(eths, int(eth))

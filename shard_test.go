@@ -81,7 +81,7 @@ func table2Fingerprint(t *testing.T, g *Graph, shards int) string {
 	fmt.Fprintf(&b, "critical verdict=%v ok=%v\n", crit, ok)
 	fmt.Fprintf(&b, "simtime=%d\n", int64(d.Net.Sim.Now()))
 
-	msgs, bytes := d.Net.InBandMsgs(), d.Net.InBandBytes()
+	msgs, bytes := d.Net.InBand()
 	eths := make([]int, 0, len(msgs))
 	for eth := range msgs {
 		eths = append(eths, int(eth))
@@ -156,7 +156,7 @@ func snapDigest(t *testing.T, d *Deployment, snap *SnapshotSplit, edges int) uin
 	if err != nil || res == nil {
 		t.Fatalf("snapshot: %v %v", res, err)
 	}
-	msgs, bytes := d.Net.InBandMsgs(), d.Net.InBandBytes()
+	msgs, bytes := d.Net.InBand()
 	if m, bound := msgs[core.EthSnapSplit], 4*edges; m > bound {
 		t.Errorf("snapshot in-band msgs %d exceed 4|E|=%d", m, bound)
 	}

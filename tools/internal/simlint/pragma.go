@@ -15,6 +15,7 @@ import (
 //	//simlint:deterministic           — in a file: package is sim-deterministic
 //	//simlint:cold                    — on an if statement: body is off the hot path
 //	//simlint:ignore [analyzer:] why  — suppress findings on this or the next line
+//	//simlint:testapi why             — on a declaration: exported for tests only
 const (
 	pragmaHotpath       = "hotpath"
 	pragmaBarrier       = "barrier"
@@ -22,6 +23,7 @@ const (
 	pragmaDeterministic = "deterministic"
 	pragmaCold          = "cold"
 	pragmaIgnore        = "ignore"
+	pragmaTestAPI       = "testapi"
 )
 
 // ignoreDirective is one parsed //simlint:ignore comment.

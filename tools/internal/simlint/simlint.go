@@ -22,6 +22,10 @@
 //   - poolown: the PR 7 batch-API extension of pool — releasing an
 //     ExecBatch input without consulting Result.StoleInput, and using
 //     inbox packets after ClearInbox recycled them.
+//   - exports: module-wide, not per vet unit — an exported name under
+//     internal/ or tools/ that no non-test file uses is a finding unless
+//     //simlint:testapi <reason> keeps it. It runs as the test
+//     TestRepositoryExportsHaveNonTestUsers (exports.go).
 //
 // Any diagnostic can be suppressed with a reasoned escape hatch,
 // `//simlint:ignore reason` (optionally scoped: `//simlint:ignore

@@ -186,30 +186,7 @@ func LoadDir(dir, importPath string, withTests bool) (*Unit, error) {
 		Path:        importPath,
 		ImportFacts: make(map[string]PackageFacts),
 	}
-	u.typecheckSource()
+	u.typecheck(&VetConfig{}) // no Compiler: the source importer
 	u.pragmas = scanPragmas(u)
 	return u, nil
-}
-
-func (u *Unit) typecheckSource() {
-	u.Info = &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
-	imp := importer.ForCompiler(u.Fset, "source", nil)
-	tc := &types.Config{
-		Importer: importerFunc(func(path string) (*types.Package, error) {
-			if path == "unsafe" {
-				return types.Unsafe, nil
-			}
-			return imp.Import(path)
-		}),
-		Error: func(error) {},
-		Sizes: types.SizesFor("gc", runtime.GOARCH),
-	}
-	pkg, _ := tc.Check(u.Path, u.Fset, u.Files, u.Info)
-	u.Pkg = pkg
 }

@@ -22,6 +22,12 @@
 //	go vet -vettool=/tmp/simlint ./...        # whole-tree, with facts
 //	/tmp/simlint [-json] ./internal/network   # standalone spot check
 //
+// The module-wide exports check (an exported name under internal/ or
+// tools/ needs a non-test user, or `//simlint:testapi reason` on its
+// declaration) cannot run per vet unit; it runs as a test:
+//
+//	go test -run TestRepositoryExportsHaveNonTestUsers ./tools/internal/simlint
+//
 // Suppress a finding with `//simlint:ignore [analyzer:] reason` on the
 // flagged line or the line above. Every invariant, its failure mode and
 // its suppression etiquette is catalogued in docs/LINTS.md.
